@@ -6,9 +6,11 @@ Vectors and covectors are plain numpy arrays of coordinates in the chosen
 basis / dual basis; the pairing of a covector with a vector is the Euclidean
 dot of coordinates, so all metric content lives in the ``pairing`` matrix.
 
-Two backends share the interface: a dense one driven by the rank-3 structure
-constant tensor, and an implicit one (periodic lattice loop algebras, see
-``liedouble.loop``) that supplies a pointwise bracket callable instead.
+Every algebra is a lattice of identical sites: a base double is one site,
+and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the base
+double on N sites. Coordinates are site-major, the bracket is the per-site
+structure-constant tensor applied at every site, and operators such as
+``ad`` are block diagonal over the sites.
 """
 
 import json
@@ -28,64 +30,95 @@ __all__ = [
 ]
 
 
+def _block_diag(blocks, shift=0):
+    """(N, d, d) blocks -> (N d, N d) matrix, block j at rows j + shift.
+
+    Block rows wrap periodically, so a nonzero shift places the blocks on
+    a periodic off-diagonal.
+    """
+    n, d, _ = blocks.shape
+    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
+    j = np.arange(n)
+    out[(j + shift) % n, :, j, :] = blocks
+    return out.reshape(n * d, n * d)
+
+
 class BasisAlgebra:
     """A Lie algebra with a fixed basis adapted to the Manin split.
 
-    Coordinates are ordered so that ``plus_indices`` select the g+ basis
-    vectors and ``minus_indices`` the g- ones; together they exhaust the
-    basis.
+    The constructor takes the data of one site: labels, pairing, the
+    plus/minus index split, the (d, d, d) structure constants with
+    [e_i, e_j] = sum_k c[i, j, k] e_k and optionally a faithful matrix
+    representation as a (d, m, m) stack of basis matrices. With a
+    ``lattice`` the algebra is the sum of ``lattice.n_sites`` copies in
+    site-major coordinates, paired by the site average; without one it is
+    the single site. ``plus_indices`` and ``minus_indices`` select the g+
+    and g- basis vectors of the whole algebra and together exhaust it.
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
-                 structure_constants=None, basis_matrices=None,
-                 bracket_fn=None, ad_fn=None,
-                 vec_to_mat=None, mat_to_vec=None, identity_matrix=None,
+                 structure_constants, basis_matrices=None, lattice=None,
                  group_memberships=None, factorizer=None):
         self.name = name
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.pairing = np.asarray(pairing, dtype=float)
-        self.plus_indices = np.asarray(plus_indices, dtype=int)
-        self.minus_indices = np.asarray(minus_indices, dtype=int)
-        self.structure_constants = (
-            None if structure_constants is None
-            else np.asarray(structure_constants, dtype=float))
-        self.basis_matrices = basis_matrices
-        self._bracket_fn = bracket_fn
-        self._ad_fn = ad_fn
-        self._vec_to_mat = vec_to_mat
-        self._mat_to_vec = mat_to_vec
-        self.identity_matrix = identity_matrix
-        # optional hooks used by the group layer
+        self.lattice = lattice
+        self.n_sites = 1 if lattice is None else lattice.n_sites
+        self.site_dim = d = len(labels)
+        self.dim = self.n_sites * d
+        self.labels = (list(labels) if lattice is None else
+                       ["%s@%d" % (lab, j) for j in range(self.n_sites)
+                        for lab in labels])
+        pairing = np.asarray(pairing, dtype=float)
+        if pairing.shape != (d, d):
+            raise ValueError("pairing shape does not match dim")
+        self.structure_constants = np.asarray(structure_constants,
+                                              dtype=float)
+        if self.structure_constants.shape != (d, d, d):
+            raise ValueError("structure constants shape does not match dim")
+        self.pairing = np.kron(np.eye(self.n_sites), pairing) / self.n_sites
+        offsets = d * np.arange(self.n_sites)[:, None]
+        self.plus_indices = (offsets + np.asarray(plus_indices, dtype=int)
+                             ).reshape(-1)
+        self.minus_indices = (offsets + np.asarray(minus_indices, dtype=int)
+                              ).reshape(-1)
+        # leading axes of a group point or algebra field: none, or sites
+        self._site_axes = () if lattice is None else (self.n_sites,)
+        self.basis_matrices = mats = (None if basis_matrices is None
+                                      else np.asarray(basis_matrices))
+        if mats is not None:
+            flat = mats.reshape(d, -1)
+            if np.iscomplexobj(mats):
+                flat = np.hstack([flat.real, flat.imag])
+            self._dual_basis = np.linalg.pinv(flat.T).T
+            self.identity_matrix = np.broadcast_to(
+                np.eye(mats.shape[1], dtype=mats.dtype),
+                self._site_axes + mats.shape[1:]).copy()
+        # optional hooks used by the group layer; the factorizer maps a
+        # (..., m, m) stack to its (g+, g-) factor stacks
         self.group_memberships = group_memberships or {}
         self.factorizer = factorizer
-
-        if self.pairing.shape != (self.dim, self.dim):
-            raise ValueError("pairing shape does not match dim")
-        if self.structure_constants is None and bracket_fn is None:
-            raise ValueError("need structure constants or a bracket callable")
         self._pairing_inv = np.linalg.inv(self.pairing)
 
     # --- core bilinear operations -------------------------------------
 
-    def bracket(self, x, y):
+    def _sites(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if x.shape != (self.dim,):
             raise ValueError("vector length does not match algebra dim")
-        if self.structure_constants is not None:
-            return np.einsum("ijk,i,j->k", self.structure_constants, x, y)
-        return self._bracket_fn(x, y)
+        return x.reshape(self.n_sites, self.site_dim)
+
+    def bracket(self, x, y):
+        return np.einsum("ijk,si,sj->sk", self.structure_constants,
+                         self._sites(x), self._sites(y)).reshape(self.dim)
 
     def ad(self, x):
         """Matrix of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
-        x = np.asarray(x, dtype=float)
-        if self.structure_constants is not None:
-            return np.einsum("ijk,i->jk", self.structure_constants, x).T
-        if self._ad_fn is not None:
-            return self._ad_fn(x)
-        cols = [self._bracket_fn(x, e) for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+        return _block_diag(np.einsum("ijk,si->skj", self.structure_constants,
+                                     self._sites(x)))
+
+    def bracket_form(self, eta):
+        """K[i, j] = <eta, [e_i, e_j]> as a matrix, block diagonal on sites."""
+        return _block_diag(np.einsum("ijk,sk->sij", self.structure_constants,
+                                     self._sites(eta)))
 
     def pair(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -135,21 +168,39 @@ class BasisAlgebra:
         """
         return self.ad(x).T @ np.asarray(eta, dtype=float)
 
-    # --- matrix representation hooks -----------------------------------
+    # --- matrix representation -----------------------------------------
+
+    def _require_representation(self):
+        if self.basis_matrices is None:
+            raise ValueError("algebra %r has no matrix representation"
+                             % self.name)
 
     def vec_to_mat(self, x):
-        if self._vec_to_mat is None:
-            raise ValueError("algebra %r has no matrix representation" % self.name)
-        return self._vec_to_mat(np.asarray(x, dtype=float))
+        """The (m, m) matrix of x; an (N, m, m) stack on a lattice."""
+        self._require_representation()
+        x = np.asarray(x, dtype=float).reshape(self._site_axes
+                                               + (self.site_dim,))
+        return np.einsum("...i,ijk->...jk", x, self.basis_matrices)
 
     def mat_to_vec(self, m):
-        if self._mat_to_vec is None:
-            raise ValueError("algebra %r has no matrix representation" % self.name)
-        return self._mat_to_vec(m)
+        """Coordinates of the element m (shaped like ``vec_to_mat``'s output).
+
+        Extra leading axes are a batch of elements and map to rows of
+        coordinates.
+        """
+        self._require_representation()
+        m = np.asarray(m)
+        v = m.reshape(m.shape[:-2] + (-1,))
+        if np.iscomplexobj(self.basis_matrices):
+            v = np.concatenate([v.real, v.imag], axis=-1)
+        else:
+            v = v.real
+        batch = m.shape[:m.ndim - 2 - len(self._site_axes)]
+        return (v @ self._dual_basis).reshape(batch + (self.dim,))
 
     @property
     def has_representation(self):
-        return self._vec_to_mat is not None
+        return self.basis_matrices is not None
 
 
 class TwoCocycle:
@@ -172,9 +223,10 @@ class TwoCocycle:
 
     @classmethod
     def coboundary(cls, algebra, mu0):
+        # column i is ad_star(e_i, mu0)
         mu0 = np.asarray(mu0, dtype=float)
-        cols = [algebra.ad_star(e, mu0) for e in np.eye(algebra.dim)]
-        return cls(algebra, cls.COBOUNDARY, np.column_stack(cols), mu0=mu0)
+        return cls(algebra, cls.COBOUNDARY, -algebra.bracket_form(mu0).T,
+                   mu0=mu0)
 
     def hat(self, x):
         return self.matrix @ np.asarray(x, dtype=float)
@@ -211,70 +263,41 @@ def is_character(algebra, eta_minus, tol=1e-12):
     sup = algebra.project_dual(eta_minus, "plus")
     if np.abs(sup).max(initial=0.0) > tol:
         raise ValueError("eta_minus has support outside the dual of g-")
-    emat = np.eye(algebra.dim)
-    for i in algebra.minus_indices:
-        for j in algebra.minus_indices:
-            if j <= i:
-                continue
-            if abs(eta_minus @ algebra.bracket(emat[i], emat[j])) > tol:
-                return False
-    return True
+    mi = algebra.minus_indices
+    form = algebra.bracket_form(eta_minus)[np.ix_(mi, mi)]
+    return not np.abs(form).max(initial=0.0) > tol
 
 
 # --- validation ---------------------------------------------------------
 
-def _dense_checks(a):
+def validate_manin(a, tol=1e-12):
+    """Run the structural invariants; returns {check: residual} plus 'passed'.
+
+    The bracket axioms are checked on the per-site structure constants,
+    which the lattice repeats; ad-invariance is checked against the full
+    pairing, including its couplings between sites.
+    """
     c = a.structure_constants
     p = a.pairing
+    n, d = a.n_sites, a.site_dim
     res = {}
     res["bracket_antisymmetry"] = float(np.abs(c + c.transpose(1, 0, 2)).max())
     jac = np.einsum("ijm,mkl->ijkl", c, c)
     res["jacobi"] = float(np.abs(jac + jac.transpose(1, 2, 0, 3)
                                  + jac.transpose(2, 0, 1, 3)).max())
-    t = np.einsum("ijm,mk->ijk", c, p)
-    res["pairing_ad_invariance"] = float(np.abs(t + t.transpose(0, 2, 1)).max())
+    # t[s, i, j, v, l] = <[e_i, e_j] at site s, e_l at site v>; invariance
+    # pairs it with the (j, l)-swapped entry at v = s and asks zero elsewhere
+    t = np.einsum("ijm,smvl->sijvl", c, p.reshape(n, d, n, d))
+    s = np.arange(n)
+    diag = t[s, :, :, s, :]
+    t[s, :, :, s, :] = diag + diag.transpose(0, 1, 3, 2)
+    res["pairing_ad_invariance"] = float(np.abs(t).max())
     pi, mi = a.plus_indices, a.minus_indices
-    res["closure_plus"] = float(np.abs(c[np.ix_(pi, pi, mi)]).max(initial=0.0))
-    res["closure_minus"] = float(np.abs(c[np.ix_(mi, mi, pi)]).max(initial=0.0))
-    return res
-
-
-def _sampled_checks(a, rng, samples=24):
-    res = {"bracket_antisymmetry": 0.0, "jacobi": 0.0,
-           "pairing_ad_invariance": 0.0, "closure_plus": 0.0,
-           "closure_minus": 0.0}
-    for _ in range(samples):
-        x, y, z = rng.standard_normal((3, a.dim))
-        res["bracket_antisymmetry"] = max(
-            res["bracket_antisymmetry"],
-            float(np.abs(a.bracket(x, y) + a.bracket(y, x)).max()))
-        jac = (a.bracket(x, a.bracket(y, z)) + a.bracket(y, a.bracket(z, x))
-               + a.bracket(z, a.bracket(x, y)))
-        res["jacobi"] = max(res["jacobi"], float(np.abs(jac).max()))
-        res["pairing_ad_invariance"] = max(
-            res["pairing_ad_invariance"],
-            abs(a.pair(a.bracket(x, y), z) + a.pair(y, a.bracket(x, z))))
-        xp, yp = a.project(x, "plus"), a.project(y, "plus")
-        xm, ym = a.project(x, "minus"), a.project(y, "minus")
-        res["closure_plus"] = max(
-            res["closure_plus"],
-            float(np.abs(a.project(a.bracket(xp, yp), "minus")).max()))
-        res["closure_minus"] = max(
-            res["closure_minus"],
-            float(np.abs(a.project(a.bracket(xm, ym), "plus")).max()))
-    return res
-
-
-def validate_manin(a, tol=1e-12, rng=None):
-    """Run the structural invariants; returns {check: residual} plus 'passed'."""
-    if a.structure_constants is not None and a.dim <= 64:
-        res = _dense_checks(a)
-    else:
-        res = _sampled_checks(a, rng or np.random.default_rng(0))
-    p = a.pairing
+    sp, sm = pi[pi < d], mi[mi < d]  # the split of site 0
+    res["closure_plus"] = float(np.abs(c[np.ix_(sp, sp, sm)]).max(initial=0.0))
+    res["closure_minus"] = float(np.abs(c[np.ix_(sm, sm, sp)]).max(initial=0.0))
     res["pairing_symmetry"] = float(np.abs(p - p.T).max())
     res["pairing_condition"] = float(np.linalg.cond(p))
-    pi, mi = a.plus_indices, a.minus_indices
     res["isotropy_plus"] = float(np.abs(p[np.ix_(pi, pi)]).max(initial=0.0))
     res["isotropy_minus"] = float(np.abs(p[np.ix_(mi, mi)]).max(initial=0.0))
     res["index_partition"] = float(
@@ -288,37 +311,6 @@ def validate_manin(a, tol=1e-12, rng=None):
 
 # --- constructors --------------------------------------------------------
 
-def _rep_hooks(basis_matrices):
-    mats = np.asarray(basis_matrices)
-    dim = mats.shape[0]
-    flat = mats.reshape(dim, -1)
-    if np.iscomplexobj(mats):
-        flat = np.hstack([flat.real, flat.imag])
-    pinv = np.linalg.pinv(flat.T)
-
-    def vec_to_mat(x):
-        return np.tensordot(x, mats, axes=(0, 0))
-
-    def mat_to_vec(m):
-        m = np.asarray(m)
-        if m.ndim == 3:
-            # batch of matrices -> (batch, dim) coordinate rows
-            v = m.reshape(m.shape[0], -1)
-            if np.iscomplexobj(mats):
-                v = np.concatenate([v.real, v.imag], axis=1)
-            else:
-                v = v.real
-            return v @ pinv.T
-        v = m.reshape(-1)
-        if np.iscomplexobj(mats):
-            v = np.concatenate([v.real, v.imag])
-        else:
-            v = v.real
-        return pinv @ v
-
-    return vec_to_mat, mat_to_vec
-
-
 def algebra_from_matrices(name, labels, basis_matrices, pairing_fn,
                           plus_indices, minus_indices, **kw):
     """Build a dense BasisAlgebra from a faithful matrix representation.
@@ -328,23 +320,17 @@ def algebra_from_matrices(name, labels, basis_matrices, pairing_fn,
     """
     mats = np.asarray(basis_matrices)
     dim = mats.shape[0]
-    vec_to_mat, mat_to_vec = _rep_hooks(mats)
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            c[i, j] = mat_to_vec(comm)
     p = np.zeros((dim, dim))
     for i in range(dim):
         for j in range(dim):
             p[i, j] = pairing_fn(mats[i], mats[j])
-    return BasisAlgebra(
-        name, labels, p, plus_indices, minus_indices,
-        structure_constants=c, basis_matrices=mats,
-        vec_to_mat=vec_to_mat, mat_to_vec=mat_to_vec,
-        identity_matrix=np.eye(mats.shape[1],
-                               dtype=complex if np.iscomplexobj(mats) else float),
-        **kw)
+    a = BasisAlgebra(name, labels, p, plus_indices, minus_indices,
+                     np.zeros((dim, dim, dim)), basis_matrices=mats, **kw)
+    # the commutator coordinates need the representation's dual basis,
+    # which the algebra derives from its basis matrices
+    comm = mats[:, None] @ mats[None, :] - mats[None, :] @ mats[:, None]
+    a.structure_constants[...] = a.mat_to_vec(comm)
+    return a
 
 
 def _hat3(v):
@@ -405,11 +391,11 @@ def _so3_member_minus(m, tol):
 
 
 def _so3_factorize(m):
-    r = m[:3, :3]
-    gp = np.eye(4)
-    gp[:3, :3] = r
-    gm = np.eye(4)
-    gm[:3, 3] = np.linalg.solve(r, m[:3, 3])
+    r = m[..., :3, :3]
+    gp = np.broadcast_to(np.eye(4), m.shape).copy()
+    gp[..., :3, :3] = r
+    gm = np.broadcast_to(np.eye(4), m.shape).copy()
+    gm[..., :3, 3:] = np.linalg.solve(r, m[..., :3, 3:])
     return gp, gm
 
 
@@ -453,10 +439,10 @@ def _sb2_member(m, tol):
 
 def _sl2c_factorize(m):
     q, r = np.linalg.qr(m)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
     ph = ph / np.abs(ph)
-    q = q * ph
-    r = (1.0 / ph)[:, None] * r
+    q = q * ph[..., None, :]
+    r = (1.0 / ph)[..., :, None] * r
     return q, r
 
 
@@ -484,15 +470,18 @@ def algebra_from_declaration(decl):
     if missing:
         raise ValueError("missing declaration keys: %s" % sorted(missing))
     dim = int(decl["dim"])
-    c = np.zeros((dim, dim, dim))
-    for i, j, k, value in decl["structure_constants"]:
-        c[int(i), int(j), int(k)] = float(value)
-    a = BasisAlgebra(decl["name"], decl["labels"], np.asarray(decl["pairing"]),
-                     decl["plus_indices"], decl["minus_indices"],
-                     structure_constants=c)
     if len(decl["labels"]) != dim:
         raise ValueError("labels length does not match dim")
-    return a
+    c = np.zeros((dim, dim, dim))
+    for i, j, k, value in decl["structure_constants"]:
+        idx = (int(i), int(j), int(k))
+        if not all(0 <= n < dim for n in idx):
+            raise ValueError("structure constant index %s outside [0, %d)"
+                             % (list(idx), dim))
+        c[idx] = float(value)
+    return BasisAlgebra(decl["name"], decl["labels"],
+                        np.asarray(decl["pairing"]), decl["plus_indices"],
+                        decl["minus_indices"], c)
 
 
 def load_algebra(source):

@@ -34,8 +34,7 @@ FIBER_KEYS = {"g_minus", "eta_minus"}
 ENERGY_KEYS = {"preset", "matrix"}
 INTEGRATOR_KEYS = {"dt", "steps", "method"}
 LOOP_KEYS = {"sites", "level", "sizes", "samples"}
-OPTION_KEYS = {"points", "pairs", "samples", "hamiltonian", "energy_tol",
-               "amplitude"}
+OPTION_KEYS = {"points", "pairs", "hamiltonian", "energy_tol", "amplitude"}
 
 
 class ConfigError(ValueError):
@@ -121,7 +120,7 @@ class Scenario:
                                   % self.algebra.dim)
             return GroupCocycle.coboundary(self.algebra, mu0)
         if kind == "lattice-derivative":
-            if not hasattr(self.algebra, "lattice"):
+            if self.algebra.lattice is None:
                 raise ConfigError(
                     "cocycle: lattice-derivative needs a loop section")
             return looplib.loop_group_cocycle(
@@ -145,7 +144,7 @@ class Scenario:
     def _fiber_vector(self, spec, what):
         a = self.algebra
         if isinstance(spec, dict):
-            if "constant" in spec and hasattr(a, "lattice"):
+            if "constant" in spec and a.lattice is not None:
                 _check_keys(spec, {"constant"}, "fiber.%s" % what)
                 v = np.asarray(spec["constant"], dtype=float)
                 if v.shape != (a.lattice.base.dim,):
@@ -221,7 +220,7 @@ class Scenario:
 
 def cmd_check(sc):
     a = sc.algebra
-    report = validate_manin(a, rng=sc.rng)
+    report = validate_manin(a)
     for name, residual in report["checks"].items():
         # the pairing condition number is a well-posedness bound, not a
         # residual, and carries its own threshold
@@ -435,7 +434,7 @@ def cmd_sigma(sc):
 
 
 def cmd_loop(sc):
-    if not hasattr(sc.algebra, "lattice"):
+    if sc.algebra.lattice is None:
         raise ConfigError("experiment 'loop' needs a loop section")
     fiber = sc.require_fiber()
     a = sc.algebra

@@ -4,7 +4,7 @@ factorization g = g+ g-, dressing actions, and coadjoint group 1-cocycles."""
 import numpy as np
 import scipy.linalg
 
-from .algebra import TwoCocycle
+from .algebra import TwoCocycle, _block_diag
 
 __all__ = [
     "GroupPoint",
@@ -49,21 +49,22 @@ class GroupPoint:
     def is_identity(self, tol=1e-12):
         return np.abs(self.matrix - self.algebra.identity_matrix).max() < tol
 
-    # adjoint matrix on algebra coordinates, cached
     def ad_matrix(self):
+        """Adjoint matrix on algebra coordinates, cached.
+
+        Site j of a lattice point conjugates only site j, so Ad_g is block
+        diagonal; the blocks come from one batched conjugation of the base
+        basis matrices.
+        """
         if self._ad is None:
-            fast = getattr(self.algebra, "group_adjoint_fn", None)
-            if fast is not None:
-                self._ad = fast(self.matrix)
-                return self._ad
             a = self.algebra
-            ginv = np.linalg.inv(self.matrix)
-            cols = []
-            for i in range(a.dim):
-                e = np.zeros(a.dim)
-                e[i] = 1.0
-                cols.append(a.mat_to_vec(self.matrix @ a.vec_to_mat(e) @ ginv))
-            self._ad = np.column_stack(cols)
+            m = self.matrix.reshape((a.n_sites,) + self.matrix.shape[-2:])
+            # conj[i, j] = g_j E_i g_j^{-1}: basis direction i on every site
+            conj = np.einsum("jab,ibc,jcd->ijad", m, a.basis_matrices,
+                             np.linalg.inv(m))
+            cols = a.mat_to_vec(conj).reshape(a.site_dim, a.n_sites,
+                                              a.site_dim)
+            self._ad = _block_diag(cols.transpose(1, 2, 0))
         return self._ad
 
     def factors(self):
@@ -82,10 +83,8 @@ class GroupPoint:
         pred = self.algebra.group_memberships.get(side)
         if pred is None:
             return True
-        m = self.matrix
-        if m.ndim == 2:
-            return bool(pred(m, tol))
-        return all(pred(mj, tol) for mj in m)
+        sites = self.matrix.reshape((-1,) + self.matrix.shape[-2:])
+        return all(pred(mj, tol) for mj in sites)
 
 
 def identity(algebra):
@@ -99,11 +98,8 @@ def exp(algebra, x, t=1.0):
 def log_coords(g):
     """Algebra coordinates of the matrix logarithm (principal branch)."""
     m = g.matrix
-    if m.ndim == 2:
-        lg = scipy.linalg.logm(m)
-    else:
-        lg = np.stack([scipy.linalg.logm(mj) for mj in m])
-    return g.algebra.mat_to_vec(lg)
+    lg = [scipy.linalg.logm(mj) for mj in m.reshape((-1,) + m.shape[-2:])]
+    return g.algebra.mat_to_vec(np.reshape(lg, m.shape))
 
 
 def adjoint(g, x):
@@ -179,14 +175,9 @@ class GroupCocycle:
         a = self.algebra
         if self.kind == TwoCocycle.ZERO:
             return np.zeros((a.dim, a.dim))
-        cg_inv = self.value(g.inv())
-        chat = self.infinitesimal().matrix
-        cols = np.empty((a.dim, a.dim))
-        for i in range(a.dim):
-            e = np.zeros(a.dim)
-            e[i] = 1.0
-            cols[:, i] = a.ad(e).T @ cg_inv
-        return cols + chat
+        # column i is coad(e_i, C(g^{-1})) + hat(e_i)
+        return (a.bracket_form(self.value(g.inv())).T
+                + self.infinitesimal().matrix)
 
 
 def kernel_check(cocycle, g_minus, tol=1e-10):

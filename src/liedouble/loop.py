@@ -12,7 +12,8 @@ and converge at second order under refinement.
 import numpy as np
 
 from . import group as grouplib
-from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
+from .algebra import (BasisAlgebra, TwoCocycle, _block_diag,
+                      cocycle_identity_residual)
 
 __all__ = [
     "LoopLattice",
@@ -25,9 +26,6 @@ __all__ = [
     "field_flow",
     "convergence_study",
 ]
-
-DENSE_TENSOR_LIMIT = 64
-
 
 class LoopLattice:
     """N equispaced sites on the circle of circumference 2 pi."""
@@ -51,91 +49,19 @@ def d_s(lattice, x):
 
 
 def _difference_matrix(lattice, dim_site):
-    n = lattice.n_sites
-    dn = np.zeros((n, n))
-    for j in range(n):
-        dn[j, (j + 1) % n] = 1.0
-        dn[j, (j - 1) % n] = -1.0
+    eye = np.eye(lattice.n_sites)
+    dn = np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
     return np.kron(dn / (2.0 * lattice.ds), np.eye(dim_site))
 
 
 def build_loop_double(base, n_sites):
     """The lattice loop algebra of a base double, site-major coordinates."""
-    lattice = LoopLattice(base, n_sites)
-    n, d = lattice.n_sites, base.dim
-    dim = n * d
-    labels = ["%s@%d" % (lab, j) for j in range(n) for lab in base.labels]
-    pairing = np.kron(np.eye(n), base.pairing) / n
-    plus_idx = np.concatenate([j * d + base.plus_indices for j in range(n)])
-    minus_idx = np.concatenate([j * d + base.minus_indices for j in range(n)])
-
-    cbase = base.structure_constants
-
-    def bracket_fn(x, y):
-        xs = np.asarray(x).reshape(n, d)
-        ys = np.asarray(y).reshape(n, d)
-        return np.einsum("ijk,si,sj->sk", cbase, xs, ys).reshape(dim)
-
-    def ad_fn(x):
-        xs = np.asarray(x).reshape(n, d)
-        blocks = np.einsum("ijk,si->sjk", cbase, xs).transpose(0, 2, 1)
-        out = np.zeros((dim, dim))
-        for j in range(n):
-            out[j * d:(j + 1) * d, j * d:(j + 1) * d] = blocks[j]
-        return out
-
-    structure = None
-    if dim <= DENSE_TENSOR_LIMIT:
-        structure = np.zeros((dim, dim, dim))
-        for j in range(n):
-            sl = slice(j * d, (j + 1) * d)
-            structure[sl, sl, sl] = cbase
-
-    base_mats = np.asarray(base.basis_matrices)
-
-    def vec_to_mat(x):
-        return np.einsum("si,ijk->sjk", np.asarray(x).reshape(n, d),
-                         base_mats)
-
-    def mat_to_vec(m):
-        m = np.asarray(m)
-        if m.ndim == 2:
-            m = m[None, :, :]
-        return base.mat_to_vec(m).reshape(-1)
-
-    ident = np.broadcast_to(base.identity_matrix,
-                            (n,) + base.identity_matrix.shape).copy()
-
-    def factorizer(m):
-        parts = [base.factorizer(mj) for mj in m]
-        return (np.stack([p[0] for p in parts]),
-                np.stack([p[1] for p in parts]))
-
-    def group_adjoint_fn(m):
-        # the adjoint of a loop point is site-blocked; build the base
-        # 6x6 blocks in one batched conjugation instead of probing all
-        # n*d basis directions with full-size operations
-        minv = np.linalg.inv(m)
-        conj = np.einsum("jab,ibc,jcd->jiad", m, base_mats, minv)
-        vecs = base.mat_to_vec(conj.reshape(n * d, *conj.shape[2:]))
-        blocks = vecs.reshape(n, d, d)
-        out = np.zeros((dim, dim))
-        for j in range(n):
-            sl = slice(j * d, (j + 1) * d)
-            out[sl, sl] = blocks[j].T
-        return out
-
-    alg = BasisAlgebra(
-        "loop-%s-N%d" % (base.name, n), labels, pairing, plus_idx, minus_idx,
-        structure_constants=structure,
-        bracket_fn=bracket_fn, ad_fn=ad_fn,
-        vec_to_mat=vec_to_mat, mat_to_vec=mat_to_vec,
-        identity_matrix=ident,
-        group_memberships=base.group_memberships,
-        factorizer=factorizer)
-    alg.lattice = lattice
-    alg.group_adjoint_fn = group_adjoint_fn
-    return alg
+    return BasisAlgebra(
+        "loop-%s-N%d" % (base.name, int(n_sites)), base.labels, base.pairing,
+        base.plus_indices, base.minus_indices, base.structure_constants,
+        basis_matrices=base.basis_matrices,
+        lattice=LoopLattice(base, n_sites),
+        group_memberships=base.group_memberships, factorizer=base.factorizer)
 
 
 def loop_two_cocycle(loop_algebra, k):
@@ -164,29 +90,22 @@ def loop_group_cocycle(loop_algebra, k):
         # where d_s is the same central difference as in value_fn. A basis
         # direction supported at site j contributes at sites j-1, j, j+1.
         base = lattice.base
-        n, d, ds = lattice.n_sites, base.dim, lattice.ds
+        n, ds = lattice.n_sites, lattice.ds
         h = np.linalg.inv(np.asarray(g.matrix))
         hinv = np.asarray(g.matrix)
         dh = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / (2.0 * ds)
         q = dh @ hinv
-        mats = np.asarray(base.basis_matrices)
-
-        def batch(prod):
-            # (n, d, m, m) stack -> (n, d, d) coordinate blocks
-            return base.mat_to_vec(
-                prod.reshape(n * d, *prod.shape[2:])).reshape(n, d, d)
-
+        mats = base.basis_matrices
+        # (n, d, m, m) stacks map to (n, d, d) coordinate blocks
         bh = np.einsum("bac,jcd->jbad", mats, h)
-        dn = batch(-bh @ hinv[(np.arange(n) - 1) % n, None]) / (2.0 * ds)
-        up = batch(bh @ hinv[(np.arange(n) + 1) % n, None]) / (2.0 * ds)
-        mid = batch(np.einsum("jab,ibc->jiac", q, mats))
-        coords = np.zeros((n * d, n * d))
-        for j in range(n):
-            jm, jp = (j - 1) % n, (j + 1) % n
-            col = slice(j * d, (j + 1) * d)
-            coords[jm * d:(jm + 1) * d, col] = dn[j].T
-            coords[jp * d:(jp + 1) * d, col] = up[j].T
-            coords[j * d:(j + 1) * d, col] += mid[j].T
+        dn = base.mat_to_vec(-bh @ hinv[(np.arange(n) - 1) % n, None]) \
+            / (2.0 * ds)
+        up = base.mat_to_vec(bh @ hinv[(np.arange(n) + 1) % n, None]) \
+            / (2.0 * ds)
+        mid = base.mat_to_vec(np.einsum("jab,ibc->jiac", q, mats))
+        coords = (_block_diag(dn.transpose(0, 2, 1), -1)
+                  + _block_diag(up.transpose(0, 2, 1), 1)
+                  + _block_diag(mid.transpose(0, 2, 1)))
         return k * loop_algebra.pairing @ coords
 
     return grouplib.GroupCocycle(

@@ -202,25 +202,13 @@ class PhaseSpace:
     def poisson_from_diff(self, dF, dG, p):
         # This is dF applied to the Hamiltonian field of G and needs no
         # cocycle identities; the equivalent rewriting with C(g^{-1}) and
-        # the untransported 2-cocycle agrees whenever the group/algebra
-        # compatibility identity is exact (see poisson_transported_form).
+        # the untransported 2-cocycle agrees only where the group/algebra
+        # compatibility identity is exact, which lattice cocycles break.
         a = self.algebra
         adg = p.g.ad_matrix()
         return float(dF.dF @ dG.deltaF - dG.dF @ dF.deltaF
                      - p.eta @ a.bracket(dF.deltaF, dG.deltaF)
                      - self.c2.eval(adg @ dF.deltaF, adg @ dG.deltaF))
-
-    def poisson_transported_form(self, dF, dG, p):
-        """Equivalent bracket expression with the cocycle pulled to identity.
-
-        Uses -(eta + C(g^{-1})) <.,[.,.]> - c(.,.); equals poisson_from_diff
-        exactly when the cocycle compatibility identity holds exactly.
-        """
-        a = self.algebra
-        cginv = self.C.value(p.g.inv())
-        return float(dF.dF @ dG.deltaF - dG.dF @ dF.deltaF
-                     - (p.eta + cginv) @ a.bracket(dF.deltaF, dG.deltaF)
-                     - self.c2.eval(dF.deltaF, dG.deltaF))
 
     # --- constraint machinery -------------------------------------------
 
@@ -275,15 +263,11 @@ class PhaseSpace:
     def dirac_matrix(self, p):
         """[[0, I], [-I, Omega_c]] in the normalized constraint frame."""
         n = self.frame.n
-        a = self.algebra
-        cginv = self.C.value(p.g.inv())
-        omega = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                br = a.bracket(self.frame.T_minus[i], self.frame.T_minus[j])
-                omega[i, j] = (-(cginv + p.eta) @ br
-                               - self.c2.eval(self.frame.T_minus[i],
-                                              self.frame.T_minus[j]))
+        tm = self.frame.T_minus
+        # Omega[i, j] = -<C(g^{-1}) + eta, [T^i, T^j]> - c(T^i, T^j)
+        form = (self.algebra.bracket_form(self.C.value(p.g.inv()) + p.eta)
+                + self.c2.matrix.T)
+        omega = -tm @ form @ tm.T
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 

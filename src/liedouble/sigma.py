@@ -14,7 +14,6 @@ from .dynamics import hamiltonian_quadratic, legendre_inverse
 
 __all__ = [
     "r_operator",
-    "theta_pairing",
     "dtheta_check",
     "lagrangian_N",
     "el_residual",
@@ -33,11 +32,6 @@ def r_operator(e_op, g, sign=1):
 def _carrier(space, g_plus, eta_minus):
     """psi_bar(C(g+^{-1}) - eta-), the g+ vector sourcing the twist terms."""
     return space.algebra.psi_bar(space.C.value(g_plus.inv()) - eta_minus)
-
-
-def theta_pairing(space, p, xi):
-    """<Theta, t> = <eta, xi> for a fiber tangent with group slot xi."""
-    return float(p.eta @ xi)
 
 
 def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
@@ -75,8 +69,9 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
         return xi, rho
 
     def theta_component(u, w, direction):
+        # <Theta, t> = <eta, xi> for a fiber tangent with group slot xi
         xi, _ = tangent(u, w, direction)
-        return theta_pairing(space, chart(u, w), xi)
+        return float(chart(u, w).eta @ xi)
 
     worst = 0.0
     for _ in range(pairs):

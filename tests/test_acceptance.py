@@ -67,7 +67,7 @@ def report(num, name, entries):
 def test_1_structural_suite():
     entries = []
     for a in (SL2, SO3):
-        rep = validate_manin(a, rng=RNG)
+        rep = validate_manin(a)
         for key, val in rep["checks"].items():
             tol = 1e12 if key == "pairing_condition" else 1e-12
             entries.append(("%s/%s" % (a.name, key), val, tol))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from liedouble.algebra import (TwoCocycle, algebra_from_declaration,
                                cocycle_identity_residual, get_algebra,
                                is_character, validate_manin)
+from liedouble.loop import build_loop_double
 
 RNG = np.random.default_rng(20240817)
 
@@ -210,9 +211,11 @@ class TestValidate:
     def test_corrupted_jacobi_fails(self):
         a = get_algebra("sl2c-iwasawa")
         a.structure_constants[0, 1, 3] += 0.5
-        report = validate_manin(a)
-        assert not report["passed"]
-        assert "jacobi" in report["failures"]
+        # a loop over the corrupted base repeats the corrupted site tensor
+        for alg in (a, build_loop_double(a, 8)):
+            report = validate_manin(alg)
+            assert not report["passed"]
+            assert "jacobi" in report["failures"]
 
 
 class TestDeclaration:

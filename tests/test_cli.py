@@ -122,6 +122,29 @@ class TestConfigErrors:
             BASE_CFG, cocycle={"kind": "coboundary", "mu0": [1.0, 2.0]}))
         assert run("check", cfg, tmp_path) == 2
 
+    def test_unread_samples_option_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, options={"samples": 8}))
+        assert run("check", cfg, tmp_path) == 2
+
+    @staticmethod
+    def declared(**changes):
+        decl = {"name": "ab2", "dim": 2, "labels": ["a", "b"],
+                "structure_constants": [], "pairing": [[0, 1], [1, 0]],
+                "plus_indices": [0], "minus_indices": [1]}
+        decl.update(changes)
+        return dict(BASE_CFG, algebra=decl)
+
+    def test_structure_constant_index_out_of_range(self, tmp_path):
+        # a negative index must not wrap to the last basis vector
+        for entry in ([0, -1, 0, 1.0], [0, 1, 2, 1.0]):
+            cfg = write_cfg(tmp_path, self.declared(
+                structure_constants=[entry]))
+            assert run("check", cfg, tmp_path) == 2
+
+    def test_labels_length_mismatch(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.declared(labels=["a", "b", "c"]))
+        assert run("check", cfg, tmp_path) == 2
+
 
 class TestFailureModes:
     def test_corrupted_structure_constants_fail_jacobi(self, tmp_path):

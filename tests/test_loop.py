@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liedouble import dynamics, group, loop
-from liedouble.algebra import get_algebra, validate_manin
+from liedouble.algebra import get_algebra, is_character, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import PhaseSpace
 
@@ -47,13 +47,15 @@ class TestBuild:
         report = validate_manin(ALG)
         assert report["passed"], report["failures"]
 
-    def test_dense_tensor_matches_pointwise_bracket(self):
-        # N = 8 over a 6-dim base stays under the dense-tensor limit
-        assert ALG.structure_constants is not None
+    def test_bracket_matches_per_site_base_bracket(self):
+        # oracle: the base bracket applied site by site to non-constant loops
         x = smooth_vec(ALG, RNG)
         y = smooth_vec(ALG, RNG)
-        via_tensor = np.einsum("ijk,i,j->k", ALG.structure_constants, x, y)
-        np.testing.assert_allclose(via_tensor, ALG.bracket(x, y), atol=1e-12)
+        xs, ys = x.reshape(N, -1), y.reshape(N, -1)
+        assert np.ptp(xs, axis=0).max() > 0.1
+        sitewise = [BASE.bracket(xs[j], ys[j]) for j in range(N)]
+        np.testing.assert_allclose(ALG.bracket(x, y).reshape(N, -1),
+                                   sitewise, atol=1e-12)
 
     def test_constant_loops_embed_base_bracket(self):
         x = RNG.standard_normal(BASE.dim)
@@ -70,13 +72,40 @@ class TestBuild:
         assert ALG.pair(x, y) == pytest.approx(sitewise, abs=1e-12)
 
     def test_site_blocked_adjoint_matches_generic(self):
-        g = group.exp(ALG, smooth_vec(ALG, RNG))
-        fast = g.ad_matrix()
-        generic = np.column_stack([
-            ALG.mat_to_vec(g.matrix @ ALG.vec_to_mat(e)
-                           @ np.linalg.inv(g.matrix))
-            for e in np.eye(ALG.dim)])
-        np.testing.assert_allclose(fast, generic, atol=1e-12)
+        # oracle: probe every basis direction with a full conjugation
+        rng = np.random.default_rng(9174)
+        points = [group.random_point(a, rng)
+                  for a in (BASE, get_algebra("so3-cotangent"))]
+        points.append(group.exp(ALG, smooth_vec(ALG, RNG)))
+        for g in points:
+            a = g.algebra
+            generic = np.column_stack([
+                a.mat_to_vec(g.matrix @ a.vec_to_mat(e)
+                             @ np.linalg.inv(g.matrix))
+                for e in np.eye(a.dim)])
+            np.testing.assert_allclose(g.ad_matrix(), generic, atol=1e-12)
+
+    def test_factorization_matches_per_site_base_factorization(self):
+        g = group.exp(ALG, smooth_vec(ALG, np.random.default_rng(9175)))
+        gp, gm = g.factors()
+        for j in range(N):
+            bp, bm = group.GroupPoint(BASE, g.matrix[j]).factors()
+            np.testing.assert_array_equal(gp.matrix[j], bp.matrix)
+            np.testing.assert_array_equal(gm.matrix[j], bm.matrix)
+
+    def test_is_character_matches_pairwise_oracle(self):
+        # oracle: <eta-, [e_i, e_j]> for every pair of minus basis vectors
+        rng = np.random.default_rng(9176)
+        mi = ALG.minus_indices
+        char = ALG.project(loop.constant_loop(ALG, np.eye(BASE.dim)[3]),
+                           "minus")
+        generic = ALG.project(rng.standard_normal(ALG.dim), "minus")
+        for eta in (char, generic, 1e-13 * generic):
+            oracle = all(abs(eta @ ALG.bracket(np.eye(ALG.dim)[i],
+                                               np.eye(ALG.dim)[j])) <= 1e-12
+                         for i in mi for j in mi)
+            assert is_character(ALG, eta) == oracle
+        assert is_character(ALG, char) and not is_character(ALG, generic)
 
     def test_d_s_kills_constants_and_is_exact_order_two(self):
         const = loop.constant_loop(ALG, RNG.standard_normal(BASE.dim))
@@ -191,6 +220,19 @@ class TestLatticeDirac:
                 red = space.dirac_bracket_reduced(f, g, p, fiber)
                 worst = max(worst, abs(full - red))
         assert worst < 1e-7
+
+    def test_dirac_omega_matches_pairwise_brackets(self):
+        # explicit formula, one bracket per pair of frame covectors
+        space = lattice_space()
+        rng = np.random.default_rng(517)
+        p = space.random_fiber_point(make_fiber(space), rng, 0.3)
+        tm, n = space.frame.T_minus, space.frame.n
+        cginv = space.C.value(p.g.inv())
+        omega = np.array([[-(cginv + p.eta) @ ALG.bracket(ti, tj)
+                           - space.c2.eval(ti, tj) for tj in tm]
+                          for ti in tm])
+        np.testing.assert_allclose(space.dirac_matrix(p)[n:, n:], omega,
+                                   atol=1e-12)
 
     def test_closed_form_matches_generic_oracle(self):
         # the identity-free Poisson form makes the generic second-class

@@ -153,6 +153,14 @@ class TestConstraints:
         k = np.array([[space.poisson_from_diff(cons[i], cons[j], p)
                        for j in range(m)] for i in range(m)])
         np.testing.assert_allclose(k, space.dirac_matrix(p), atol=1e-12)
+        # and the explicit Omega formula, one bracket per frame pair
+        a, tm, n = space.algebra, space.frame.T_minus, space.frame.n
+        cginv = space.C.value(p.g.inv())
+        omega = np.array([[-(cginv + p.eta) @ a.bracket(ti, tj)
+                           - space.c2.eval(ti, tj) for tj in tm]
+                          for ti in tm])
+        np.testing.assert_allclose(space.dirac_matrix(p)[n:, n:], omega,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_closed_form_inverse(self, space):
