@@ -145,26 +145,19 @@ class BasisAlgebra:
         raise ValueError("side must be 'plus' or 'minus'")
 
     def project(self, x, side):
+        """The g+- part of a vector, or the g+-* part of a covector."""
         out = np.zeros(self.dim)
         idx = self._side_indices(side)
         out[idx] = np.asarray(x, dtype=float)[idx]
         return out
 
-    def project_dual(self, eta, side):
-        """Projection g* -> g(+/-)* (covectors vanishing on the other factor)."""
-        return self.project(eta, side)
-
-    # --- coadjoint actions ---------------------------------------------
-
-    def ad_star(self, x, eta):
-        """<ad_star(x, eta), y> = -<eta, [x, y]>."""
-        return -self.ad(x).T @ np.asarray(eta, dtype=float)
+    # --- coadjoint action ----------------------------------------------
 
     def coad(self, x, eta):
         """Transpose-derivative convention: <coad(x, eta), y> = <eta, [x, y]>.
 
-        This is d/dt|_0 of eta ∘ Ad_{exp(tx)} and is the form the extended
-        symplectic machinery uses; ``ad_star`` is its negative.
+        This is d/dt|_0 of eta ∘ Ad_{exp(tx)}, the one coadjoint convention
+        of the library; the infinitesimal coadjoint action is its negative.
         """
         return self.ad(x).T @ np.asarray(eta, dtype=float)
 
@@ -210,12 +203,10 @@ class TwoCocycle:
     COBOUNDARY = "coboundary"
     LATTICE = "lattice-derivative"
 
-    def __init__(self, algebra, kind, matrix, mu0=None, level=None):
+    def __init__(self, algebra, kind, matrix):
         self.algebra = algebra
         self.kind = kind
         self.matrix = np.asarray(matrix, dtype=float)
-        self.mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)
-        self.level = level
 
     @classmethod
     def zero(cls, algebra):
@@ -223,10 +214,9 @@ class TwoCocycle:
 
     @classmethod
     def coboundary(cls, algebra, mu0):
-        # column i is ad_star(e_i, mu0)
-        mu0 = np.asarray(mu0, dtype=float)
-        return cls(algebra, cls.COBOUNDARY, -algebra.bracket_form(mu0).T,
-                   mu0=mu0)
+        # column i is -coad(e_i, mu0)
+        return cls(algebra, cls.COBOUNDARY,
+                   -algebra.bracket_form(np.asarray(mu0, dtype=float)).T)
 
     def hat(self, x):
         return self.matrix @ np.asarray(x, dtype=float)
@@ -260,7 +250,7 @@ def is_character(algebra, eta_minus, tol=1e-12):
     eta_minus must be supported on the dual of g- (its g+* projection zero).
     """
     eta_minus = np.asarray(eta_minus, dtype=float)
-    sup = algebra.project_dual(eta_minus, "plus")
+    sup = algebra.project(eta_minus, "plus")
     if np.abs(sup).max(initial=0.0) > tol:
         raise ValueError("eta_minus has support outside the dual of g-")
     mi = algebra.minus_indices

@@ -2,8 +2,8 @@
 experiment end to end, and writes CSV/JSON artifacts plus a run report.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
-error, 3 numerical failure during the run. With a fixed config and seed
-every CSV artifact is byte-identical between runs.
+error, 3 numerical (or any other) failure during the run. With a fixed
+config and seed every CSV artifact is byte-identical between runs.
 """
 
 import argparse
@@ -307,8 +307,7 @@ def cmd_brackets(sc):
     rows = []
     worst_oracle = 0.0
     worst_reduced = 0.0
-    reduced_ok = (sc.space.c2.kind == TwoCocycle.ZERO
-                  or sc.space.c2.is_isotropic_exchanging())
+    reduced_ok = sc.space.c2.is_isotropic_exchanging()
     for i in range(points):
         p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
         for j in range(pairs):
@@ -590,6 +589,10 @@ def main(argv=None):
     except (FactorizationError, np.linalg.LinAlgError, FloatingPointError,
             ValueError, RuntimeError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:  # still one line and exit 3, never a traceback
+        print("run failed: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 3
     return 0 if report["passed"] else 1
 

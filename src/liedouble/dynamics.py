@@ -156,6 +156,10 @@ class IntegratorConfig:
             raise ValueError("unknown method %r" % method)
         self.dt = float(dt)
         self.steps = int(steps)
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive (got %r)" % dt)
+        if self.steps < 1:
+            raise ValueError("steps must be at least 1 (got %r)" % steps)
         self.method = method
 
 

@@ -1,5 +1,6 @@
 """Matrix-group layer over a BasisAlgebra: exponential, adjoints, the global
-factorization g = g+ g-, dressing actions, and coadjoint group 1-cocycles."""
+factorization g = g+ g- (``GroupPoint.factors``, from which the dressing
+actions are read off), and coadjoint group 1-cocycles."""
 
 import numpy as np
 import scipy.linalg
@@ -13,8 +14,6 @@ __all__ = [
     "exp",
     "adjoint",
     "coadjoint_star",
-    "factorize",
-    "dressing",
     "kernel_check",
     "random_point",
 ]
@@ -95,13 +94,6 @@ def exp(algebra, x, t=1.0):
     return GroupPoint(algebra, scipy.linalg.expm(t * algebra.vec_to_mat(x)))
 
 
-def log_coords(g):
-    """Algebra coordinates of the matrix logarithm (principal branch)."""
-    m = g.matrix
-    lg = [scipy.linalg.logm(mj) for mj in m.reshape((-1,) + m.shape[-2:])]
-    return g.algebra.mat_to_vec(np.reshape(lg, m.shape))
-
-
 def adjoint(g, x):
     return g.ad_matrix() @ np.asarray(x, dtype=float)
 
@@ -111,36 +103,26 @@ def coadjoint_star(g, eta):
     return g.ad_matrix().T @ np.asarray(eta, dtype=float)
 
 
-def factorize(g):
-    return g.factors()
-
-
-def dressing(h, g, side="plus"):
-    """Pi_{G+-}(h g): the dressing action of the opposite factor."""
-    gp, gm = (h.mul(g)).factors()
-    return gp if side == "plus" else gm
-
-
 class GroupCocycle:
     """Coadjoint 1-cocycle C: G -> g* with C(gh) = Ad*_{g^{-1}} C(h) + C(g)."""
 
-    def __init__(self, algebra, kind, mu0=None, level=None, value_fn=None,
-                 infinitesimal=None, differential_inv_fn=None):
+    def __init__(self, algebra, kind, infinitesimal, mu0=None, value_fn=None,
+                 differential_inv_fn=None):
         self.algebra = algebra
         self.kind = kind
-        self.mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)
-        self.level = level
-        self._value_fn = value_fn
         self._infinitesimal = infinitesimal
+        self.mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)
+        self._value_fn = value_fn
         self._differential_inv_fn = differential_inv_fn
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, TwoCocycle.ZERO)
+        return cls(algebra, TwoCocycle.ZERO, TwoCocycle.zero(algebra))
 
     @classmethod
     def coboundary(cls, algebra, mu0):
-        return cls(algebra, TwoCocycle.COBOUNDARY, mu0=mu0)
+        return cls(algebra, TwoCocycle.COBOUNDARY,
+                   TwoCocycle.coboundary(algebra, mu0), mu0=mu0)
 
     def value(self, g):
         if self.kind == TwoCocycle.ZERO:
@@ -153,13 +135,7 @@ class GroupCocycle:
 
     def infinitesimal(self):
         """The algebra 2-cocycle with hat = -dC|_e."""
-        if self._infinitesimal is not None:
-            return self._infinitesimal
-        if self.kind == TwoCocycle.ZERO:
-            return TwoCocycle.zero(self.algebra)
-        if self.kind == TwoCocycle.COBOUNDARY:
-            return TwoCocycle.coboundary(self.algebra, self.mu0)
-        raise ValueError("no closed-form infinitesimal for kind %r" % self.kind)
+        return self._infinitesimal
 
     def differential_inv(self, g):
         """Exact derivative of C at the inverse point, as a matrix M.
@@ -172,12 +148,9 @@ class GroupCocycle:
         """
         if self._differential_inv_fn is not None:
             return self._differential_inv_fn(g)
-        a = self.algebra
-        if self.kind == TwoCocycle.ZERO:
-            return np.zeros((a.dim, a.dim))
         # column i is coad(e_i, C(g^{-1})) + hat(e_i)
-        return (a.bracket_form(self.value(g.inv())).T
-                + self.infinitesimal().matrix)
+        return (self.algebra.bracket_form(self.value(g.inv())).T
+                + self._infinitesimal.matrix)
 
 
 def kernel_check(cocycle, g_minus, tol=1e-10):

@@ -69,7 +69,7 @@ def loop_two_cocycle(loop_algebra, k):
     lattice = loop_algebra.lattice
     dmat = _difference_matrix(lattice, lattice.base.dim)
     matrix = -k * loop_algebra.pairing @ dmat
-    return TwoCocycle(loop_algebra, TwoCocycle.LATTICE, matrix, level=k)
+    return TwoCocycle(loop_algebra, TwoCocycle.LATTICE, matrix)
 
 
 def loop_group_cocycle(loop_algebra, k):
@@ -109,9 +109,8 @@ def loop_group_cocycle(loop_algebra, k):
         return k * loop_algebra.pairing @ coords
 
     return grouplib.GroupCocycle(
-        loop_algebra, TwoCocycle.LATTICE, level=k, value_fn=value_fn,
-        infinitesimal=loop_two_cocycle(loop_algebra, k),
-        differential_inv_fn=differential_inv_fn)
+        loop_algebra, TwoCocycle.LATTICE, loop_two_cocycle(loop_algebra, k),
+        value_fn=value_fn, differential_inv_fn=differential_inv_fn)
 
 
 def constant_loop(loop_algebra, base_vector):

@@ -12,7 +12,7 @@ left-translation symmetry on admissible fibers.
 import numpy as np
 
 from . import group as grouplib
-from .algebra import TwoCocycle, is_character
+from .algebra import is_character
 
 __all__ = [
     "PhasePoint",
@@ -48,12 +48,10 @@ class FiberSpec:
     def __init__(self, g_minus, eta_minus, cocycle=None):
         self.g_minus = g_minus
         self.eta_minus = np.asarray(eta_minus, dtype=float)
-        a = g_minus.algebra
         if not g_minus.member("minus"):
             raise ValueError("g_minus is not in the minus factor")
-        if np.abs(a.project_dual(self.eta_minus, "plus")).max(initial=0.) > 1e-12:
-            raise ValueError("eta_minus has support outside the dual of g-")
-        self.is_character = is_character(a, self.eta_minus)
+        # raises on support outside the dual of g-
+        self.is_character = is_character(g_minus.algebra, self.eta_minus)
         self.in_kernel = (None if cocycle is None
                           else grouplib.kernel_check(cocycle, g_minus))
 
@@ -65,7 +63,11 @@ class Differential:
 
 
 class Observable:
-    """A scalar function of (g, eta) with optional analytic differential."""
+    """A scalar function of (g, eta) with its analytic differential.
+
+    ``diff`` maps a point to its ``Differential``; observables without one
+    cannot enter brackets or flows.
+    """
 
     def __init__(self, fn, diff=None, name=None):
         self._fn = fn
@@ -109,12 +111,10 @@ class ConstraintFrame:
 class PhaseSpace:
     """Bundles the algebra with a group 1-cocycle and its 2-cocycle."""
 
-    def __init__(self, algebra, group_cocycle=None, two_cocycle=None):
+    def __init__(self, algebra, group_cocycle=None):
         self.algebra = algebra
         self.C = group_cocycle or grouplib.GroupCocycle.zero(algebra)
-        if two_cocycle is None:
-            two_cocycle = self.C.infinitesimal()
-        self.c2 = two_cocycle
+        self.c2 = self.C.infinitesimal()
         self.frame = ConstraintFrame(algebra)
 
     # --- basic geometry -------------------------------------------------
@@ -124,7 +124,7 @@ class PhaseSpace:
 
     def fibration(self, p):
         """(g, eta) -> (g-, eta-)."""
-        return p.g_minus(), self.algebra.project_dual(p.eta, "minus")
+        return p.g_minus(), self.algebra.project(p.eta, "minus")
 
     def fiber(self, g_minus, eta_minus):
         return FiberSpec(g_minus, eta_minus, cocycle=self.C)
@@ -141,7 +141,7 @@ class PhaseSpace:
 
     def fiber_point(self, fiber, g_plus, eta_plus):
         """Assemble (g+ g-, eta+ + eta-) on the given fiber."""
-        eta_plus = self.algebra.project_dual(eta_plus, "plus")
+        eta_plus = self.algebra.project(eta_plus, "plus")
         return PhasePoint(g_plus.mul(fiber.g_minus),
                           eta_plus + fiber.eta_minus)
 
@@ -149,7 +149,7 @@ class PhaseSpace:
         a = self.algebra
         gp = grouplib.exp(a, a.project(scale * rng.standard_normal(a.dim),
                                        "plus"))
-        etap = a.project_dual(scale * rng.standard_normal(a.dim), "plus")
+        etap = a.project(scale * rng.standard_normal(a.dim), "plus")
         return self.fiber_point(fiber, gp, etap)
 
     # --- symplectic structure -------------------------------------------
@@ -163,24 +163,11 @@ class PhaseSpace:
                      + p.eta @ a.bracket(xi1, xi2)
                      + self.c2.eval(adg @ xi1, adg @ xi2))
 
-    def differential(self, F, p, step=1e-5):
-        if F.has_analytic_differential:
-            return F.analytic_differential(p)
-        a = self.algebra
-        dF = np.zeros(a.dim)
-        deltaF = np.zeros(a.dim)
-        e = np.eye(a.dim)
-        for i in range(a.dim):
-            h = step * (1.0 + abs(float(p.eta[i])))
-            dF[i] = (F.value(PhasePoint(p.g.mul(grouplib.exp(a, e[i], h)),
-                                        p.eta))
-                     - F.value(PhasePoint(p.g.mul(grouplib.exp(a, e[i], -h)),
-                                          p.eta))) / (2 * h)
-            deltaF[i] = (F.value(PhasePoint(p.g, p.eta + h * e[i]))
-                         - F.value(PhasePoint(p.g, p.eta - h * e[i]))) / (2 * h)
-        if not np.all(np.isfinite(dF)) or not np.all(np.isfinite(deltaF)):
-            raise ArithmeticError("non-finite differential")
-        return Differential(dF, deltaF)
+    def differential(self, F, p):
+        """The differential (dF, deltaF) of F at p, from F's own ``diff``."""
+        if not F.has_analytic_differential:
+            raise ValueError("observable %r has no differential" % F.name)
+        return F.analytic_differential(p)
 
     def ham_vf_full(self, F, p):
         """(g delta F, coad_{delta F} eta - g dF + Ad*_g c_hat(Ad_g delta F))."""
@@ -230,35 +217,14 @@ class PhaseSpace:
         <eta, T^a>. These are exactly the pulled-back frame 1-forms.
         """
         a = self.algebra
-        gm = p.g_minus()
-        adm = gm.ad_matrix()
-        sel = np.zeros((a.dim, a.dim))
-        sel[a.minus_indices, a.minus_indices] = 1.0
-        slot = np.linalg.solve(adm, sel @ adm)  # Ad_{g-^{-1}} Pi_{g-} Ad_{g-}
+        # Ad_{g-^{-1}} Pi_{g-} Ad_{g-}
+        slot = np.eye(a.dim) - self.dressed_projector(p.g_minus())
         out = []
         for ta in self.frame.T_plus:
             out.append(Differential(slot.T @ a.psi(ta), np.zeros(a.dim)))
         for tb in self.frame.T_minus:
             out.append(Differential(np.zeros(a.dim), tb))
         return out
-
-    def constraint_observables(self, p):
-        """The scalar constraints whose differentials the frame realizes.
-
-        Used only as an independent finite-difference cross-check of
-        constraint_differentials; evaluation involves a matrix logarithm.
-        """
-        a = self.algebra
-        gm0_inv = p.g_minus().inv()
-        obs = []
-        for ta in self.frame.T_plus:
-            mu = a.psi(ta)
-            obs.append(Observable(
-                lambda q, mu=mu: mu @ grouplib.log_coords(
-                    gm0_inv.mul(q.g_minus()))))
-        for tb in self.frame.T_minus:
-            obs.append(Observable(lambda q, tb=tb: q.eta @ tb))
-        return obs
 
     def dirac_matrix(self, p):
         """[[0, I], [-I, Omega_c]] in the normalized constraint frame."""
@@ -271,13 +237,6 @@ class PhaseSpace:
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 
-    @staticmethod
-    def dirac_matrix_inverse(dmat):
-        n = dmat.shape[0] // 2
-        omega = dmat[n:, n:]
-        eye = np.eye(n)
-        return np.block([[omega, -eye], [eye, np.zeros((n, n))]])
-
     def dirac_bracket(self, F, G, p, fiber):
         """Closed-form restricted bracket on N(g-, eta-)."""
         self._require_on_fiber(p, fiber)
@@ -287,8 +246,7 @@ class PhaseSpace:
 
     def dirac_bracket_reduced(self, F, G, p, fiber):
         """Two-term form, valid when c_hat exchanges the isotropic factors."""
-        if not (self.c2.kind == TwoCocycle.ZERO
-                or self.c2.is_isotropic_exchanging()):
+        if not self.c2.is_isotropic_exchanging():
             raise ValueError("cocycle does not exchange the isotropic factors")
         self._require_on_fiber(p, fiber)
         dF = self.differential(F, p)

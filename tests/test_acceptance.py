@@ -24,7 +24,7 @@ MU0_SL2 = np.zeros(6)
 MU0_SL2[3] = 0.9
 SPACE_SL2 = PhaseSpace(SL2, GroupCocycle.coboundary(SL2, MU0_SL2))
 
-MU0_SO3 = SO3.project_dual(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
+MU0_SO3 = SO3.project(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
 SPACE_SO3 = PhaseSpace(SO3, GroupCocycle.coboundary(SO3, MU0_SO3))
 
 
@@ -37,7 +37,7 @@ def fiber_sl2(space=SPACE_SL2):
 def fiber_so3(space=SPACE_SO3):
     v = np.zeros(6)
     v[3:] = MU0_SO3[3:]
-    em = SO3.project_dual(np.array([0., 0, 0, 0.4, -0.1, 0.25]), "minus")
+    em = SO3.project(np.array([0., 0, 0, 0.4, -0.1, 0.25]), "minus")
     return space.fiber(group.exp(SO3, 0.4 * v), em)
 
 

@@ -145,6 +145,13 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, self.declared(labels=["a", "b", "c"]))
         assert run("check", cfg, tmp_path) == 2
 
+    @pytest.mark.parametrize("integrator", [
+        {"steps": 0}, {"dt": float("nan")}, {"dt": -0.01}])
+    def test_invalid_integrator_rejected(self, integrator, tmp_path):
+        cfg = json.loads(open(cfg_path("sl2_collective.json")).read())
+        cfg["integrator"].update(integrator)
+        assert run("collective", write_cfg(tmp_path, cfg), tmp_path) == 2
+
 
 class TestFailureModes:
     def test_corrupted_structure_constants_fail_jacobi(self, tmp_path):
@@ -171,6 +178,16 @@ class TestFailureModes:
         cfg = json.loads(open(cfg_path("loop_flow.json")).read())
         cfg["integrator"]["dt"] = 10.0
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
+
+    def test_unexpected_exception_is_one_line_exit_3(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def broken(sc):
+            raise KeyError("no such entry")
+        monkeypatch.setitem(cli.COMMANDS, "check", broken)
+        assert run("check", write_cfg(tmp_path, BASE_CFG), tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "KeyError" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -74,26 +74,26 @@ class TestAdjoint:
 
 class TestFactorize:
     def test_identity(self):
-        gp, gm = group.factorize(group.identity(SL2))
+        gp, gm = group.identity(SL2).factors()
         assert gp.is_identity() and gm.is_identity()
 
     def test_plus_point(self):
         g = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
-        gp, gm = group.factorize(g)
+        gp, gm = g.factors()
         np.testing.assert_allclose(gp.matrix, g.matrix, atol=1e-10)
         assert gm.is_identity(1e-10)
 
     def test_random_sl2c(self):
         for _ in range(50):
             g = group.exp(SL2, RNG.standard_normal(6))
-            gp, gm = group.factorize(g)
+            gp, gm = g.factors()
             assert np.abs(gp.matrix @ gm.matrix - g.matrix).max() < 1e-10
             assert gp.member("plus") and gm.member("minus")
 
     def test_semidirect(self):
         for _ in range(20):
             g = group.exp(SO3, RNG.standard_normal(6))
-            gp, gm = group.factorize(g)
+            gp, gm = g.factors()
             assert np.abs(gp.matrix @ gm.matrix - g.matrix).max() < 1e-10
             assert gp.member("plus") and gm.member("minus")
 
@@ -101,14 +101,14 @@ class TestFactorize:
 class TestDressing:
     def test_identity_acts_trivially(self):
         g = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
-        out = group.dressing(group.identity(SL2), g, "plus")
+        out = group.identity(SL2).mul(g).factors()[0]
         np.testing.assert_allclose(out.matrix, g.matrix, atol=1e-12)
 
     def test_semidirect_closed_form(self):
         # translations dress rotations trivially: (I,v)(R,0) = (R,0)(I,R^-1 v)
         h = group.exp(SO3, SO3.project(RNG.standard_normal(6), "minus"))
         g = group.exp(SO3, SO3.project(RNG.standard_normal(6), "plus"))
-        out = group.dressing(h, g, "plus")
+        out = h.mul(g).factors()[0]
         np.testing.assert_allclose(out.matrix, g.matrix, atol=1e-12)
 
     def test_infinitesimal(self):
@@ -116,8 +116,8 @@ class TestDressing:
         gp = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
         xm = SL2.project(RNG.standard_normal(6), "minus")
         h = fd_step(xm)
-        dp = group.dressing(group.exp(SL2, xm, h), gp, "plus").matrix
-        dm = group.dressing(group.exp(SL2, xm, -h), gp, "plus").matrix
+        dp = group.exp(SL2, xm, h).mul(gp).factors()[0].matrix
+        dm = group.exp(SL2, xm, -h).mul(gp).factors()[0].matrix
         fd = (dp - dm) / (2 * h)
         inner = SL2.project(group.adjoint(gp.inv(), xm), "plus")
         expect = gp.matrix @ SL2.vec_to_mat(inner)
@@ -138,7 +138,7 @@ class TestDressing:
         def flow_bracket(x, y):
             # finite-difference Lie bracket of the two generator fields
             def push(x, g):
-                return group.dressing(group.exp(SL2, x, h), g, "plus")
+                return group.exp(SL2, x, h).mul(g).factors()[0]
             gxy = push(y, push(x, gp))
             gyx = push(x, push(y, gp))
             return (gxy.matrix - gyx.matrix) / h ** 2

@@ -5,6 +5,8 @@ from liedouble import group
 from liedouble.algebra import get_algebra
 from liedouble.group import GroupCocycle
 from liedouble.phase import Observable, PhasePoint, PhaseSpace
+from oracles import (constraint_observables, dirac_matrix_inverse,
+                     fd_differential, fd_observable, log_coords)
 
 RNG = np.random.default_rng(4157)
 
@@ -15,7 +17,7 @@ MU0_SL2 = np.zeros(6)
 MU0_SL2[3] = 0.9
 SPACE_SL2 = PhaseSpace(SL2, GroupCocycle.coboundary(SL2, MU0_SL2))
 
-MU0_SO3 = SO3.project_dual(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
+MU0_SO3 = SO3.project(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
 SPACE_SO3 = PhaseSpace(SO3, GroupCocycle.coboundary(SO3, MU0_SO3))
 
 SPACES = [SPACE_SL2, SPACE_SO3]
@@ -27,11 +29,11 @@ def rand_obs(a, rng):
     v, w = rng.standard_normal((2, a.dim))
 
     def fn(p):
-        lc = group.log_coords(p.g)
+        lc = log_coords(p.g)
         return float(lc @ m @ p.eta + v @ lc + w @ p.eta
                      + 0.3 * (p.eta @ p.eta))
 
-    return Observable(fn)
+    return fd_observable(fn)
 
 
 def rand_point(space, rng, scale=0.4):
@@ -51,7 +53,7 @@ def make_fiber(space, rng):
         v = np.zeros(6)
         v[3:] = MU0_SO3[3:]
         gm = group.exp(a, 0.4 * v)
-        em = a.project_dual(rng.standard_normal(6), "minus")
+        em = a.project(rng.standard_normal(6), "minus")
     return space.fiber(gm, em)
 
 
@@ -130,8 +132,8 @@ class TestConstraints:
     def test_differentials_match_fd_of_observables(self, space):
         p = rand_point(space, RNG)
         for cd, ob in zip(space.constraint_differentials(p),
-                          space.constraint_observables(p)):
-            fd = space.differential(ob, p)
+                          constraint_observables(space, p)):
+            fd = fd_differential(ob, p)
             np.testing.assert_allclose(fd.dF, cd.dF, atol=1e-6)
             np.testing.assert_allclose(fd.deltaF, cd.deltaF, atol=1e-10)
 
@@ -166,7 +168,7 @@ class TestConstraints:
     def test_closed_form_inverse(self, space):
         p = rand_point(space, RNG)
         d = space.dirac_matrix(p)
-        np.testing.assert_allclose(d @ space.dirac_matrix_inverse(d),
+        np.testing.assert_allclose(d @ dirac_matrix_inverse(d),
                                    np.eye(d.shape[0]), atol=1e-12)
 
 
@@ -212,7 +214,7 @@ class TestDiracBracket:
         fiber = make_fiber(space, RNG)
         p = space.random_fiber_point(fiber, RNG)
         F = rand_obs(space.algebra, RNG)
-        for ob in space.constraint_observables(p):
+        for ob in constraint_observables(space, p):
             assert space.dirac_bracket(F, ob, p, fiber) == pytest.approx(
                 0, abs=1e-8)
 
@@ -232,7 +234,7 @@ class TestMomentum:
         x = RNG.standard_normal(6)
         j = space.momentum_fn(x)
         d = j.analytic_differential(p)
-        fd = space.differential(Observable(j.value), p)
+        fd = fd_differential(j, p)
         np.testing.assert_allclose(d.dF, fd.dF, atol=1e-6)
         np.testing.assert_allclose(d.deltaF, fd.deltaF, atol=1e-6)
 
@@ -354,7 +356,7 @@ class TestGroupAction:
         xi, rho = space.fiber_generator(x, p, fiber)
         # fiber slot never moves the minus component of eta
         np.testing.assert_allclose(
-            space.algebra.project_dual(rho, "minus"), 0, atol=1e-12)
+            space.algebra.project(rho, "minus"), 0, atol=1e-12)
 
     def test_non_character_fiber_rejected(self):
         space = SPACE_SL2
@@ -364,3 +366,19 @@ class TestGroupAction:
         p = space.random_fiber_point(fiber, RNG)
         with pytest.raises(ValueError):
             space.group_action_d(group.random_point(SL2, RNG), p, fiber)
+
+
+class TestRuntimeContracts:
+    # fixed inputs: these tests draw nothing from the shared RNG
+    def test_differential_requires_analytic_differential(self):
+        p = PhasePoint(group.identity(SL2), np.zeros(6))
+        with pytest.raises(ValueError, match="no differential"):
+            SPACE_SL2.differential(Observable(lambda q: 0.0), p)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_fiber_rejects_plus_support(self, space):
+        em = np.zeros(6)
+        em[space.algebra.plus_indices[0]] = 0.5
+        with pytest.raises(ValueError,
+                           match="support outside the dual of g-"):
+            space.fiber(group.identity(space.algebra), em)

@@ -16,7 +16,7 @@ MU0_SL2 = np.zeros(6)
 MU0_SL2[3] = 0.9
 SPACE_SL2 = PhaseSpace(SL2, GroupCocycle.coboundary(SL2, MU0_SL2))
 
-MU0_SO3 = SO3.project_dual(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
+MU0_SO3 = SO3.project(np.array([0., 0, 0, 0.8, -0.3, 0.5]), "minus")
 SPACE_SO3 = PhaseSpace(SO3, GroupCocycle.coboundary(SO3, MU0_SO3))
 
 SPACES = [SPACE_SL2, SPACE_SO3]
@@ -29,7 +29,7 @@ def make_fibers(space, rng):
         em[3] = 0.7
         kern = group.exp(a, 0.3 * np.eye(6)[3])
     else:
-        em = a.project_dual(rng.standard_normal(6) * 0.5, "minus")
+        em = a.project(rng.standard_normal(6) * 0.5, "minus")
         v = np.zeros(6)
         v[3:] = MU0_SO3[3:]
         kern = group.exp(a, 0.4 * v)
@@ -85,7 +85,7 @@ class TestLagrangian:
         pts = []
         for t in times:
             gp = group.exp(a, np.sin(3 * t) * x)
-            etap = a.project_dual(np.cos(2 * t) * np.ones(6), "plus")
+            etap = a.project(np.cos(2 * t) * np.ones(6), "plus")
             pts.append(space.fiber_point(fiber, gp, etap))
         tr = dynamics.Trajectory(times, pts, np.zeros(len(times)))
         assert sigma.el_residual(space, e, tr, fiber) > 1e-2
@@ -134,7 +134,7 @@ class TestDensity:
         space = PhaseSpace(SO3)
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        em = a.project_dual(RNG.standard_normal(6) * 0.5, "minus")
+        em = a.project(RNG.standard_normal(6) * 0.5, "minus")
         fiber = space.fiber(group.identity(a), em)
         gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6), "plus"))
         gdot = a.project(RNG.standard_normal(6), "plus")
@@ -148,7 +148,7 @@ class TestDensity:
         space = PhaseSpace(SO3)
         a = space.algebra
         e = EnergyOperator.preset(a, "isotropic")
-        em = a.project_dual(RNG.standard_normal(6) * 0.5, "minus")
+        em = a.project(RNG.standard_normal(6) * 0.5, "minus")
         fiber = space.fiber(group.identity(a), em)
         gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6), "plus"))
         gdot = a.project(RNG.standard_normal(6), "plus")
