@@ -4,13 +4,7 @@ structure, Dirac-restricted fibers, and their sigma-model Lagrangians."""
 from .algebra import (BasisAlgebra, TwoCocycle, get_algebra, is_character,
                       load_algebra, validate_manin)
 
-__all__ = [
-    "BasisAlgebra",
-    "TwoCocycle",
-    "get_algebra",
-    "is_character",
-    "load_algebra",
-    "validate_manin",
-]
+__all__ = ["BasisAlgebra", "TwoCocycle", "get_algebra", "is_character",
+           "load_algebra", "validate_manin"]
 
 __version__ = "0.1.0"

@@ -9,38 +9,21 @@ dot of coordinates, so all metric content lives in the ``pairing`` matrix.
 Every algebra is a lattice of identical sites: a base double is one site,
 and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the base
 double on N sites. Coordinates are site-major, the bracket is the per-site
-structure-constant tensor applied at every site, and operators such as
-``ad`` are block diagonal over the sites.
+structure-constant tensor applied at every site, and ``ad``,
+``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s. The
+built-in doubles carry a factorizer and a closed-form exponential.
 """
 
 import json
+import math
 
 import numpy as np
 
-__all__ = [
-    "BasisAlgebra",
-    "TwoCocycle",
-    "algebra_from_matrices",
-    "algebra_from_declaration",
-    "get_algebra",
-    "load_algebra",
-    "is_character",
-    "validate_manin",
-    "BUILTIN_ALGEBRAS",
-]
+from .blocks import BlockOperator
 
-
-def _block_diag(blocks, shift=0):
-    """(N, d, d) blocks -> (N d, N d) matrix, block j at rows j + shift.
-
-    Block rows wrap periodically, so a nonzero shift places the blocks on
-    a periodic off-diagonal.
-    """
-    n, d, _ = blocks.shape
-    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
-    j = np.arange(n)
-    out[(j + shift) % n, :, j, :] = blocks
-    return out.reshape(n * d, n * d)
+__all__ = ["BasisAlgebra", "TwoCocycle", "algebra_from_matrices",
+           "algebra_from_declaration", "get_algebra", "load_algebra",
+           "is_character", "validate_manin", "BUILTIN_ALGEBRAS"]
 
 
 class BasisAlgebra:
@@ -53,19 +36,22 @@ class BasisAlgebra:
     ``lattice`` the algebra is the sum of ``lattice.n_sites`` copies in
     site-major coordinates, paired by the site average; without one it is
     the single site. ``plus_indices`` and ``minus_indices`` select the g+
-    and g- basis vectors of the whole algebra and together exhaust it.
+    and g- basis vectors of the whole algebra and together exhaust it;
+    ``site_plus`` and ``site_minus`` are the split of one site. The group
+    hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
+    stacks, ``exponential`` to the matrix exponentials.
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
                  structure_constants, basis_matrices=None, lattice=None,
-                 group_memberships=None, factorizer=None):
+                 group_memberships=None, factorizer=None, exponential=None):
         self.name = name
         self.lattice = lattice
-        self.n_sites = 1 if lattice is None else lattice.n_sites
+        self.n_sites = n = 1 if lattice is None else lattice.n_sites
         self.site_dim = d = len(labels)
-        self.dim = self.n_sites * d
+        self.dim = n * d
         self.labels = (list(labels) if lattice is None else
-                       ["%s@%d" % (lab, j) for j in range(self.n_sites)
+                       ["%s@%d" % (lab, j) for j in range(n)
                         for lab in labels])
         pairing = np.asarray(pairing, dtype=float)
         if pairing.shape != (d, d):
@@ -74,14 +60,16 @@ class BasisAlgebra:
                                               dtype=float)
         if self.structure_constants.shape != (d, d, d):
             raise ValueError("structure constants shape does not match dim")
-        self.pairing = np.kron(np.eye(self.n_sites), pairing) / self.n_sites
-        offsets = d * np.arange(self.n_sites)[:, None]
-        self.plus_indices = (offsets + np.asarray(plus_indices, dtype=int)
-                             ).reshape(-1)
-        self.minus_indices = (offsets + np.asarray(minus_indices, dtype=int)
-                              ).reshape(-1)
+        site_pairing = np.broadcast_to(pairing / n, (n, d, d))
+        self.pairing = BlockOperator({0: site_pairing})
+        self._pairing_inv = BlockOperator({0: np.linalg.inv(site_pairing)})
+        self.site_plus = np.asarray(plus_indices, dtype=int)
+        self.site_minus = np.asarray(minus_indices, dtype=int)
+        offsets = d * np.arange(n)[:, None]
+        self.plus_indices = (offsets + self.site_plus).reshape(-1)
+        self.minus_indices = (offsets + self.site_minus).reshape(-1)
         # leading axes of a group point or algebra field: none, or sites
-        self._site_axes = () if lattice is None else (self.n_sites,)
+        self._site_axes = () if lattice is None else (n,)
         self.basis_matrices = mats = (None if basis_matrices is None
                                       else np.asarray(basis_matrices))
         if mats is not None:
@@ -92,11 +80,9 @@ class BasisAlgebra:
             self.identity_matrix = np.broadcast_to(
                 np.eye(mats.shape[1], dtype=mats.dtype),
                 self._site_axes + mats.shape[1:]).copy()
-        # optional hooks used by the group layer; the factorizer maps a
-        # (..., m, m) stack to its (g+, g-) factor stacks
         self.group_memberships = group_memberships or {}
         self.factorizer = factorizer
-        self._pairing_inv = np.linalg.inv(self.pairing)
+        self.exponential = exponential
 
     # --- core bilinear operations -------------------------------------
 
@@ -111,31 +97,27 @@ class BasisAlgebra:
                          self._sites(x), self._sites(y)).reshape(self.dim)
 
     def ad(self, x):
-        """Matrix of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
-        return _block_diag(np.einsum("ijk,si->skj", self.structure_constants,
-                                     self._sites(x)))
+        """Operator of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
+        return BlockOperator({0: np.einsum(
+            "ijk,si->skj", self.structure_constants, self._sites(x))})
 
     def bracket_form(self, eta):
-        """K[i, j] = <eta, [e_i, e_j]> as a matrix, block diagonal on sites."""
-        return _block_diag(np.einsum("ijk,sk->sij", self.structure_constants,
-                                     self._sites(eta)))
+        """K[i, j] = <eta, [e_i, e_j]> as a block-diagonal operator."""
+        return BlockOperator({0: np.einsum(
+            "ijk,sk->sij", self.structure_constants, self._sites(eta))})
 
     def pair(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise ValueError("vector length does not match algebra dim")
-        return float(x @ self.pairing @ y)
+        return float(self._sites(x).ravel() @ self.psi(self._sites(y).ravel()))
 
     # --- identifications and projections ------------------------------
 
     def psi(self, x):
         """g -> g* via the pairing: <psi(x), y> = (x, y)_g."""
-        return self.pairing @ np.asarray(x, dtype=float)
+        return self.pairing @ x
 
     def psi_bar(self, eta):
         """Inverse of psi."""
-        return self._pairing_inv @ np.asarray(eta, dtype=float)
+        return self._pairing_inv @ eta
 
     def _side_indices(self, side):
         if side == "plus":
@@ -151,6 +133,13 @@ class BasisAlgebra:
         out[idx] = np.asarray(x, dtype=float)[idx]
         return out
 
+    def selector(self, side):
+        """The coordinate projection onto g+ or g- as an operator."""
+        sel = np.zeros((self.n_sites, self.site_dim, self.site_dim))
+        idx = {"plus": self.site_plus, "minus": self.site_minus}[side]
+        sel[:, idx, idx] = 1.0
+        return BlockOperator({0: sel})
+
     # --- coadjoint action ----------------------------------------------
 
     def coad(self, x, eta):
@@ -159,7 +148,8 @@ class BasisAlgebra:
         This is d/dt|_0 of eta ∘ Ad_{exp(tx)}, the one coadjoint convention
         of the library; the infinitesimal coadjoint action is its negative.
         """
-        return self.ad(x).T @ np.asarray(eta, dtype=float)
+        return np.einsum("ijk,si,sk->sj", self.structure_constants,
+                         self._sites(x), self._sites(eta)).reshape(self.dim)
 
     # --- matrix representation -----------------------------------------
 
@@ -181,23 +171,31 @@ class BasisAlgebra:
         Extra leading axes are a batch of elements and map to rows of
         coordinates.
         """
-        self._require_representation()
         m = np.asarray(m)
-        v = m.reshape(m.shape[:-2] + (-1,))
-        if np.iscomplexobj(self.basis_matrices):
-            v = np.concatenate([v.real, v.imag], axis=-1)
-        else:
-            v = v.real
         batch = m.shape[:m.ndim - 2 - len(self._site_axes)]
-        return (v @ self._dual_basis).reshape(batch + (self.dim,))
+        return self._coords(m.reshape(m.shape[:-2] + (-1,))).reshape(
+            batch + (self.dim,))
 
-    @property
-    def has_representation(self):
-        return self.basis_matrices is not None
+    def _coords(self, v):
+        # coordinates of flattened (..., m*m) matrices
+        self._require_representation()
+        if np.iscomplexobj(self.basis_matrices):
+            return np.concatenate([v.real, v.imag], axis=-1) @ self._dual_basis
+        return v.real @ self._dual_basis
+
+    def sandwich(self, left, right):
+        """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks,
+        from the row-major identity vec(A E B) = kron(A, B^T) vec(E)."""
+        m = self.basis_matrices.shape[-1]
+        kron = np.einsum("jab,jcd->jadbc", left, right).reshape(-1, m * m,
+                                                                 m * m)
+        cols = kron @ self.basis_matrices.reshape(self.site_dim, m * m).T
+        return self._coords(cols.swapaxes(1, 2)).swapaxes(1, 2)
 
 
 class TwoCocycle:
-    """Antisymmetric 2-cocycle c(X,Y) = <c_hat(X), Y> given by its hat matrix."""
+    """Antisymmetric 2-cocycle c(X,Y) = <c_hat(X), Y>; ``matrix`` is the
+    ``BlockOperator`` of c_hat."""
 
     ZERO = "zero"
     COBOUNDARY = "coboundary"
@@ -206,11 +204,12 @@ class TwoCocycle:
     def __init__(self, algebra, kind, matrix):
         self.algebra = algebra
         self.kind = kind
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = matrix
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, cls.ZERO, np.zeros((algebra.dim, algebra.dim)))
+        return cls(algebra, cls.ZERO, BlockOperator({0: np.zeros(
+            (algebra.n_sites, algebra.site_dim, algebra.site_dim))}))
 
     @classmethod
     def coboundary(cls, algebra, mu0):
@@ -230,10 +229,9 @@ class TwoCocycle:
         This is the hypothesis under which the restricted bracket carries no
         cocycle terms; zero cocycles satisfy it trivially.
         """
-        a = self.algebra
-        pp = self.matrix[np.ix_(a.plus_indices, a.plus_indices)]
-        mm = self.matrix[np.ix_(a.minus_indices, a.minus_indices)]
-        return max(np.abs(pp).max(initial=0.0), np.abs(mm).max(initial=0.0)) < tol
+        sp, sm = self.algebra.site_plus, self.algebra.site_minus
+        return max(self.matrix.restrict(sp, sp).max_abs(),
+                   self.matrix.restrict(sm, sm).max_abs()) < tol
 
 
 def cocycle_identity_residual(cocycle, x, y, z):
@@ -249,13 +247,10 @@ def is_character(algebra, eta_minus, tol=1e-12):
 
     eta_minus must be supported on the dual of g- (its g+* projection zero).
     """
-    eta_minus = np.asarray(eta_minus, dtype=float)
-    sup = algebra.project(eta_minus, "plus")
-    if np.abs(sup).max(initial=0.0) > tol:
+    if np.abs(algebra.project(eta_minus, "plus")).max(initial=0.0) > tol:
         raise ValueError("eta_minus has support outside the dual of g-")
-    mi = algebra.minus_indices
-    form = algebra.bracket_form(eta_minus)[np.ix_(mi, mi)]
-    return not np.abs(form).max(initial=0.0) > tol
+    sm = algebra.site_minus
+    return not algebra.bracket_form(eta_minus).restrict(sm, sm).max_abs() > tol
 
 
 # --- validation ---------------------------------------------------------
@@ -263,35 +258,36 @@ def is_character(algebra, eta_minus, tol=1e-12):
 def validate_manin(a, tol=1e-12):
     """Run the structural invariants; returns {check: residual} plus 'passed'.
 
-    The bracket axioms are checked on the per-site structure constants,
-    which the lattice repeats; ad-invariance is checked against the full
-    pairing, including its couplings between sites.
+    The bracket axioms and the split are checked on the per-site data,
+    which the lattice repeats; ad-invariance is checked against every band
+    of the pairing operator, including any couplings between sites.
     """
     c = a.structure_constants
     p = a.pairing
-    n, d = a.n_sites, a.site_dim
+    sp, sm = a.site_plus, a.site_minus
     res = {}
     res["bracket_antisymmetry"] = float(np.abs(c + c.transpose(1, 0, 2)).max())
     jac = np.einsum("ijm,mkl->ijkl", c, c)
     res["jacobi"] = float(np.abs(jac + jac.transpose(1, 2, 0, 3)
                                  + jac.transpose(2, 0, 1, 3)).max())
-    # t[s, i, j, v, l] = <[e_i, e_j] at site s, e_l at site v>; invariance
-    # pairs it with the (j, l)-swapped entry at v = s and asks zero elsewhere
-    t = np.einsum("ijm,smvl->sijvl", c, p.reshape(n, d, n, d))
-    s = np.arange(n)
-    diag = t[s, :, :, s, :]
-    t[s, :, :, s, :] = diag + diag.transpose(0, 1, 3, 2)
-    res["pairing_ad_invariance"] = float(np.abs(t).max())
-    pi, mi = a.plus_indices, a.minus_indices
-    sp, sm = pi[pi < d], mi[mi < d]  # the split of site 0
+    # t[s, i, j, l] = <[e_i, e_j] at site s, e_l at site s + o>; invariance
+    # pairs it with the (j, l)-swapped entry on the diagonal band and asks
+    # zero on the others
+    worst = 0.0
+    for o, blocks in p.bands.items():
+        t = np.einsum("ijm,sml->sijl", c, blocks)
+        if o == 0:
+            t = t + t.transpose(0, 1, 3, 2)
+        worst = max(worst, float(np.abs(t).max()))
+    res["pairing_ad_invariance"] = worst
     res["closure_plus"] = float(np.abs(c[np.ix_(sp, sp, sm)]).max(initial=0.0))
     res["closure_minus"] = float(np.abs(c[np.ix_(sm, sm, sp)]).max(initial=0.0))
-    res["pairing_symmetry"] = float(np.abs(p - p.T).max())
-    res["pairing_condition"] = float(np.linalg.cond(p))
-    res["isotropy_plus"] = float(np.abs(p[np.ix_(pi, pi)]).max(initial=0.0))
-    res["isotropy_minus"] = float(np.abs(p[np.ix_(mi, mi)]).max(initial=0.0))
-    res["index_partition"] = float(
-        0.0 if sorted(list(pi) + list(mi)) == list(range(a.dim)) else 1.0)
+    res["pairing_symmetry"] = (p - p.T).max_abs()
+    sv = np.linalg.svd(p.blocks, compute_uv=False)
+    res["pairing_condition"] = float(sv.max() / sv.min())
+    res["isotropy_plus"] = p.restrict(sp, sp).max_abs()
+    res["isotropy_minus"] = p.restrict(sm, sm).max_abs()
+    res["index_partition"] = float(sorted([*sp, *sm]) != [*range(a.site_dim)])
     failures = [k for k, v in res.items()
                 if k != "pairing_condition" and v > tol]
     if res["pairing_condition"] > 1e12:
@@ -301,20 +297,16 @@ def validate_manin(a, tol=1e-12):
 
 # --- constructors --------------------------------------------------------
 
-def algebra_from_matrices(name, labels, basis_matrices, pairing_fn,
+def algebra_from_matrices(name, labels, basis_matrices, pairing,
                           plus_indices, minus_indices, **kw):
-    """Build a dense BasisAlgebra from a faithful matrix representation.
+    """Build a BasisAlgebra from a faithful matrix representation.
 
-    Structure constants and the pairing matrix are extracted numerically,
-    which guarantees the coordinate bracket matches matrix commutators.
+    Structure constants are extracted numerically, which guarantees the
+    coordinate bracket matches matrix commutators.
     """
     mats = np.asarray(basis_matrices)
     dim = mats.shape[0]
-    p = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            p[i, j] = pairing_fn(mats[i], mats[j])
-    a = BasisAlgebra(name, labels, p, plus_indices, minus_indices,
+    a = BasisAlgebra(name, labels, pairing, plus_indices, minus_indices,
                      np.zeros((dim, dim, dim)), basis_matrices=mats, **kw)
     # the commutator coordinates need the representation's dual basis,
     # which the algebra derives from its basis matrices
@@ -323,48 +315,61 @@ def algebra_from_matrices(name, labels, basis_matrices, pairing_fn,
     return a
 
 
-def _hat3(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
 def _so3_cotangent():
     """Semidirect double so(3) (semidirect) so(3)*: abelian minus factor.
 
-    Represented on 4x4 real matrices [[hat(x), mu], [0, 0]]; the group is
-    rotations with translations, factoring globally as g = (R,0)(I, v).
+    Represented on 4x4 real matrices [[hat(x), mu], [0, 0]] and paired by
+    ((x, mu), (y, nu)) = <mu, y> + <nu, x>; the group is rotations with
+    translations, factoring globally as g = (R,0)(I, v).
     """
-    mats = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        m = np.zeros((4, 4))
-        m[:3, :3] = _hat3(e)
-        mats.append(m)
-    for i in range(3):
-        m = np.zeros((4, 4))
-        m[i, 3] = 1.0
-        mats.append(m)
-
-    def pairing_fn(a, b):
-        # ((x, mu), (y, nu)) = <mu, y> + <nu, x>
-        xa, ma = _so3_split(a)
-        xb, mb = _so3_split(b)
-        return float(ma @ xb + mb @ xa)
-
+    mats = np.zeros((6, 4, 4))
+    eps = np.cross(np.eye(3)[:, None], np.eye(3))  # eps[i, j, k]
+    mats[:3, :3, :3] = eps.transpose(2, 1, 0)      # hat(e_i)[j, k]
+    mats[3:, :3, 3] = np.eye(3)
     labels = ["e1", "e2", "e3", "f1", "f2", "f3"]
     return algebra_from_matrices(
-        "so3-cotangent", labels, mats, pairing_fn, [0, 1, 2], [3, 4, 5],
+        "so3-cotangent", labels, mats, np.kron([[0, 1], [1, 0]], np.eye(3)),
+        [0, 1, 2], [3, 4, 5],
         group_memberships={
             "plus": _so3_member_plus, "minus": _so3_member_minus},
-        factorizer=_so3_factorize)
+        factorizer=_so3_factorize, exponential=_so3_exp)
 
 
-def _so3_split(m):
-    a = m[:3, :3]
-    x = np.array([a[2, 1], a[0, 2], a[1, 0]])
-    return x, m[:3, 3].copy()
+def _cosh_sinhc(s2, remainders=False):
+    """(cosh s, sinh(s)/s) from s^2, optionally with (cosh s - 1)/s^2 and
+    (sinh(s)/s - 1)/s^2. For |s^2| < 1, exactly so at s = 0, they are the
+    series sum_k s2^k / (2k + m)! with m = 0, 1, 2, 3."""
+    big = np.abs(s2) >= 1.0
+    small = np.where(big, 0.0, s2)
+    f = []
+    for m in range(4 if remainders else 2):
+        f.append(np.zeros_like(small))
+        for k in range(9, -1, -1):
+            f[m] = f[m] * small + 1.0 / math.factorial(2 * k + m)
+    if not big.any():
+        return f
+    s2_big = np.where(big, s2, 1.0)
+    s = np.emath.sqrt(s2_big)
+    direct = [np.cosh(s), np.sinh(s) / s]
+    if not np.iscomplexobj(s2):
+        direct = [d.real for d in direct]  # s^2 < 0 is a real angle, s = i t
+    direct += [(d - 1.0) / s2_big for d in direct]
+    return [np.where(big, d, fm) for d, fm in zip(direct, f)]
+
+
+def _so3_exp(m):
+    """Rodrigues: exp [[W, v], [0, 0]] = [[R, V v], [0, 1]] with
+    R = I + sinc W + B W^2 and V = I + B W + C W^2, B and C the series
+    (1 - cos t)/t^2 and (t - sin t)/t^3 of the angle t."""
+    w = m[..., :3, :3]
+    w2 = w @ w
+    t2 = -0.5 * np.trace(w2, axis1=-2, axis2=-1)
+    _, sinc, b, c = _cosh_sinhc(-t2, remainders=True)
+    sinc, b, c = (f[..., None, None] for f in (sinc, b, c))
+    out = np.broadcast_to(np.eye(4), m.shape).copy()
+    out[..., :3, :3] += sinc * w + b * w2
+    out[..., :3, 3:] = (np.eye(3) + b * w + c * w2) @ m[..., :3, 3:]
+    return out
 
 
 def _so3_member_plus(m, tol):
@@ -389,31 +394,23 @@ def _so3_factorize(m):
     return gp, gm
 
 
-_SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
-          np.array([[0, -1j], [1j, 0]], dtype=complex),
-          np.array([[1, 0], [0, -1]], dtype=complex)]
-
-
 def _sl2c_iwasawa():
     """sl(2,C) as a real algebra: su(2) + upper-triangular real-diagonal part.
 
     Pairing is -2 Im tr(XY); the group factorization SL(2,C) = SU(2) SB(2,C)
     is global (QR with positive real diagonal).
     """
-    mats = [-0.5j * s for s in _SIGMA]
-    mats.append(np.array([[0.5, 0], [0, -0.5]], dtype=complex))
-    mats.append(np.array([[0, 1], [0, 0]], dtype=complex))
-    mats.append(np.array([[0, 1j], [0, 0]], dtype=complex))
-
-    def pairing_fn(a, b):
-        return float(-2.0 * np.imag(np.trace(a @ b)))
-
+    # -i/2 times the Pauli matrices, then the Borel generators
+    mats = np.array([[[0, -.5j], [-.5j, 0]], [[0, -.5], [.5, 0]],
+                     [[-.5j, 0], [0, .5j]], [[.5, 0], [0, -.5]],
+                     [[0, 1], [0, 0]], [[0, 1j], [0, 0]]])
+    pairing = -2.0 * np.imag(np.einsum("iab,jba->ij", mats, mats))
     labels = ["e1", "e2", "e3", "b1", "b2", "b3"]
     return algebra_from_matrices(
-        "sl2c-iwasawa", labels, mats, pairing_fn, [0, 1, 2], [3, 4, 5],
+        "sl2c-iwasawa", labels, mats, pairing, [0, 1, 2], [3, 4, 5],
         group_memberships={
             "plus": _su2_member, "minus": _sb2_member},
-        factorizer=_sl2c_factorize)
+        factorizer=_sl2c_factorize, exponential=_sl2c_exp)
 
 
 def _su2_member(m, tol):
@@ -425,6 +422,14 @@ def _sb2_member(m, tol):
     return (abs(m[1, 0]) < tol
             and abs(np.linalg.det(m) - 1.0) < tol
             and abs(m[0, 0].imag) < tol and m[0, 0].real > 0)
+
+
+def _sl2c_exp(m):
+    """Traceless X has X^2 = -det(X) I, so exp X = cosh(s) I + sinh(s)/s X
+    with s^2 = -det X; the b2/b3 directions are nilpotent (s = 0)."""
+    s2 = m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]
+    cosh, sinhc = _cosh_sinhc(s2)
+    return cosh[..., None, None] * np.eye(2) + sinhc[..., None, None] * m
 
 
 def _sl2c_factorize(m):
@@ -453,12 +458,10 @@ def algebra_from_declaration(decl):
     """Build a dense algebra from a declaration dict (see README for schema)."""
     required = {"name", "dim", "labels", "structure_constants", "pairing",
                 "plus_indices", "minus_indices"}
-    unknown = set(decl) - required - {"cocycle"}
-    if unknown:
-        raise ValueError("unknown declaration keys: %s" % sorted(unknown))
-    missing = required - set(decl)
-    if missing:
-        raise ValueError("missing declaration keys: %s" % sorted(missing))
+    for what, keys in (("unknown", set(decl) - required - {"cocycle"}),
+                       ("missing", required - set(decl))):
+        if keys:
+            raise ValueError("%s declaration keys: %s" % (what, sorted(keys)))
     dim = int(decl["dim"])
     if len(decl["labels"]) != dim:
         raise ValueError("labels length does not match dim")

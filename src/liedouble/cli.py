@@ -7,6 +7,7 @@ config and seed every CSV artifact is byte-identical between runs.
 """
 
 import argparse
+import csv
 import json
 import os
 import platform
@@ -14,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import dynamics, group as grouplib, loop as looplib, sigma
 from .algebra import TwoCocycle, cocycle_identity_residual, load_algebra, \
@@ -47,6 +47,25 @@ def _check_keys(section, allowed, where):
         raise ConfigError("unknown key(s) %s in %s" % (unknown, where))
 
 
+# typed numeric fields: what the value must be, and the test for it
+COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+POSITIVE = ("a finite number > 0", lambda v: type(v) in (int, float)
+            and bool(np.isfinite(v)) and v > 0)
+FIELDS = {"points": COUNT, "pairs": COUNT, "steps": COUNT, "sites": COUNT,
+          "samples": COUNT, "energy_tol": POSITIVE, "amplitude": POSITIVE,
+          "dt": POSITIVE}
+
+
+def _field(section, key, default, where):
+    """The typed value of section[key] (or the default); exit 2 otherwise."""
+    value = section.get(key, default)
+    what, valid = FIELDS[key]
+    if not valid(value):
+        raise ConfigError("%s.%s must be %s (got %r)" % (where, key, what,
+                                                         value))
+    return value
+
+
 def _parse_matrix(entries):
     def scalar(v):
         if isinstance(v, (int, float)):
@@ -73,20 +92,23 @@ class Scenario:
             base = load_algebra(cfg["algebra"])
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError("algebra: %s" % exc)
-        self.base = base
-        self.level = 1.0
+        self.base, self.level, self.samples = base, 1.0, 4
         self.sizes = [8, 16, 32, 64]
-        self.samples = 4
         loop_cfg = cfg.get("loop")
         if loop_cfg is not None:
             _check_keys(loop_cfg, LOOP_KEYS, "loop")
             self.level = float(loop_cfg.get("level", 1.0))
-            self.sizes = [int(n) for n in loop_cfg.get("sizes",
-                                                       (8, 16, 32, 64))]
-            self.samples = int(loop_cfg.get("samples", 4))
+            self.sizes = loop_cfg.get("sizes", self.sizes)
+            if not (isinstance(self.sizes, list) and len(self.sizes) > 1
+                    and all(COUNT[1](n) for n in self.sizes)):
+                raise ConfigError("loop.sizes must be a list of at least two "
+                                  "site counts (got %r)" % (self.sizes,))
+            self.samples = _field(loop_cfg, "samples", 4, "loop")
             try:
+                for n in self.sizes:
+                    looplib.LoopLattice(base, n)
                 self.algebra = looplib.build_loop_double(
-                    base, int(loop_cfg.get("sites", 8)))
+                    base, _field(loop_cfg, "sites", 8, "loop"))
             except ValueError as exc:
                 raise ConfigError("loop: %s" % exc)
         else:
@@ -99,12 +121,19 @@ class Scenario:
         _check_keys(icfg, INTEGRATOR_KEYS, "integrator")
         try:
             self.integrator = IntegratorConfig(
-                float(icfg.get("dt", 0.01)), int(icfg.get("steps", 100)),
+                _field(icfg, "dt", 0.01, "integrator"),
+                _field(icfg, "steps", 100, "integrator"),
                 icfg.get("method", "rkmk4"))
         except ValueError as exc:
             raise ConfigError("integrator: %s" % exc)
         self.options = cfg.get("options", {})
         _check_keys(self.options, OPTION_KEYS, "options")
+        for key in set(self.options) & set(FIELDS):
+            self.option(key, None)
+
+    def option(self, key, default):
+        """A typed field of the options section."""
+        return _field(self.options, key, default, "options")
 
     def _build_cocycle(self, spec):
         if spec is None:
@@ -144,17 +173,16 @@ class Scenario:
     def _fiber_vector(self, spec, what):
         a = self.algebra
         if isinstance(spec, dict):
-            if "constant" in spec and a.lattice is not None:
-                _check_keys(spec, {"constant"}, "fiber.%s" % what)
-                v = np.asarray(spec["constant"], dtype=float)
-                if v.shape != (a.lattice.base.dim,):
-                    raise ConfigError("fiber.%s.constant: wrong length" % what)
-                vec = looplib.constant_loop(a, v)
-                if what == "eta_minus":
-                    vec = vec / a.lattice.n_sites
-                return vec
-            raise ConfigError("fiber.%s: expected coordinate list or "
-                              "{'constant': base coords}" % what)
+            if "constant" not in spec or a.lattice is None:
+                raise ConfigError("fiber.%s: expected coordinate list or "
+                                  "{'constant': base coords}" % what)
+            _check_keys(spec, {"constant"}, "fiber.%s" % what)
+            v = np.asarray(spec["constant"], dtype=float)
+            if v.shape != (a.lattice.base.dim,):
+                raise ConfigError("fiber.%s.constant: wrong length" % what)
+            # covectors carry the 1/N of the lattice pairing
+            scale = a.lattice.n_sites if what == "eta_minus" else 1
+            return looplib.constant_loop(a, v) / scale
         v = np.asarray(spec, dtype=float)
         if v.shape != (a.dim,):
             raise ConfigError("fiber.%s: expected %d coordinates"
@@ -191,12 +219,9 @@ class Scenario:
     # --- reporting helpers ------------------------------------------------
 
     def check(self, name, residual, tolerance):
-        self.checks.append({
-            "name": name,
-            "residual": float(residual),
-            "tolerance": float(tolerance),
-            "passed": bool(residual < tolerance),
-        })
+        self.checks.append({"name": name, "residual": float(residual),
+                            "tolerance": float(tolerance),
+                            "passed": bool(residual < tolerance)})
 
     def artifact(self, filename):
         path = os.path.join(self.output_dir, filename)
@@ -236,13 +261,13 @@ def cmd_check(sc):
         sc.check("cocycle/identity",
                  abs(cocycle_identity_residual(c2, x, y, z)), 1e-10)
 
-    if not a.has_representation:
+    if a.basis_matrices is None:
         return  # inline declarations without matrices: algebra level only
 
     sc.check("algebra/psi_roundtrip",
              float(np.abs(a.psi_bar(a.psi(x)) - x).max()), 1e-10)
 
-    points = int(sc.options.get("points", 200))
+    points = sc.option("points", 200)
     worst = 0.0
     worst_inv = 0.0
     for _ in range(points):
@@ -302,8 +327,8 @@ def cmd_check(sc):
 
 def cmd_brackets(sc):
     fiber = sc.require_fiber()
-    points = int(sc.options.get("points", 5))
-    pairs = int(sc.options.get("pairs", 5))
+    points = sc.option("points", 5)
+    pairs = sc.option("pairs", 5)
     rows = []
     worst_oracle = 0.0
     worst_reduced = 0.0
@@ -325,10 +350,9 @@ def cmd_brackets(sc):
                 worst_reduced = max(worst_reduced, d_red)
                 row.append(d_red)
             rows.append(row)
-    header = ["point", "pair", "closed", "oracle", "oracle_residual"]
-    if reduced_ok:
-        header.append("reduced_residual")
-    _write_csv(sc.artifact("bracket_residuals.csv"), header, rows)
+    _write_csv(sc.artifact("bracket_residuals.csv"),
+               ["point", "pair", "closed", "oracle", "oracle_residual"]
+               + (["reduced_residual"] if reduced_ok else []), rows)
     sc.check("brackets/closed_vs_oracle", worst_oracle, 1e-7)
     if reduced_ok:
         sc.check("brackets/reduced_vs_full", worst_reduced, 1e-7)
@@ -350,7 +374,7 @@ def cmd_flow(sc):
     traj.to_csv(sc.artifact("trajectory.csv"))
     drift = float(np.abs(traj.energies - traj.energies[0]).max())
     sc.check("flow/energy_drift", drift,
-             float(sc.options.get("energy_tol", 1e-6)))
+             sc.option("energy_tol", 1e-6))
 
 
 def cmd_collective(sc):
@@ -360,8 +384,7 @@ def cmd_collective(sc):
     results = []
     for halving in range(2):
         cfg = IntegratorConfig(sc.integrator.dt / 2 ** halving,
-                               sc.integrator.steps * 2 ** halving,
-                               sc.integrator.method)
+                               sc.integrator.steps * 2 ** halving)
         traj = dynamics.flow_fiber(sc.space, dynamics.hamiltonian_quadratic(
             sc.space, sc.e_op), p0, fiber, cfg)
         res = dynamics.collectivity_check(sc.space, sc.e_op, traj, fiber)
@@ -377,7 +400,7 @@ def cmd_collective(sc):
 
 def cmd_legendre(sc):
     fiber = sc.require_fiber()
-    points = int(sc.options.get("points", 10))
+    points = sc.option("points", 10)
     worst_round = 0.0
     worst_routes = 0.0
     rows = []
@@ -405,7 +428,7 @@ def cmd_legendre(sc):
 def cmd_sigma(sc):
     fiber = sc.require_fiber()
     a = sc.algebra
-    points = int(sc.options.get("points", 100))
+    points = sc.option("points", 100)
     worst_op = 0.0
     for _ in range(points):
         gp = grouplib.exp(a, a.project(
@@ -439,17 +462,17 @@ def cmd_loop(sc):
     a = sc.algebra
     h = dynamics.hamiltonian_quadratic(sc.space, sc.e_op)
     p0 = sc.space.random_fiber_point(fiber, sc.rng,
-                                     float(sc.options.get("amplitude", 0.2)))
+                                     sc.option("amplitude", 0.2))
     traj = looplib.field_flow(sc.space, h, p0, fiber, sc.integrator,
                               sc.level)
     traj.to_csv(sc.artifact("trajectory.csv"))
     sc.check("loop/energy_drift",
              float(np.abs(traj.energies - traj.energies[0]).max()),
-             float(sc.options.get("energy_tol", 1e-4)))
+             sc.option("energy_tol", 1e-4))
     sc.check("loop/fiber_frozen",
              float(max(traj.extras["drift_gminus"].max(),
                        traj.extras["drift_etaminus"].max())), 1e-9)
-    pairs = int(sc.options.get("pairs", 4))
+    pairs = sc.option("pairs", 4)
     worst = 0.0
     p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     for _ in range(pairs):
@@ -472,14 +495,10 @@ def cmd_loop(sc):
 def cmd_converge(sc):
     out = looplib.convergence_study(sc.base, sc.level, sizes=sc.sizes,
                                     rng=sc.rng, samples=sc.samples)
-    rows = []
-    for i, n in enumerate(out["sizes"]):
-        rows.append([n, out["spacings"][i]]
-                    + [out["residuals"][key][i]
-                       for key in ("jacobi", "one_cocycle", "compatibility")])
-    _write_csv(sc.artifact("residuals.csv"),
-               ["sites", "spacing", "jacobi", "one_cocycle", "compatibility"],
-               rows)
+    keys = ("jacobi", "one_cocycle", "compatibility")
+    rows = [[n, out["spacings"][i]] + [out["residuals"][k][i] for k in keys]
+            for i, n in enumerate(out["sizes"])]
+    _write_csv(sc.artifact("residuals.csv"), ["sites", "spacing", *keys], rows)
     path = sc.artifact("slopes.json")
     with open(path, "w") as fh:
         json.dump(out["slopes"], fh, indent=2, sort_keys=True)
@@ -489,20 +508,10 @@ def cmd_converge(sc):
         sc.check("converge/%s_slope_in_window" % key, abs(slope - 2.0), 0.3)
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "brackets": cmd_brackets,
-    "flow": cmd_flow,
-    "collective": cmd_collective,
-    "legendre": cmd_legendre,
-    "sigma": cmd_sigma,
-    "loop": cmd_loop,
-    "converge": cmd_converge,
-}
+COMMANDS = {name: globals()["cmd_" + name] for name in EXPERIMENTS}
 
 
 def _write_csv(path, header, rows):
-    import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -541,18 +550,12 @@ def run(experiment, config_path, output_dir=None, seed=None, quiet=False):
     sc = Scenario(cfg, experiment, use_seed, out_dir)
     COMMANDS[experiment](sc)
     report = {
-        "schema": SCHEMA_VERSION,
-        "experiment": experiment,
-        "seed": use_seed,
-        "checks": sc.checks,
-        "passed": all(c["passed"] for c in sc.checks),
+        "schema": SCHEMA_VERSION, "experiment": experiment, "seed": use_seed,
+        "checks": sc.checks, "passed": all(c["passed"] for c in sc.checks),
         "artifacts": [os.path.basename(p) for p in sc.artifacts],
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "platform": platform.platform(),
-        },
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "platform": platform.platform()},
         "wall_time_s": round(time.time() - start, 3),
     }
     path = os.path.join(out_dir, "report.json")

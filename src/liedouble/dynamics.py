@@ -11,43 +11,43 @@ import csv
 import numpy as np
 
 from . import group as grouplib
+from .blocks import BlockOperator
 from .phase import PhasePoint
 
-__all__ = [
-    "EnergyOperator",
-    "IntegratorConfig",
-    "Trajectory",
-    "hamiltonian_quadratic",
-    "dirac_field",
-    "flow_full",
-    "flow_fiber",
-    "legendre_map",
-    "legendre_inverse",
-    "collectivity_check",
-]
+__all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
+           "hamiltonian_quadratic", "dirac_field", "flow_full", "flow_fiber",
+           "legendre_map", "legendre_inverse", "collectivity_check"]
 
 
 class EnergyOperator:
     """Involution E of the double, symmetric for the pairing.
 
-    In the normalized frame (T_a in g+, pairing-dual T^a in g-) the operator
-    is assembled from an invertible symmetric block S and an antisymmetric
-    block A, both n x n, as the usual generalized-metric involution.
+    E acts site by site: ``matrix`` is one site's (d, d) matrix, repeated
+    on every site, or an (N, d, d) stack. In the normalized frame (T_a in
+    g+, pairing-dual T^a in g-) a site block is assembled from a symmetric
+    invertible S and an antisymmetric A, both of the size of one site's g+,
+    as the usual generalized-metric involution.
     """
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
-        self.matrix = np.asarray(matrix, dtype=float)
-        if np.abs(self.matrix @ self.matrix - np.eye(algebra.dim)).max() > 1e-10:
+        n, d = algebra.n_sites, algebra.site_dim
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape not in ((d, d), (n, d, d)):
+            raise ValueError("energy operator must be one site's %dx%d "
+                             "matrix (got shape %s)" % (d, d, matrix.shape))
+        e = self.matrix = BlockOperator({0: np.broadcast_to(matrix,
+                                                            (n, d, d))})
+        if np.abs((e @ e).blocks - np.eye(d)).max() > 1e-10:
             raise ValueError("energy operator is not an involution")
-        p = algebra.pairing
-        if np.abs(p @ self.matrix - (p @ self.matrix).T).max() > 1e-10:
+        pe = algebra.pairing @ e
+        if (pe - pe.T).max_abs() > 1e-10:
             raise ValueError("energy operator is not pairing-symmetric")
 
     @classmethod
     def from_blocks(cls, algebra, s, a=None):
-        pi, mi = algebra.plus_indices, algebra.minus_indices
-        n = len(pi)
+        sp, sm = algebra.site_plus, algebra.site_minus
+        n = len(sp)
         s = np.asarray(s, dtype=float)
         a = np.zeros((n, n)) if a is None else np.asarray(a, dtype=float)
         if np.abs(s - s.T).max() > 1e-12 or np.abs(a + a.T).max() > 1e-12:
@@ -56,62 +56,47 @@ class EnergyOperator:
         # maps g+ -> g- with matrices s (metric) and a (two-form) give
         #   E = [[-s^{-1} a, s^{-1}], [s - a s^{-1} a, a s^{-1}]]
         sinv = np.linalg.inv(s)
-        cross = algebra.pairing[np.ix_(pi, mi)]
+        cross = algebra.pairing.restrict(sp, sm).blocks
         # convert frame blocks to coordinate blocks: T^b carries cross^{-1}
         to_minus = np.linalg.inv(cross)
-        e = np.zeros((algebra.dim, algebra.dim))
-        e[np.ix_(pi, pi)] = -sinv @ a
-        e[np.ix_(pi, mi)] = sinv @ cross
-        e[np.ix_(mi, pi)] = to_minus @ (s - a @ sinv @ a)
-        e[np.ix_(mi, mi)] = to_minus @ (a @ sinv) @ cross
+        e = np.zeros((algebra.n_sites, algebra.site_dim, algebra.site_dim))
+        e[:, sp[:, None], sp] = -sinv @ a
+        e[:, sp[:, None], sm] = sinv @ cross
+        e[:, sm[:, None], sp] = to_minus @ (s - a @ sinv @ a)
+        e[:, sm[:, None], sm] = to_minus @ (a @ sinv) @ cross
         return cls(algebra, e)
 
     @classmethod
     def preset(cls, algebra, name="isotropic"):
-        n = len(algebra.plus_indices)
+        """A preset on every site; its blocks have the size of one site."""
+        n = len(algebra.site_plus)
         if name == "isotropic":
             return cls.from_blocks(algebra, np.eye(n))
         if name == "skewed":
-            s = np.diag(1.0 + 0.5 * np.arange(n))
-            a = np.zeros((n, n))
-            for i in range(n - 1):
-                a[i, i + 1] = 0.3
-                a[i + 1, i] = -0.3
-            return cls.from_blocks(algebra, s, a)
+            return cls.from_blocks(algebra, np.diag(1.0 + 0.5 * np.arange(n)),
+                                   0.3 * (np.eye(n, k=1) - np.eye(n, k=-1)))
         raise ValueError("unknown preset %r" % name)
 
     def at(self, g):
-        """E_g = Ad_{g^{-1}} E Ad_g as a coordinate matrix."""
+        """E_g = Ad_{g^{-1}} E Ad_g as an operator."""
         adg = g.ad_matrix()
-        return np.linalg.solve(adg, self.matrix @ adg)
+        return adg.solve(self.matrix @ adg)
 
     def blocks_at(self, g):
         """The metric/two-form blocks (G_g, B_g): g+ -> g- at the point g.
 
-        Returned as full coordinate matrices supported on the (minus, plus)
-        block, so they can be applied directly to plus-supported vectors.
+        Returned as operators supported on the (minus, plus) block, so they
+        can be applied directly to plus-supported vectors.
         """
         a = self.algebra
-        pi, mi = a.plus_indices, a.minus_indices
+        sp, sm = a.site_plus, a.site_minus
         eg = self.at(g)
-        m = eg[np.ix_(pi, mi)]          # g- -> g+ component of E_g
-        ginv = np.linalg.inv(m)         # G_g in (minus rows, plus cols)
-        gg = np.zeros((a.dim, a.dim))
-        gg[np.ix_(mi, pi)] = ginv
-        bb = np.zeros((a.dim, a.dim))
-        bb[np.ix_(mi, pi)] = -ginv @ eg[np.ix_(pi, pi)]
-        return gg, bb
-
-    def eigenspace_basis(self, g, sign):
-        """Basis of the +-1 eigenspace of E_g as a (n, dim) array of graphs."""
-        a = self.algebra
-        gg, bb = self.blocks_at(g)
-        rows = []
-        for i in a.plus_indices:
-            x = np.zeros(a.dim)
-            x[i] = 1.0
-            rows.append(x + (bb + sign * gg) @ x)
-        return np.array(rows)
+        # G_g inverts the g- -> g+ component of E_g, site by site
+        ginv = np.linalg.inv(eg.restrict(sp, sm).blocks)
+        gg, bb = np.zeros((2, a.n_sites, a.site_dim, a.site_dim))
+        gg[:, sm[:, None], sp] = ginv
+        bb[:, sm[:, None], sp] = -ginv @ eg.restrict(sp, sp).blocks
+        return BlockOperator({0: gg}), BlockOperator({0: bb})
 
 
 def hamiltonian_quadratic(space, e_op):
@@ -152,7 +137,7 @@ def dirac_field(space, obs, p):
 
 class IntegratorConfig:
     def __init__(self, dt, steps, method="rkmk4"):
-        if method not in ("rkmk4", "ambient-rk4"):
+        if method != "rkmk4":
             raise ValueError("unknown method %r" % method)
         self.dt = float(dt)
         self.steps = int(steps)
@@ -160,7 +145,6 @@ class IntegratorConfig:
             raise ValueError("dt must be finite and positive (got %r)" % dt)
         if self.steps < 1:
             raise ValueError("steps must be at least 1 (got %r)" % steps)
-        self.method = method
 
 
 class Trajectory:
@@ -171,29 +155,22 @@ class Trajectory:
         self.extras = extras or {}
 
     def to_csv(self, path):
-        a = self.points[0].algebra
-        mshape = np.asarray(self.points[0].g.matrix).shape
-        gcols = ["g_re_%d_%d" % (i, j)
-                 for i in range(mshape[-2]) for j in range(mshape[-1])]
-        gcols += ["g_im_%d_%d" % (i, j)
-                  for i in range(mshape[-2]) for j in range(mshape[-1])]
-        ecols = ["eta_%d" % i for i in range(a.dim)]
-        extra_keys = sorted(self.extras)
+        """t, g (the leading site on a lattice), eta, energy and extras."""
+        shape = self.points[0].g.matrix.shape[-2:]
+        ij = ["%d_%d" % (i, j) for i in range(shape[0])
+              for j in range(shape[1])]
+        keys = sorted(self.extras)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t"] + gcols + ecols + ["energy"] + extra_keys)
+            w.writerow(["t"] + ["g_re_" + c for c in ij]
+                       + ["g_im_" + c for c in ij]
+                       + ["eta_%d" % i for i in range(self.points[0].eta.size)]
+                       + ["energy"] + keys)
             for k, (t, p) in enumerate(zip(self.times, self.points)):
-                m = np.asarray(p.g.matrix)
-                if m.ndim > 2:
-                    m = m[0]  # lattice: leading site only in the table
-                row = ([repr(float(t))]
-                       + [repr(float(x)) for x in m.real.reshape(-1)]
-                       + [repr(float(x)) for x in m.imag.reshape(-1)]
-                       + [repr(float(x)) for x in p.eta]
-                       + [repr(float(self.energies[k]))]
-                       + [repr(float(self.extras[key][k]))
-                          for key in extra_keys])
-                w.writerow(row)
+                m = p.g.matrix.reshape((-1,) + shape)[0]
+                w.writerow([repr(float(x)) for x in (
+                    [t, *m.real.ravel(), *m.imag.ravel(), *p.eta,
+                     self.energies[k]] + [self.extras[c][k] for c in keys])])
 
 
 def _dexpinv(a, u, k):
@@ -213,8 +190,9 @@ def _rkmk4_step(space, field, p, dt):
         xi, rho = field(q)
         return _dexpinv(a, v, xi), rho
 
-    z = np.zeros(a.dim)
-    k1v, k1e = rate(z, p.eta)
+    # the first stage sits at p itself, whose adjoints and factors the
+    # energy and drift evaluations of the previous step have cached
+    k1v, k1e = field(p)
     k2v, k2e = rate(0.5 * dt * k1v, p.eta + 0.5 * dt * k1e)
     k3v, k3e = rate(0.5 * dt * k2v, p.eta + 0.5 * dt * k2e)
     k4v, k4e = rate(dt * k3v, p.eta + dt * k3e)
@@ -223,33 +201,9 @@ def _rkmk4_step(space, field, p, dt):
     return PhasePoint(p.g.mul(grouplib.exp(a, v)), eta)
 
 
-def _ambient_rk4_step(space, field, p, dt):
-    # integrate the matrix ODE directly, then reproject via factorization
-    a = space.algebra
-
-    def rate(gm, eta):
-        q = PhasePoint(grouplib.GroupPoint(a, gm), eta)
-        xi, rho = field(q)
-        return gm @ a.vec_to_mat(xi), rho
-
-    g0 = p.g.matrix
-    k1g, k1e = rate(g0, p.eta)
-    k2g, k2e = rate(g0 + 0.5 * dt * k1g, p.eta + 0.5 * dt * k1e)
-    k3g, k3e = rate(g0 + 0.5 * dt * k2g, p.eta + 0.5 * dt * k2e)
-    k4g, k4e = rate(g0 + dt * k3g, p.eta + dt * k3e)
-    gm = g0 + dt * (k1g + 2 * k2g + 2 * k3g + k4g) / 6.0
-    gp_, gm_ = grouplib.GroupPoint(a, gm).factors()
-    return PhasePoint(gp_.mul(gm_), p.eta + dt * (k1e + 2 * k2e
-                                                  + 2 * k3e + k4e) / 6.0)
-
-
-def _integrate(space, field, obs, p0, cfg, fiber=None):
-    step = _rkmk4_step if cfg.method == "rkmk4" else _ambient_rk4_step
-    times = [0.0]
-    points = [p0]
-    energies = [obs.value(p0)]
-    drift_g = [0.0]
-    drift_eta = [0.0]
+def _integrate(space, field, obs, p0, cfg, fiber=None, step=_rkmk4_step):
+    times, points, energies = [0.0], [p0], [obs.value(p0)]
+    drifts = [(0.0, 0.0)]  # of g- and eta- from the fiber
     p = p0
     for k in range(cfg.steps):
         p = step(space, field, p, cfg.dt)
@@ -258,15 +212,12 @@ def _integrate(space, field, obs, p0, cfg, fiber=None):
         energies.append(obs.value(p))
         if fiber is not None:
             gm, em = space.fibration(p)
-            drift_g.append(float(np.abs(gm.matrix
-                                        - fiber.g_minus.matrix).max()))
-            drift_eta.append(float(np.abs(em - fiber.eta_minus).max()))
-        else:
-            drift_g.append(0.0)
-            drift_eta.append(0.0)
+            drifts.append((np.abs(gm.matrix - fiber.g_minus.matrix).max(),
+                           np.abs(em - fiber.eta_minus).max()))
+    drifts = np.array(drifts if fiber is not None else drifts * len(times))
     return Trajectory(times, points, energies,
-                      extras={"drift_gminus": np.array(drift_g),
-                              "drift_etaminus": np.array(drift_eta)})
+                      extras={"drift_gminus": drifts[:, 0],
+                              "drift_etaminus": drifts[:, 1]})
 
 
 def flow_full(space, obs, p0, cfg):
@@ -299,10 +250,10 @@ def legendre_map(space, e_op, p, fiber):
     em_vec = a.psi_bar(fiber.eta_minus)
     rhs_known = (-bb @ a.psi_bar(space.C.value(gp.inv()))
                  + bb @ em_vec - a.project(gm.ad_matrix() @ em_vec, "minus"))
-    pi, mi = a.plus_indices, a.minus_indices
-    gdot_plus = np.linalg.solve(gg[np.ix_(mi, pi)], (lhs - rhs_known)[mi])
+    # G_g maps g+ onto g- site by site; solve its (minus, plus) blocks
     gdot = np.zeros(a.dim)
-    gdot[pi] = gdot_plus
+    gdot[a.plus_indices] = gg.restrict(a.site_minus, a.site_plus).solve(
+        (lhs - rhs_known)[a.minus_indices])
     return gdot
 
 

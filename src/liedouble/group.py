@@ -1,22 +1,21 @@
 """Matrix-group layer over a BasisAlgebra: exponential, adjoints, the global
 factorization g = g+ g- (``GroupPoint.factors``, from which the dressing
-actions are read off), and coadjoint group 1-cocycles."""
+actions are read off), and coadjoint group 1-cocycles.
+
+The exponential and the factorization are the algebra's hooks on (N, m, m)
+stacks, and Ad_g is a block-diagonal ``BlockOperator``. A point caches its
+inverse, adjoint and factors; ``g.inv().inv()`` is ``g`` itself.
+"""
+
+import weakref
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import TwoCocycle, _block_diag
+from .algebra import TwoCocycle
+from .blocks import BlockOperator
 
-__all__ = [
-    "GroupPoint",
-    "GroupCocycle",
-    "identity",
-    "exp",
-    "adjoint",
-    "coadjoint_star",
-    "kernel_check",
-    "random_point",
-]
+__all__ = ["GroupPoint", "GroupCocycle", "identity", "exp", "adjoint",
+           "coadjoint_star", "kernel_check", "random_point"]
 
 FACTOR_TOL = 1e-10
 MEMBER_TOL = 1e-8
@@ -38,32 +37,29 @@ class GroupPoint:
         self.matrix = np.asarray(matrix)
         self._factors = None
         self._ad = None
+        self._inv = None  # a callable returning the cached inverse
 
     def mul(self, other):
         return GroupPoint(self.algebra, self.matrix @ other.matrix)
 
     def inv(self):
-        return GroupPoint(self.algebra, np.linalg.inv(self.matrix))
+        inv = self._inv and self._inv()
+        if inv is None:
+            inv = GroupPoint(self.algebra, np.linalg.inv(self.matrix))
+            # a weak back-reference: g.inv().inv() is g, without a cycle
+            inv._inv, self._inv = weakref.ref(self), lambda: inv
+        return inv
 
     def is_identity(self, tol=1e-12):
         return np.abs(self.matrix - self.algebra.identity_matrix).max() < tol
 
     def ad_matrix(self):
-        """Adjoint matrix on algebra coordinates, cached.
-
-        Site j of a lattice point conjugates only site j, so Ad_g is block
-        diagonal; the blocks come from one batched conjugation of the base
-        basis matrices.
-        """
+        """Adjoint operator on coordinates, cached; site j of a lattice
+        point conjugates only site j, so Ad_g is block diagonal."""
         if self._ad is None:
-            a = self.algebra
-            m = self.matrix.reshape((a.n_sites,) + self.matrix.shape[-2:])
-            # conj[i, j] = g_j E_i g_j^{-1}: basis direction i on every site
-            conj = np.einsum("jab,ibc,jcd->ijad", m, a.basis_matrices,
-                             np.linalg.inv(m))
-            cols = a.mat_to_vec(conj).reshape(a.site_dim, a.n_sites,
-                                              a.site_dim)
-            self._ad = _block_diag(cols.transpose(1, 2, 0))
+            shape = (-1,) + self.matrix.shape[-2:]
+            self._ad = BlockOperator({0: self.algebra.sandwich(
+                self.matrix.reshape(shape), self.inv().matrix.reshape(shape))})
         return self._ad
 
     def factors(self):
@@ -91,7 +87,7 @@ def identity(algebra):
 
 
 def exp(algebra, x, t=1.0):
-    return GroupPoint(algebra, scipy.linalg.expm(t * algebra.vec_to_mat(x)))
+    return GroupPoint(algebra, algebra.exponential(t * algebra.vec_to_mat(x)))
 
 
 def adjoint(g, x):

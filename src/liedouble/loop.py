@@ -7,25 +7,23 @@ group counterpart C_k(l) = k psi((d_s l) l^{-1}) are exact antisymmetric
 structures on the lattice, while identities relying on the Leibniz rule for
 d_s (cocycle identity, the 1-cocycle property of C_k) hold up to O(ds^2)
 and converge at second order under refinement.
+
+Every lattice operator is a ``BlockOperator``: the algebra's are block
+diagonal, and the cocycle hat and the exact differential of C_k add the
+periodic +-1 bands of the central difference, so one field-flow step costs
+O(N) in the number of sites.
 """
 
 import numpy as np
 
 from . import group as grouplib
-from .algebra import (BasisAlgebra, TwoCocycle, _block_diag,
-                      cocycle_identity_residual)
+from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
+from .blocks import BlockOperator
+from .dynamics import flow_fiber
 
-__all__ = [
-    "LoopLattice",
-    "build_loop_double",
-    "d_s",
-    "loop_two_cocycle",
-    "loop_group_cocycle",
-    "constant_loop",
-    "sampled_loop",
-    "field_flow",
-    "convergence_study",
-]
+__all__ = ["LoopLattice", "build_loop_double", "d_s", "loop_two_cocycle",
+           "loop_group_cocycle", "constant_loop", "sampled_loop", "field_flow",
+           "convergence_study"]
 
 class LoopLattice:
     """N equispaced sites on the circle of circumference 2 pi."""
@@ -41,35 +39,33 @@ class LoopLattice:
 
 
 def d_s(lattice, x):
-    """Periodic central difference of site-major coordinates."""
+    """Periodic central difference of site-major coordinates or of an
+    (N, m, m) matrix stack."""
     blocks = np.asarray(x).reshape(lattice.n_sites, -1)
     out = (np.roll(blocks, -1, axis=0) - np.roll(blocks, 1, axis=0)) \
         / (2.0 * lattice.ds)
     return out.reshape(np.shape(x))
 
 
-def _difference_matrix(lattice, dim_site):
-    eye = np.eye(lattice.n_sites)
-    dn = np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
-    return np.kron(dn / (2.0 * lattice.ds), np.eye(dim_site))
-
-
 def build_loop_double(base, n_sites):
     """The lattice loop algebra of a base double, site-major coordinates."""
     return BasisAlgebra(
-        "loop-%s-N%d" % (base.name, int(n_sites)), base.labels, base.pairing,
-        base.plus_indices, base.minus_indices, base.structure_constants,
-        basis_matrices=base.basis_matrices,
+        "loop-%s-N%d" % (base.name, int(n_sites)), base.labels,
+        base.pairing.blocks[0], base.site_plus, base.site_minus,
+        base.structure_constants, basis_matrices=base.basis_matrices,
         lattice=LoopLattice(base, n_sites),
-        group_memberships=base.group_memberships, factorizer=base.factorizer)
+        group_memberships=base.group_memberships, factorizer=base.factorizer,
+        exponential=base.exponential)
 
 
 def loop_two_cocycle(loop_algebra, k):
     """c_k(X, Y) = (k / N) sum_j (X_j, (d_s Y)_j)_h, with hat -k psi(d_s X)."""
     lattice = loop_algebra.lattice
-    dmat = _difference_matrix(lattice, lattice.base.dim)
-    matrix = -k * loop_algebra.pairing @ dmat
-    return TwoCocycle(loop_algebra, TwoCocycle.LATTICE, matrix)
+    eye = np.broadcast_to(np.eye(lattice.base.dim) / (2.0 * lattice.ds),
+                          (lattice.n_sites,) + (lattice.base.dim,) * 2)
+    d_op = BlockOperator({1: eye, -1: -eye})  # the operator of d_s
+    return TwoCocycle(loop_algebra, TwoCocycle.LATTICE,
+                      -k * (loop_algebra.pairing @ d_op))
 
 
 def loop_group_cocycle(loop_algebra, k):
@@ -77,36 +73,28 @@ def loop_group_cocycle(loop_algebra, k):
     lattice = loop_algebra.lattice
 
     def value_fn(g):
-        m = np.asarray(g.matrix)
-        dm = (np.roll(m, -1, axis=0) - np.roll(m, 1, axis=0)) \
-            / (2.0 * lattice.ds)
-        coords = loop_algebra.mat_to_vec(dm @ np.linalg.inv(m))
-        return k * loop_algebra.psi(coords)
+        return k * loop_algebra.psi(loop_algebra.mat_to_vec(
+            d_s(lattice, g.matrix) @ g.inv().matrix))
 
     def differential_inv_fn(g):
         # Exact d/dt C_k((g exp(tX))^{-1}) of the lattice expression.
         # With h = g^{-1} site-wise, the perturbed field is exp(-tX) h and
         # d/dt [(d_s h) h^{-1}] = -d_s(X h) h^{-1} + (d_s h) h^{-1} X,
-        # where d_s is the same central difference as in value_fn. A basis
-        # direction supported at site j contributes at sites j-1, j, j+1.
+        # where d_s is the same central difference as in value_fn. At site
+        # j the three bands take X from sites j - 1, j and j + 1.
         base = lattice.base
-        n, ds = lattice.n_sites, lattice.ds
-        h = np.linalg.inv(np.asarray(g.matrix))
-        hinv = np.asarray(g.matrix)
-        dh = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / (2.0 * ds)
-        q = dh @ hinv
-        mats = base.basis_matrices
-        # (n, d, m, m) stacks map to (n, d, d) coordinate blocks
-        bh = np.einsum("bac,jcd->jbad", mats, h)
-        dn = base.mat_to_vec(-bh @ hinv[(np.arange(n) - 1) % n, None]) \
-            / (2.0 * ds)
-        up = base.mat_to_vec(bh @ hinv[(np.arange(n) + 1) % n, None]) \
-            / (2.0 * ds)
-        mid = base.mat_to_vec(np.einsum("jab,ibc->jiac", q, mats))
-        coords = (_block_diag(dn.transpose(0, 2, 1), -1)
-                  + _block_diag(up.transpose(0, 2, 1), 1)
-                  + _block_diag(mid.transpose(0, 2, 1)))
-        return k * loop_algebra.pairing @ coords
+        h, hinv = g.inv().matrix, g.matrix
+        eye = np.broadcast_to(np.eye(h.shape[-1]), h.shape)
+        q = d_s(lattice, h) @ hinv
+
+        def side(o):
+            # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j
+            return -o / (2.0 * lattice.ds) * base.sandwich(
+                eye, np.roll(h, -o, axis=0) @ hinv)
+
+        coords = BlockOperator({0: base.sandwich(q, eye), 1: side(1),
+                                -1: side(-1)})
+        return k * (loop_algebra.pairing @ coords)
 
     return grouplib.GroupCocycle(
         loop_algebra, TwoCocycle.LATTICE, loop_two_cocycle(loop_algebra, k),
@@ -115,8 +103,7 @@ def loop_group_cocycle(loop_algebra, k):
 
 def constant_loop(loop_algebra, base_vector):
     """Embed a base algebra vector as a spatially constant loop."""
-    n = loop_algebra.lattice.n_sites
-    return np.tile(np.asarray(base_vector, dtype=float), n)
+    return np.tile(np.asarray(base_vector, dtype=float), loop_algebra.n_sites)
 
 
 def sampled_loop(loop_algebra, coeffs):
@@ -137,8 +124,6 @@ def sampled_loop(loop_algebra, coeffs):
 
 def field_flow(space, obs, p0, fiber, cfg, k):
     """Restricted flow of a lattice field; enforces the lattice CFL bound."""
-    from .dynamics import flow_fiber
-
     ds = space.algebra.lattice.ds
     if abs(k) > 0 and cfg.dt > ds / abs(k):
         raise ValueError("time step %.3g exceeds the CFL bound %.3g"
@@ -181,17 +166,11 @@ def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
         cg = loop_group_cocycle(alg, k)
         worst = {key: 0.0 for key in res}
         for i in range(samples):
-            cx, cy, cz = alg_sets[3 * i:3 * i + 3]
-            x = sampled_loop(alg, cx)
-            y = sampled_loop(alg, cy)
-            z = sampled_loop(alg, cz)
+            x, y, z = (sampled_loop(alg, c) for c in alg_sets[3 * i:3 * i + 3])
             worst["jacobi"] = max(
                 worst["jacobi"], abs(cocycle_identity_residual(c2, x, y, z)))
-            cg_x, cg_y = grp_sets[2 * i:2 * i + 2]
-            xg = sampled_loop(alg, cg_x)
-            yg = sampled_loop(alg, cg_y)
-            g = grouplib.exp(alg, xg)
-            h = grouplib.exp(alg, yg)
+            xg, yg = (sampled_loop(alg, c) for c in grp_sets[2 * i:2 * i + 2])
+            g, h = grouplib.exp(alg, xg), grouplib.exp(alg, yg)
             lhs = cg.value(g.mul(h))
             rhs = grouplib.coadjoint_star(g.inv(), cg.value(h)) + cg.value(g)
             # measure the covector residual as an algebra element; raw dual
@@ -206,9 +185,7 @@ def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
             worst["compatibility"] = max(worst["compatibility"], abs(comp))
         for key in res:
             res[key].append(worst[key])
-    out = {"sizes": list(sizes), "spacings": spacings, "residuals": res,
-           "slopes": {}}
-    logds = np.log(spacings)
-    for key, vals in res.items():
-        out["slopes"][key] = float(np.polyfit(logds, np.log(vals), 1)[0])
-    return out
+    slopes = {key: float(np.polyfit(np.log(spacings), np.log(vals), 1)[0])
+              for key, vals in res.items()}
+    return {"sizes": list(sizes), "spacings": spacings, "residuals": res,
+            "slopes": slopes}

@@ -9,19 +9,15 @@ the second-class constraint machinery restricting to fibers over a frozen
 left-translation symmetry on admissible fibers.
 """
 
+import functools
+
 import numpy as np
 
 from . import group as grouplib
 from .algebra import is_character
 
-__all__ = [
-    "PhasePoint",
-    "FiberSpec",
-    "Observable",
-    "Differential",
-    "ConstraintFrame",
-    "PhaseSpace",
-]
+__all__ = ["PhasePoint", "FiberSpec", "Observable", "Differential",
+           "ConstraintFrame", "PhaseSpace"]
 
 ON_FIBER_TOL = 1e-9
 
@@ -89,23 +85,28 @@ class ConstraintFrame:
     """Bases {T_a} of g+ and the pairing-dual frame {T^a} of g-.
 
     The frames are normalized so that (T_a, T^b)_g = delta_a^b, which makes
-    the mixed block of the constraint Gram matrix exactly the identity.
+    the mixed block of the constraint Gram matrix exactly the identity. The
+    (n, dim) frame arrays are built on first use; flows never need them.
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
-        pi, mi = algebra.plus_indices, algebra.minus_indices
-        if len(pi) != len(mi):
+        if len(algebra.site_plus) != len(algebra.site_minus):
             raise ValueError("constraint frame needs dim g+ = dim g-")
-        self.n = len(pi)
-        self.T_plus = np.zeros((self.n, algebra.dim))
-        for a, i in enumerate(pi):
-            self.T_plus[a, i] = 1.0
-        cross = algebra.pairing[np.ix_(pi, mi)]
-        minus_coords = np.linalg.inv(cross)
-        self.T_minus = np.zeros((self.n, algebra.dim))
-        for b in range(self.n):
-            self.T_minus[b, mi] = minus_coords[:, b]
+        self.n = len(algebra.plus_indices)
+
+    @functools.cached_property
+    def T_plus(self):
+        a = self.algebra
+        return (a.plus_indices[:, None] == np.arange(a.dim)).astype(float)
+
+    @functools.cached_property
+    def T_minus(self):
+        mi = self.algebra.minus_indices
+        cross = (self.T_plus @ self.algebra.pairing)[:, mi]
+        out = np.zeros((self.n, self.algebra.dim))
+        out[:, mi] = np.linalg.inv(cross).T
+        return out
 
 
 class PhaseSpace:
@@ -169,12 +170,8 @@ class PhaseSpace:
             raise ValueError("observable %r has no differential" % F.name)
         return F.analytic_differential(p)
 
-    def ham_vf_full(self, F, p):
-        """(g delta F, coad_{delta F} eta - g dF + Ad*_g c_hat(Ad_g delta F))."""
-        d = self.differential(F, p)
-        return self.ham_vf_from_diff(d, p)
-
     def ham_vf_from_diff(self, d, p):
+        """(delta F, coad_{delta F} eta - dF + Ad*_g c_hat(Ad_g delta F))."""
         a = self.algebra
         adg = p.g.ad_matrix()
         rho = (a.coad(d.deltaF, p.eta) - d.dF
@@ -200,15 +197,12 @@ class PhaseSpace:
     # --- constraint machinery -------------------------------------------
 
     def dressed_projector(self, g_minus):
-        """Ad_{g-^{-1}} Pi_{g+} Ad_{g-} as a matrix on coordinates.
+        """Ad_{g-^{-1}} Pi_{g+} Ad_{g-} as an operator on coordinates.
 
         Its transpose is the dual-side sandwich Ad*_{g-} Pi_{g+*} Ad*_{g-^{-1}}.
         """
-        a = self.algebra
         adm = g_minus.ad_matrix()
-        sel = np.zeros((a.dim, a.dim))
-        sel[a.plus_indices, a.plus_indices] = 1.0
-        return np.linalg.solve(adm, sel @ adm)
+        return adm.solve(self.algebra.selector("plus") @ adm)
 
     def constraint_differentials(self, p):
         """Differentials of the 2n constraint functions at p.
@@ -217,11 +211,12 @@ class PhaseSpace:
         <eta, T^a>. These are exactly the pulled-back frame 1-forms.
         """
         a = self.algebra
-        # Ad_{g-^{-1}} Pi_{g-} Ad_{g-}
-        slot = np.eye(a.dim) - self.dressed_projector(p.g_minus())
+        proj = self.dressed_projector(p.g_minus())
         out = []
         for ta in self.frame.T_plus:
-            out.append(Differential(slot.T @ a.psi(ta), np.zeros(a.dim)))
+            # through Ad_{g-^{-1}} Pi_{g-} Ad_{g-} = 1 - proj
+            mu = a.psi(ta)
+            out.append(Differential(mu - proj.T @ mu, np.zeros(a.dim)))
         for tb in self.frame.T_minus:
             out.append(Differential(np.zeros(a.dim), tb))
         return out
@@ -239,21 +234,17 @@ class PhaseSpace:
 
     def dirac_bracket(self, F, G, p, fiber):
         """Closed-form restricted bracket on N(g-, eta-)."""
-        self._require_on_fiber(p, fiber)
-        dF = self.differential(F, p)
-        dG = self.differential(G, p)
-        return self._dirac_closed(dF, dG, p, reduced=False)
+        return self._dirac_closed(F, G, p, fiber, reduced=False)
 
     def dirac_bracket_reduced(self, F, G, p, fiber):
         """Two-term form, valid when c_hat exchanges the isotropic factors."""
         if not self.c2.is_isotropic_exchanging():
             raise ValueError("cocycle does not exchange the isotropic factors")
-        self._require_on_fiber(p, fiber)
-        dF = self.differential(F, p)
-        dG = self.differential(G, p)
-        return self._dirac_closed(dF, dG, p, reduced=True)
+        return self._dirac_closed(F, G, p, fiber, reduced=True)
 
-    def _dirac_closed(self, dF, dG, p, reduced):
+    def _dirac_closed(self, F, G, p, fiber, reduced):
+        self._require_on_fiber(p, fiber)
+        dF, dG = self.differential(F, p), self.differential(G, p)
         a = self.algebra
         gm = p.g_minus()
         adm = gm.ad_matrix()
@@ -322,8 +313,8 @@ class PhaseSpace:
         adm = gm.ad_matrix()
         w_plus = a.project(adp_inv @ x, "plus")
         w_minus = a.project(adp_inv @ x, "minus")
-        xi = np.linalg.solve(adm, w_plus)
-        inner = (a.coad(np.linalg.solve(adm, w_minus), p.eta)
+        xi = adm.solve(w_plus)
+        inner = (a.coad(adm.solve(w_minus), p.eta)
                  + self.c2.hat(grouplib.adjoint(p.g.inv(), x)))
         proj = self.dressed_projector(gm)
         rho = -proj.T @ inner

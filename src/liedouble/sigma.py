@@ -10,17 +10,11 @@ the field-theory Lagrangian.
 import numpy as np
 
 from . import group as grouplib
-from .dynamics import hamiltonian_quadratic, legendre_inverse
+from .blocks import BlockOperator
+from .dynamics import hamiltonian_quadratic, legendre_inverse, legendre_map
 
-__all__ = [
-    "r_operator",
-    "dtheta_check",
-    "lagrangian_N",
-    "el_residual",
-    "bivector_pi",
-    "operator_identity_check",
-    "lagrangian_density",
-]
+__all__ = ["r_operator", "dtheta_check", "lagrangian_N", "el_residual",
+           "bivector_pi", "operator_identity_check", "lagrangian_density"]
 
 
 def r_operator(e_op, g, sign=1):
@@ -55,12 +49,9 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
 
     def tangent(u, w, direction):
         # central difference of the chart along one coordinate
-        du = np.zeros(n)
-        dw = np.zeros(n)
-        if direction < n:
-            du[direction] = step
-        else:
-            dw[direction - n] = step
+        duw = np.zeros(2 * n)
+        duw[direction] = step
+        du, dw = duw[:n], duw[n:]
         q1 = chart(u + du, w + dw)
         q0 = chart(u - du, w - dw)
         xi = a.mat_to_vec(np.linalg.inv(chart(u, w).g.matrix)
@@ -105,7 +96,7 @@ def lagrangian_N(space, e_op, g_plus, gdot, fiber, route="r-form"):
     if route == "legendre":
         h = hamiltonian_quadratic(space, e_op)
         p = legendre_inverse(space, e_op, g_plus, gdot, fiber)
-        xi = np.linalg.solve(fiber.g_minus.ad_matrix(), gdot)
+        xi = fiber.g_minus.ad_matrix().solve(gdot)
         return float(p.eta @ xi - h.value(p))
     gg, bb = e_op.blocks_at(g_plus)
     v = _carrier(space, g_plus, fiber.eta_minus)
@@ -127,18 +118,16 @@ def el_residual(space, e_op, traj, fiber):
     """
     a = space.algebra
     dt = traj.times[1] - traj.times[0]
-    from .dynamics import legendre_map
 
     def pieces(p):
         gp = p.g_plus()
         gg, bb = e_op.blocks_at(gp)
         gdot = legendre_map(space, e_op, p, fiber)
         v = _carrier(space, gp, fiber.eta_minus)
-        mom = gg @ gdot - bb @ v
-        force_a = gg @ gdot - bb @ v
+        mom = gg @ gdot - bb @ v  # also the first force term
         force_b = bb @ gdot - gg @ v
         em = a.psi_bar(fiber.eta_minus)
-        rhs = (-a.project(a.bracket(force_a, force_b), "minus")
+        rhs = (-a.project(a.bracket(mom, force_b), "minus")
                - a.project(a.bracket(em, force_b), "minus")
                - a.psi_bar(space.c2.hat(force_b)))
         return mom, rhs
@@ -152,12 +141,10 @@ def el_residual(space, e_op, traj, fiber):
 
 
 def bivector_pi(algebra, g_plus):
-    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as a matrix."""
-    sel_p = np.zeros((algebra.dim, algebra.dim))
-    sel_p[algebra.plus_indices, algebra.plus_indices] = 1.0
-    sel_m = np.eye(algebra.dim) - sel_p
+    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as an operator."""
+    sel_p = algebra.selector("plus")
     adg = g_plus.ad_matrix()
-    return -sel_p @ adg @ sel_p @ np.linalg.solve(adg, sel_m)
+    return -(sel_p @ adg @ sel_p @ adg.solve(algebra.selector("minus")))
 
 
 def operator_identity_check(space, e_op, g_plus, sign=1):
@@ -167,20 +154,20 @@ def operator_identity_check(space, e_op, g_plus, sign=1):
         = ((R_e)^{-1} - pi_+^R(g+)) Pi_{g-}
     """
     a = space.algebra
-    pi, mi = a.plus_indices, a.minus_indices
+    sp, sm = a.site_plus, a.site_minus
     adg = g_plus.ad_matrix()
-    sel_m = np.zeros((a.dim, a.dim))
-    sel_m[mi, mi] = 1.0
+    sel_m = a.selector("minus")
 
     def r_inv(g):
-        r = r_operator(e_op, g, sign)
-        out = np.zeros((a.dim, a.dim))
-        out[np.ix_(pi, mi)] = np.linalg.inv(r[np.ix_(mi, pi)])
-        return out
+        # the (plus, minus) blocks invert the (minus, plus) blocks of R_g
+        r = r_operator(e_op, g, sign).restrict(sm, sp).blocks
+        out = np.zeros((a.n_sites, a.site_dim, a.site_dim))
+        out[:, sp[:, None], sm] = np.linalg.inv(r)
+        return BlockOperator({0: out})
 
-    lhs = adg @ r_inv(g_plus) @ sel_m @ np.linalg.solve(adg, sel_m)
+    lhs = adg @ r_inv(g_plus) @ sel_m @ adg.solve(sel_m)
     rhs = (r_inv(grouplib.identity(a)) - bivector_pi(a, g_plus)) @ sel_m
-    return float(np.abs(lhs - rhs).max())
+    return (lhs - rhs).max_abs()
 
 
 def lagrangian_density(space, e_op, g_plus, gdot, gprime, fiber, k):

@@ -3,15 +3,85 @@
 Each oracle is a slow, generic evaluation of something the library computes
 in closed form or analytically: finite-difference differentials, the scalar
 constraint functions behind the constraint frame, the explicit inverse of
-the Dirac matrix, and algebra coordinates through the matrix logarithm.
-The library itself never calls them.
+the Dirac matrix, algebra coordinates through the matrix logarithm, dense
+matrices of site-blocked operators, the ambient RK4 integrator, the energy
+eigenspaces as graphs, and the full Hamiltonian vector field. The library
+itself never calls them.
 """
 
 import numpy as np
 import scipy.linalg
 
-from liedouble import group
+from liedouble import dynamics, group
 from liedouble.phase import Differential, Observable, PhasePoint
+
+
+def _block_diag(blocks, shift=0):
+    """(N, d, d) blocks -> (N d, N d) matrix, block j at rows j + shift.
+
+    Block rows wrap periodically, so a nonzero shift places the blocks on
+    a periodic off-diagonal.
+    """
+    n, d, _ = blocks.shape
+    out = np.zeros((n, d, n, d), dtype=blocks.dtype)
+    j = np.arange(n)
+    out[(j + shift) % n, :, j, :] = blocks
+    return out.reshape(n * d, n * d)
+
+
+def dense(op):
+    """The dense matrix of a BlockOperator.
+
+    Band o holds the block of row site j and column site j + o at index j;
+    _block_diag indexes by the column site, hence the roll.
+    """
+    return sum(_block_diag(np.roll(b, o, axis=0), -o)
+               for o, b in op.bands.items())
+
+
+def ambient_rk4_step(space, field, p, dt):
+    """Classical RK4 on the matrix ODE, reprojected by the factorization."""
+    a = space.algebra
+
+    def rate(gm, eta):
+        q = PhasePoint(group.GroupPoint(a, gm), eta)
+        xi, rho = field(q)
+        return gm @ a.vec_to_mat(xi), rho
+
+    g0 = p.g.matrix
+    k1g, k1e = rate(g0, p.eta)
+    k2g, k2e = rate(g0 + 0.5 * dt * k1g, p.eta + 0.5 * dt * k1e)
+    k3g, k3e = rate(g0 + 0.5 * dt * k2g, p.eta + 0.5 * dt * k2e)
+    k4g, k4e = rate(g0 + dt * k3g, p.eta + dt * k3e)
+    gm = g0 + dt * (k1g + 2 * k2g + 2 * k3g + k4g) / 6.0
+    gp_, gm_ = group.GroupPoint(a, gm).factors()
+    return PhasePoint(gp_.mul(gm_), p.eta + dt * (k1e + 2 * k2e
+                                                  + 2 * k3e + k4e) / 6.0)
+
+
+def ambient_flow_fiber(space, obs, p0, fiber, cfg):
+    """dynamics.flow_fiber with the ambient RK4 step in place of RKMK4."""
+    space._require_on_fiber(p0, fiber)
+    return dynamics._integrate(
+        space, lambda p: dynamics.dirac_field(space, obs, p), obs, p0, cfg,
+        fiber=fiber, step=ambient_rk4_step)
+
+
+def eigenspace_basis(e_op, g, sign):
+    """Basis of the +-1 eigenspace of E_g as a (n, dim) array of graphs."""
+    a = e_op.algebra
+    gg, bb = e_op.blocks_at(g)
+    rows = []
+    for i in a.plus_indices:
+        x = np.zeros(a.dim)
+        x[i] = 1.0
+        rows.append(x + (bb + sign * gg) @ x)
+    return np.array(rows)
+
+
+def ham_vf_full(space, F, p):
+    """(g delta F, coad_{delta F} eta - g dF + Ad*_g c_hat(Ad_g delta F))."""
+    return space.ham_vf_from_diff(space.differential(F, p), p)
 
 
 def fd_differential(F, p, step=1e-5):

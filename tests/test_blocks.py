@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+
+from liedouble.blocks import BlockOperator
+from oracles import dense
+
+D = 6
+
+
+def random_op(rng, n, offsets):
+    return BlockOperator({o: rng.standard_normal((n, D, D)) for o in offsets})
+
+
+CASES = [(1, (0,)), (1, (0, 1, -1)), (8, (0,)), (8, (0, 1, -1)),
+         (8, (1, -1)), (4, (0, 1, -1))]
+
+
+@pytest.mark.parametrize("n,offsets", CASES)
+class TestAgainstDense:
+    def test_matvec_and_columns(self, n, offsets):
+        rng = np.random.default_rng(4101)
+        op = random_op(rng, n, offsets)
+        x = rng.standard_normal(n * D)
+        cols = rng.standard_normal((n * D, 3))
+        np.testing.assert_allclose(op @ x, dense(op) @ x, atol=1e-12)
+        np.testing.assert_allclose(op @ cols, dense(op) @ cols, atol=1e-12)
+
+    def test_left_multiplication(self, n, offsets):
+        rng = np.random.default_rng(4102)
+        op = random_op(rng, n, offsets)
+        x = rng.standard_normal(n * D)
+        rows = rng.standard_normal((3, n * D))
+        np.testing.assert_allclose(x @ op, x @ dense(op), atol=1e-12)
+        np.testing.assert_allclose(rows @ op, rows @ dense(op), atol=1e-12)
+
+    def test_transpose(self, n, offsets):
+        op = random_op(np.random.default_rng(4103), n, offsets)
+        np.testing.assert_array_equal(dense(op.T), dense(op).T)
+
+    def test_product_sum_and_scaling(self, n, offsets):
+        rng = np.random.default_rng(4104)
+        a = random_op(rng, n, offsets)
+        b = random_op(rng, n, (0, 1, -1))
+        np.testing.assert_allclose(dense(a @ b), dense(a) @ dense(b),
+                                   atol=1e-12)
+        np.testing.assert_allclose(dense(b @ a), dense(b) @ dense(a),
+                                   atol=1e-12)
+        np.testing.assert_allclose(dense(a - 2.0 * b), dense(a)
+                                   - 2.0 * dense(b), atol=1e-12)
+        assert (a - a).max_abs() == 0.0
+
+    def test_solve(self, n, offsets):
+        rng = np.random.default_rng(4105)
+        diag = BlockOperator(
+            {0: rng.standard_normal((n, D, D)) + 4.0 * np.eye(D)})
+        rhs = random_op(rng, n, offsets)
+        x = rng.standard_normal(n * D)
+        np.testing.assert_allclose(diag.solve(x),
+                                   np.linalg.solve(dense(diag), x),
+                                   atol=1e-12)
+        np.testing.assert_allclose(dense(diag.solve(rhs)),
+                                   np.linalg.solve(dense(diag), dense(rhs)),
+                                   atol=1e-12)
+
+
+def test_solve_rejects_banded_operator():
+    op = random_op(np.random.default_rng(4106), 8, (0, 1))
+    with pytest.raises(ValueError):
+        op.solve(np.ones(8 * D))
+
+
+def test_restrict_takes_sub_blocks_of_every_band():
+    op = random_op(np.random.default_rng(4107), 8, (0, 1, -1))
+    rows, cols = np.array([0, 2]), np.array([1, 3, 5])
+    sub = op.restrict(rows, cols)
+    for o, blocks in op.bands.items():
+        np.testing.assert_array_equal(sub.bands[o],
+                                      blocks[:, rows][:, :, cols])
+
+
+def test_offsets_wrap_modulo_sites():
+    # on a single site every band is the diagonal
+    rng = np.random.default_rng(4108)
+    a, b = rng.standard_normal((2, 1, D, D))
+    op = BlockOperator([(1, a), (-1, b)])
+    assert set(op.bands) == {0}
+    np.testing.assert_array_equal(op.blocks, a + b)

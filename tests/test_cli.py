@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from liedouble import cli
 from liedouble.algebra import get_algebra
+from liedouble.dynamics import EnergyOperator
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -153,6 +156,72 @@ class TestConfigErrors:
         assert run("collective", write_cfg(tmp_path, cfg), tmp_path) == 2
 
 
+class TestTypedFields:
+    @pytest.mark.parametrize("config,section,key,value", [
+        ("sl2_brackets.json", "options", "points", 0),
+        ("sl2_brackets.json", "options", "pairs", -1),
+        ("sl2_legendre.json", "options", "points", 2.0),
+        ("sl2_flow.json", "integrator", "steps", 2.5),
+        ("sl2_flow.json", "integrator", "steps", True),
+        ("sl2_flow.json", "integrator", "dt", "0.01"),
+        ("sl2_flow.json", "options", "energy_tol", float("inf")),
+        ("sl2_flow.json", "options", "energy_tol", float("nan")),
+        ("sl2_flow.json", "options", "energy_tol", 0),
+        ("loop_flow.json", "options", "amplitude", -0.2),
+        ("loop_flow.json", "loop", "sites", 8.0),
+        ("loop_converge.json", "loop", "samples", 0),
+        ("loop_converge.json", "loop", "sizes", [8, 0]),
+        ("loop_converge.json", "loop", "sizes", [8]),
+        ("loop_converge.json", "loop", "sizes", [8, 9]),
+    ])
+    def test_invalid_value_is_config_error(self, config, section, key, value,
+                                           tmp_path, capsys):
+        # a vacuous loop, a truncated count or an infinite tolerance would
+        # otherwise run and could report a pass
+        cfg = json.loads(open(cfg_path(config)).read())
+        cfg.setdefault(section, {})[key] = value
+        assert run(cfg["experiment"], write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert "Traceback" not in err
+
+
+class TestLoopEnergy:
+    """A loop's energy operator acts site by site, the same on every site."""
+
+    @staticmethod
+    def loop_cfg(energy):
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["energy"] = energy
+        cfg["integrator"]["steps"] = 5
+        return cfg
+
+    def test_full_dimension_matrix_rejected(self, tmp_path, capsys):
+        cfg = self.loop_cfg({"matrix": np.eye(48).tolist()})
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one site's 6x6 matrix" in err
+
+    @pytest.mark.parametrize("energy", [
+        {"preset": "skewed"},
+        {"matrix": EnergyOperator.preset(get_algebra("sl2c-iwasawa"),
+                                         "skewed").matrix.blocks[0].tolist()},
+    ])
+    def test_site_energy_runs(self, energy, tmp_path):
+        cfg = self.loop_cfg(energy)
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) in (0, 1)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["checks"]) == 5
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, liedouble.cli\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestFailureModes:
     def test_corrupted_structure_constants_fail_jacobi(self, tmp_path):
         a = get_algebra("so3-cotangent")
@@ -164,7 +233,7 @@ class TestFailureModes:
             "dim": a.dim,
             "labels": list(a.labels),
             "structure_constants": entries + [[0, 1, 2, 1.3], [1, 0, 2, -1.3]],
-            "pairing": a.pairing.tolist(),
+            "pairing": a.pairing.blocks[0].tolist(),
             "plus_indices": [int(i) for i in a.plus_indices],
             "minus_indices": [int(i) for i in a.minus_indices],
         }

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liedouble import group
 from liedouble.algebra import get_algebra
@@ -42,6 +43,71 @@ class TestExp:
         expect = (np.cos(theta / 2) * np.eye(2)
                   - 1j * np.sin(theta / 2) * np.diag([1.0, -1.0]))
         np.testing.assert_allclose(g.matrix, expect, atol=1e-12)
+
+
+class TestClosedFormExp:
+    """The built-in closed-form exponentials against scipy.linalg.expm."""
+
+    @staticmethod
+    def check(a, coords, rtol=1e-14):
+        mats = np.einsum("ni,ijk->njk", coords, a.basis_matrices)
+        got = a.exponential(mats)
+        for m, g in zip(mats, got):
+            ref = scipy.linalg.expm(m)
+            assert np.abs(g - ref).max() <= rtol * max(1.0, np.abs(ref).max())
+
+    def test_sl2c_nilpotent_directions(self):
+        # b2, b3 and their combinations square to zero: s = 0 exactly
+        rng = np.random.default_rng(5101)
+        coords = np.zeros((20, 6))
+        coords[:, 4:] = 3.0 * rng.standard_normal((20, 2))
+        self.check(SL2, coords)
+        g = group.exp(SL2, coords[0])
+        np.testing.assert_array_equal(
+            g.matrix, np.eye(2) + SL2.vec_to_mat(coords[0]))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3])
+    def test_sl2c_tiny(self, scale):
+        rng = np.random.default_rng(5102)
+        self.check(SL2, scale * rng.standard_normal((50, 6)))
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 6.0])
+    def test_sl2c_large_and_complex_roots(self, scale):
+        rng = np.random.default_rng(5103)
+        coords = scale * rng.standard_normal((50, 6))
+        s2 = [-np.linalg.det(SL2.vec_to_mat(c)) for c in coords]
+        # generic points have a genuinely complex sqrt(-det X)
+        assert max(abs(np.imag(np.sqrt(v))) for v in s2) > 0.1 * scale
+        self.check(SL2, coords)
+
+    def test_sl2c_series_boundary(self):
+        # |det X| just below and above 1, where the series hands over
+        rng = np.random.default_rng(5104)
+        coords = rng.standard_normal((40, 6))
+        dets = np.array([abs(np.linalg.det(SL2.vec_to_mat(c)))
+                         for c in coords])
+        for target in (0.999, 1.001):
+            self.check(SL2, coords * np.sqrt(target / dets)[:, None])
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-5, 1e-2, 0.9, 1.1,
+                                       3.0, 2 * np.pi])
+    def test_so3_rodrigues(self, angle):
+        rng = np.random.default_rng(5105)
+        coords = rng.standard_normal((20, 6))
+        coords[:, :3] *= angle / np.linalg.norm(coords[:, :3], axis=1,
+                                                keepdims=True)
+        self.check(SO3, coords)
+
+    def test_loop_stack(self):
+        # a lattice point exponentiates site by site
+        from liedouble import loop
+        alg = loop.build_loop_double(SL2, 8)
+        x = np.random.default_rng(5106).standard_normal(alg.dim)
+        g = group.exp(alg, x)
+        for j in range(8):
+            np.testing.assert_allclose(
+                g.matrix[j], scipy.linalg.expm(SL2.vec_to_mat(
+                    x[6 * j:6 * j + 6])), atol=1e-14)
 
 
 class TestAdjoint:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra, is_character, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import PhaseSpace
+from oracles import dense
 
 RNG = np.random.default_rng(9173)
 
@@ -21,13 +24,17 @@ def lattice_space():
 
 
 def make_fiber(space):
+    return make_fiber_on(space, N)
+
+
+def make_fiber_on(space, n):
     a = space.algebra
     b1 = np.zeros(BASE.dim)
     b1[3] = 1.0
     gm0 = group.exp(a, 0.3 * loop.constant_loop(a, b1))
     em = np.zeros(a.dim)
-    for j in range(N):
-        em[BASE.dim * j + 3] = 0.5 / N
+    for j in range(n):
+        em[BASE.dim * j + 3] = 0.5 / n
     return space.fiber(gm0, em)
 
 
@@ -83,7 +90,8 @@ class TestBuild:
                 a.mat_to_vec(g.matrix @ a.vec_to_mat(e)
                              @ np.linalg.inv(g.matrix))
                 for e in np.eye(a.dim)])
-            np.testing.assert_allclose(g.ad_matrix(), generic, atol=1e-12)
+            np.testing.assert_allclose(dense(g.ad_matrix()), generic,
+                                       atol=1e-12)
 
     def test_factorization_matches_per_site_base_factorization(self):
         g = group.exp(ALG, smooth_vec(ALG, np.random.default_rng(9175)))
@@ -119,6 +127,37 @@ class TestBuild:
         expected = (np.cos(lat.s)[:, None] * np.eye(BASE.dim)[0]
                     * np.sin(lat.ds) / lat.ds).reshape(-1)
         np.testing.assert_allclose(loop.d_s(lat, x), expected, atol=1e-12)
+
+
+class TestSiteOperators:
+    def test_energy_presets_act_per_site(self):
+        # no coupling between sites, the same block on every site, and the
+        # block is the preset built against one site's 1/N pairing
+        for name in ("isotropic", "skewed"):
+            e = dense(EnergyOperator.preset(ALG, name).matrix)
+            blocks = e.reshape(N, BASE.dim, N, BASE.dim)
+            off = blocks.copy()
+            off[np.arange(N), :, np.arange(N)] = 0.0
+            assert np.abs(off).max() == 0.0
+            site = blocks[0, :, 0]
+            for j in range(N):
+                np.testing.assert_array_equal(blocks[j, :, j], site)
+            p = BASE.pairing.blocks[0] / N
+            np.testing.assert_allclose(site @ site, np.eye(BASE.dim),
+                                       atol=1e-12)
+            np.testing.assert_allclose(p @ site, (p @ site).T, atol=1e-12)
+
+    def test_full_dimension_energy_rejected(self):
+        with pytest.raises(ValueError, match="one site's 6x6 matrix"):
+            EnergyOperator(ALG, np.eye(ALG.dim))
+
+    def test_cocycle_hat_is_three_banded(self):
+        # the hat matrix of c_k against the dense central difference
+        dn = (np.roll(np.eye(N), 1, axis=1) - np.roll(np.eye(N), -1, axis=1))
+        dmat = np.kron(dn / (2.0 * ALG.lattice.ds), np.eye(BASE.dim))
+        np.testing.assert_allclose(dense(C2.matrix),
+                                   -K * dense(ALG.pairing) @ dmat, atol=1e-13)
+        assert sorted(C2.matrix.bands) == [1, N - 1]
 
 
 class TestTwoCocycle:
@@ -174,7 +213,7 @@ class TestGroupCocycle:
 
     def test_exact_differential_at_inverse(self):
         g = group.exp(ALG, smooth_vec(ALG, RNG))
-        m = CG.differential_inv(g)
+        m = dense(CG.differential_inv(g))
         h = 1e-6
         worst = 0.0
         for i in RNG.choice(ALG.dim, 8, replace=False):
@@ -297,6 +336,28 @@ class TestFieldFlow:
         cfg = IntegratorConfig(alg.lattice.ds / (4 * k), 500)
         tr = loop.field_flow(space, h, p0, fiber, cfg, k)
         assert np.abs(tr.energies - tr.energies[0]).max() < 1e-6
+
+
+    def test_large_lattice_step(self):
+        # N = 1024 (dim 6144): dense (dim, dim) operators would need 300 MB
+        # each and an O(dim^3) solve per stage; site-blocked ones do not
+        start = time.perf_counter()
+        n = 1024
+        alg = loop.build_loop_double(BASE, n)
+        space = PhaseSpace(alg, loop.loop_group_cocycle(alg, K))
+        e_op = EnergyOperator.preset(alg, "isotropic")
+        fiber = make_fiber_on(space, n)
+        # a smooth wave; covectors carry the 1/N of the lattice pairing
+        wave = smooth_vec(alg, np.random.default_rng(12), scale=0.05)
+        g0 = group.exp(alg, alg.project(wave, "plus"))
+        p0 = space.fiber_point(fiber, g0, wave / n)
+        h = dynamics.hamiltonian_quadratic(space, e_op)
+        tr = loop.field_flow(space, h, p0, fiber,
+                             IntegratorConfig(alg.lattice.ds / (4 * K), 1), K)
+        assert time.perf_counter() - start < 5.0
+        assert np.all(np.isfinite(tr.energies))
+        assert tr.extras["drift_gminus"].max() < 1e-10
+        assert tr.extras["drift_etaminus"].max() < 1e-10
 
 
 class TestConvergence:
