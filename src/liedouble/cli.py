@@ -21,7 +21,7 @@ from .algebra import TwoCocycle, cocycle_identity_residual, load_algebra, \
     validate_manin
 from .dynamics import EnergyOperator, IntegratorConfig
 from .group import FactorizationError, GroupCocycle
-from .phase import Differential, Observable, PhaseSpace
+from .phase import Differential, Observable, PhasePoint, PhaseSpace
 
 EXPERIMENTS = ("check", "brackets", "flow", "collective", "legendre",
                "sigma", "loop", "converge")
@@ -49,11 +49,14 @@ def _check_keys(section, allowed, where):
 
 # typed numeric fields: what the value must be, and the test for it
 COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
-POSITIVE = ("a finite number > 0", lambda v: type(v) in (int, float)
-            and bool(np.isfinite(v)) and v > 0)
+REAL = ("a finite number", lambda v: type(v) in (int, float)
+        and bool(np.isfinite(v)))
+POSITIVE = ("a finite number > 0", lambda v: REAL[1](v) and v > 0)
 FIELDS = {"points": COUNT, "pairs": COUNT, "steps": COUNT, "sites": COUNT,
           "samples": COUNT, "energy_tol": POSITIVE, "amplitude": POSITIVE,
-          "dt": POSITIVE}
+          "dt": POSITIVE, "level": REAL,
+          "method": ('"rkmk4"', lambda v: v == "rkmk4"),
+          "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0)}
 
 
 def _field(section, key, default, where):
@@ -66,13 +69,28 @@ def _field(section, key, default, where):
     return value
 
 
+def _finite(value, where):
+    """value as an array of finite numbers; exit 2 otherwise."""
+    try:
+        out = np.asarray(value, dtype=float)
+        if np.isfinite(out).all():
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("%s must hold finite numbers" % where)
+
+
 def _parse_matrix(entries):
     def scalar(v):
-        if isinstance(v, (int, float)):
-            return complex(v)
-        if isinstance(v, list) and len(v) == 2:
-            return complex(v[0], v[1])
-        raise ConfigError("matrix entries must be numbers or [re, im] pairs")
+        re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+        if not (REAL[1](re) and REAL[1](im)):
+            raise ConfigError("matrix entries must be finite numbers or "
+                              "[re, im] pairs (got %r)" % (v,))
+        return complex(re, im)
+    if not (isinstance(entries, list)
+            and all(isinstance(row, list) for row in entries)):
+        raise ConfigError("matrix must be a list of rows (got %r)"
+                          % (entries,))
     return np.array([[scalar(v) for v in row] for row in entries])
 
 
@@ -97,7 +115,7 @@ class Scenario:
         loop_cfg = cfg.get("loop")
         if loop_cfg is not None:
             _check_keys(loop_cfg, LOOP_KEYS, "loop")
-            self.level = float(loop_cfg.get("level", 1.0))
+            self.level = float(_field(loop_cfg, "level", 1.0, "loop"))
             self.sizes = loop_cfg.get("sizes", self.sizes)
             if not (isinstance(self.sizes, list) and len(self.sizes) > 1
                     and all(COUNT[1](n) for n in self.sizes)):
@@ -119,13 +137,10 @@ class Scenario:
         self.fiber = self._build_fiber(cfg.get("fiber"))
         icfg = cfg.get("integrator", {})
         _check_keys(icfg, INTEGRATOR_KEYS, "integrator")
-        try:
-            self.integrator = IntegratorConfig(
-                _field(icfg, "dt", 0.01, "integrator"),
-                _field(icfg, "steps", 100, "integrator"),
-                icfg.get("method", "rkmk4"))
-        except ValueError as exc:
-            raise ConfigError("integrator: %s" % exc)
+        _field(icfg, "method", "rkmk4", "integrator")
+        self.integrator = IntegratorConfig(
+            _field(icfg, "dt", 0.01, "integrator"),
+            _field(icfg, "steps", 100, "integrator"))
         self.options = cfg.get("options", {})
         _check_keys(self.options, OPTION_KEYS, "options")
         for key in set(self.options) & set(FIELDS):
@@ -143,7 +158,7 @@ class Scenario:
         if kind == "zero":
             return GroupCocycle.zero(self.algebra)
         if kind == "coboundary":
-            mu0 = np.asarray(spec.get("mu0", ()), dtype=float)
+            mu0 = _finite(spec.get("mu0", ()), "cocycle.mu0")
             if mu0.shape != (self.algebra.dim,):
                 raise ConfigError("cocycle: mu0 must have length %d"
                                   % self.algebra.dim)
@@ -152,8 +167,9 @@ class Scenario:
             if self.algebra.lattice is None:
                 raise ConfigError(
                     "cocycle: lattice-derivative needs a loop section")
-            return looplib.loop_group_cocycle(
-                self.algebra, float(spec.get("level", self.level)))
+            # the CFL bound of the loop experiment reads this level too
+            self.level = float(_field(spec, "level", self.level, "cocycle"))
+            return looplib.loop_group_cocycle(self.algebra, self.level)
         raise ConfigError("cocycle: unknown kind %r" % kind)
 
     def _build_energy(self, spec):
@@ -163,8 +179,7 @@ class Scenario:
         try:
             if "matrix" in spec:
                 return EnergyOperator(
-                    self.algebra,
-                    np.asarray(spec["matrix"], dtype=float))
+                    self.algebra, _finite(spec["matrix"], "matrix"))
             return EnergyOperator.preset(self.algebra,
                                          spec.get("preset", "isotropic"))
         except ValueError as exc:
@@ -177,13 +192,13 @@ class Scenario:
                 raise ConfigError("fiber.%s: expected coordinate list or "
                                   "{'constant': base coords}" % what)
             _check_keys(spec, {"constant"}, "fiber.%s" % what)
-            v = np.asarray(spec["constant"], dtype=float)
+            v = _finite(spec["constant"], "fiber.%s.constant" % what)
             if v.shape != (a.lattice.base.dim,):
                 raise ConfigError("fiber.%s.constant: wrong length" % what)
             # covectors carry the 1/N of the lattice pairing
             scale = a.lattice.n_sites if what == "eta_minus" else 1
             return looplib.constant_loop(a, v) / scale
-        v = np.asarray(spec, dtype=float)
+        v = _finite(spec, "fiber.%s" % what)
         if v.shape != (a.dim,):
             raise ConfigError("fiber.%s: expected %d coordinates"
                               % (what, a.dim))
@@ -215,6 +230,14 @@ class Scenario:
             raise ConfigError("experiment %r needs a fiber section"
                               % self.experiment)
         return self.fiber
+
+    def restricted_fiber(self):
+        """The fiber, for experiments that follow the restricted field."""
+        fiber = self.require_fiber()
+        if not self.space.exchanging:
+            raise ConfigError("experiment %r needs a cocycle that exchanges "
+                              "the isotropic factors" % self.experiment)
+        return fiber
 
     # --- reporting helpers ------------------------------------------------
 
@@ -332,7 +355,7 @@ def cmd_brackets(sc):
     rows = []
     worst_oracle = 0.0
     worst_reduced = 0.0
-    reduced_ok = sc.space.c2.is_isotropic_exchanging()
+    reduced_ok = sc.space.exchanging
     for i in range(points):
         p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
         for j in range(pairs):
@@ -361,15 +384,16 @@ def cmd_brackets(sc):
 def cmd_flow(sc):
     h = sc.hamiltonian()
     if sc.fiber is not None:
+        fiber = sc.restricted_fiber()
         traj = dynamics.flow_fiber(sc.space, h, sc.space.random_fiber_point(
-            sc.fiber, sc.rng, 0.3), sc.fiber, sc.integrator)
+            fiber, sc.rng, 0.3), fiber, sc.integrator)
         sc.check("flow/fiber_gminus_frozen",
                  float(traj.extras["drift_gminus"].max()), 1e-9)
         sc.check("flow/fiber_etaminus_frozen",
                  float(traj.extras["drift_etaminus"].max()), 1e-9)
     else:
-        p0 = sc.space.point(grouplib.random_point(sc.algebra, sc.rng),
-                            0.3 * sc.rng.standard_normal(sc.algebra.dim))
+        p0 = PhasePoint(grouplib.random_point(sc.algebra, sc.rng),
+                        0.3 * sc.rng.standard_normal(sc.algebra.dim))
         traj = dynamics.flow_full(sc.space, h, p0, sc.integrator)
     traj.to_csv(sc.artifact("trajectory.csv"))
     drift = float(np.abs(traj.energies - traj.energies[0]).max())
@@ -378,7 +402,7 @@ def cmd_flow(sc):
 
 
 def cmd_collective(sc):
-    fiber = sc.require_fiber()
+    fiber = sc.restricted_fiber()
     p0 = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     rows = []
     results = []
@@ -426,7 +450,7 @@ def cmd_legendre(sc):
 
 
 def cmd_sigma(sc):
-    fiber = sc.require_fiber()
+    fiber = sc.restricted_fiber()
     a = sc.algebra
     points = sc.option("points", 100)
     worst_op = 0.0
@@ -458,7 +482,7 @@ def cmd_sigma(sc):
 def cmd_loop(sc):
     if sc.algebra.lattice is None:
         raise ConfigError("experiment 'loop' needs a loop section")
-    fiber = sc.require_fiber()
+    fiber = sc.restricted_fiber()
     a = sc.algebra
     h = dynamics.hamiltonian_quadratic(sc.space, sc.e_op)
     p0 = sc.space.random_fiber_point(fiber, sc.rng,
@@ -546,9 +570,12 @@ def run(experiment, config_path, output_dir=None, seed=None, quiet=False):
     cfg = load_config(config_path, experiment)
     out_dir = output_dir or cfg.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    use_seed = int(cfg.get("seed", 0) if seed is None else seed)
-    sc = Scenario(cfg, experiment, use_seed, out_dir)
-    COMMANDS[experiment](sc)
+    use_seed = _field(cfg if seed is None else {"seed": seed}, "seed", 0,
+                      "config")
+    # a numerical failure ends in one line; the non-finite gates catch it
+    with np.errstate(all="ignore"):
+        sc = Scenario(cfg, experiment, use_seed, out_dir)
+        COMMANDS[experiment](sc)
     report = {
         "schema": SCHEMA_VERSION, "experiment": experiment, "seed": use_seed,
         "checks": sc.checks, "passed": all(c["passed"] for c in sc.checks),

@@ -2,7 +2,8 @@
 
 The quadratic Hamiltonians are built from an involutive energy operator E on
 the double (E^2 = 1, symmetric for the ad-invariant pairing), composed with
-the extended momentum map. Flows are integrated with a 4th-order
+the extended momentum map. Fiber flows follow PhaseSpace.restricted_field,
+so they need its hypothesis. Flows are integrated with a 4th-order
 Runge-Kutta-Munthe-Kaas scheme that keeps the group slot on the group.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import group as grouplib
 from .blocks import BlockOperator
-from .phase import PhasePoint
+from .phase import Differential, Observable, PhasePoint
 
 __all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
            "hamiltonian_quadratic", "dirac_field", "flow_full", "flow_fiber",
@@ -38,10 +39,11 @@ class EnergyOperator:
                              "matrix (got shape %s)" % (d, d, matrix.shape))
         e = self.matrix = BlockOperator({0: np.broadcast_to(matrix,
                                                             (n, d, d))})
-        if np.abs((e @ e).blocks - np.eye(d)).max() > 1e-10:
+        # written as "not <=" so that a NaN fails the checks
+        if not np.abs((e @ e).blocks - np.eye(d)).max() <= 1e-10:
             raise ValueError("energy operator is not an involution")
         pe = algebra.pairing @ e
-        if (pe - pe.T).max_abs() > 1e-10:
+        if not (pe - pe.T).max_abs() <= 1e-10:
             raise ValueError("energy operator is not pairing-symmetric")
 
     @classmethod
@@ -101,8 +103,6 @@ class EnergyOperator:
 
 def hamiltonian_quadratic(space, e_op):
     """H = (1/2) (psi_bar(u), E_g psi_bar(u))_g with u = eta - C(g^{-1})."""
-    from .phase import Differential, Observable
-
     a = space.algebra
 
     def carrier(p):
@@ -127,18 +127,13 @@ def hamiltonian_quadratic(space, e_op):
 
 
 def dirac_field(space, obs, p):
-    """Hamiltonian vector field of the restricted (Dirac) bracket."""
-    d = space.differential(obs, p)
-    q = space.dressed_projector(p.g_minus())
-    xi = q @ d.deltaF
-    rho = q.T @ (space.algebra.coad(xi, p.eta) - d.dF)
-    return xi, rho
+    """The restricted (Dirac) field of obs, under the exchanging hypothesis."""
+    space.require_exchanging()
+    return space.restricted_field(space.differential(obs, p), p)
 
 
 class IntegratorConfig:
-    def __init__(self, dt, steps, method="rkmk4"):
-        if method != "rkmk4":
-            raise ValueError("unknown method %r" % method)
+    def __init__(self, dt, steps):
         self.dt = float(dt)
         self.steps = int(steps)
         if not (np.isfinite(self.dt) and self.dt > 0):

@@ -3,10 +3,12 @@
 Tangent vectors are pairs (xi, rho) in left trivialization: xi = g^{-1}v is
 an algebra vector, rho a covector. Differentials are pairs (dF, deltaF) with
 dF the left-trivialized group-slot covector and deltaF the fiber-slot algebra
-vector. The module provides the extended form omega_c, its Poisson bracket,
-the second-class constraint machinery restricting to fibers over a frozen
-(g-, eta-), and the momentum maps whose closure witnesses the restored
-left-translation symmetry on admissible fibers.
+vector; a bracket pairs a differential with a Hamiltonian field. The module
+provides the extended form omega_c and its field, the second-class
+constraint machinery over a frozen (g-, eta-), the one restricted field on
+those fibers (exact when c_hat exchanges the isotropic factors), and the
+momentum maps whose closure witnesses the restored left-translation
+symmetry on admissible fibers.
 """
 
 import functools
@@ -116,12 +118,11 @@ class PhaseSpace:
         self.algebra = algebra
         self.C = group_cocycle or grouplib.GroupCocycle.zero(algebra)
         self.c2 = self.C.infinitesimal()
+        # the paper's hypothesis: the restricted bracket keeps no cocycle
+        self.exchanging = self.c2.is_isotropic_exchanging()
         self.frame = ConstraintFrame(algebra)
 
     # --- basic geometry -------------------------------------------------
-
-    def point(self, g, eta):
-        return PhasePoint(g, eta)
 
     def fibration(self, p):
         """(g, eta) -> (g-, eta-)."""
@@ -178,21 +179,21 @@ class PhaseSpace:
                + adg.T @ self.c2.hat(adg @ d.deltaF))
         return d.deltaF.copy(), rho
 
+    @staticmethod
+    def pair(dF, field):
+        """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G."""
+        xi, rho = field
+        return float(dF.dF @ xi + rho @ dF.deltaF)
+
     def poisson_c(self, F, G, p):
         dF = self.differential(F, p)
         dG = self.differential(G, p)
         return self.poisson_from_diff(dF, dG, p)
 
     def poisson_from_diff(self, dF, dG, p):
-        # This is dF applied to the Hamiltonian field of G and needs no
-        # cocycle identities; the equivalent rewriting with C(g^{-1}) and
-        # the untransported 2-cocycle agrees only where the group/algebra
-        # compatibility identity is exact, which lattice cocycles break.
-        a = self.algebra
-        adg = p.g.ad_matrix()
-        return float(dF.dF @ dG.deltaF - dG.dF @ dF.deltaF
-                     - p.eta @ a.bracket(dF.deltaF, dG.deltaF)
-                     - self.c2.eval(adg @ dF.deltaF, adg @ dG.deltaF))
+        # dF applied to the Hamiltonian field of G needs no cocycle
+        # identities, which lattice cocycles satisfy only to stencil order
+        return self.pair(dF, self.ham_vf_from_diff(dG, p))
 
     # --- constraint machinery -------------------------------------------
 
@@ -232,32 +233,42 @@ class PhaseSpace:
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 
-    def dirac_bracket(self, F, G, p, fiber):
-        """Closed-form restricted bracket on N(g-, eta-)."""
-        return self._dirac_closed(F, G, p, fiber, reduced=False)
-
-    def dirac_bracket_reduced(self, F, G, p, fiber):
-        """Two-term form, valid when c_hat exchanges the isotropic factors."""
-        if not self.c2.is_isotropic_exchanging():
+    def require_exchanging(self):
+        if not self.exchanging:
             raise ValueError("cocycle does not exchange the isotropic factors")
-        return self._dirac_closed(F, G, p, fiber, reduced=True)
 
-    def _dirac_closed(self, F, G, p, fiber, reduced):
+    def restricted_field(self, d, p):
+        """The Hamiltonian field of the restricted bracket, with no cocycle
+        term: xi = Q deltaF, rho = Q^T (coad_xi eta - dF), Q the dressed
+        projector of g-."""
+        q = self.dressed_projector(p.g_minus())
+        xi = q @ d.deltaF
+        rho = q.T @ (self.algebra.coad(xi, p.eta) - d.dF)
+        return xi, rho
+
+    def cocycle_traces(self, dF, dG, p):
+        """<C(g+^{-1}), [PF, PG]> + c(PF, PG) with P = Pi_+ Ad_{g-}: what
+        the restricted field leaves out of the bracket; 0 if exchanging."""
+        a = self.algebra
+        adm = p.g_minus().ad_matrix()
+        pf = a.project(adm @ dF.deltaF, "plus")
+        pg = a.project(adm @ dG.deltaF, "plus")
+        return float(self.C.value(p.g_plus().inv()) @ a.bracket(pf, pg)
+                     + self.c2.eval(pf, pg))
+
+    def dirac_bracket(self, F, G, p, fiber):
+        """Closed-form restricted bracket on N(g-, eta-), for any cocycle."""
         self._require_on_fiber(p, fiber)
         dF, dG = self.differential(F, p), self.differential(G, p)
-        a = self.algebra
-        gm = p.g_minus()
-        adm = gm.ad_matrix()
-        proj = self.dressed_projector(gm)
-        DF = proj @ dF.deltaF
-        DG = proj @ dG.deltaF
-        val = (dF.dF @ DG - dG.dF @ DF - p.eta @ a.bracket(DF, DG))
-        if not reduced:
-            PF = a.project(adm @ dF.deltaF, "plus")
-            PG = a.project(adm @ dG.deltaF, "plus")
-            val -= self.C.value(p.g_plus().inv()) @ a.bracket(PF, PG)
-            val -= self.c2.eval(PF, PG)
-        return float(val)
+        return (self.pair(dF, self.restricted_field(dG, p))
+                - self.cocycle_traces(dF, dG, p))
+
+    def dirac_bracket_reduced(self, F, G, p, fiber):
+        """The restricted bracket without the cocycle traces."""
+        self.require_exchanging()
+        self._require_on_fiber(p, fiber)
+        return self.pair(self.differential(F, p),
+                         self.restricted_field(self.differential(G, p), p))
 
     def dirac_oracle(self, F, G, p):
         """Generic second-class formula {F,G} - {F,phi} K^{-1} {phi,G}."""
@@ -306,22 +317,14 @@ class PhaseSpace:
 
     def fiber_generator(self, x, p, fiber):
         """Restricted hamiltonian field of the extended momentum function."""
+        self.require_exchanging()
         self._require_on_fiber(p, fiber)
-        a = self.algebra
-        gp, gm = p.g.factors()
-        adp_inv = gp.inv().ad_matrix()
-        adm = gm.ad_matrix()
-        w_plus = a.project(adp_inv @ x, "plus")
-        w_minus = a.project(adp_inv @ x, "minus")
-        xi = adm.solve(w_plus)
-        inner = (a.coad(adm.solve(w_minus), p.eta)
-                 + self.c2.hat(grouplib.adjoint(p.g.inv(), x)))
-        proj = self.dressed_projector(gm)
-        rho = -proj.T @ inner
-        return xi, rho
+        return self.restricted_field(self.differential(self.momentum_fn(x), p),
+                                     p)
 
     def group_action_d(self, h, p, fiber):
         """The finite fiber action integrating fiber_generator."""
+        self.require_exchanging()
         if not fiber.is_character:
             raise ValueError("eta_minus must be a character of g-")
         if fiber.in_kernel is False:

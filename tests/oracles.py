@@ -5,8 +5,9 @@ in closed form or analytically: finite-difference differentials, the scalar
 constraint functions behind the constraint frame, the explicit inverse of
 the Dirac matrix, algebra coordinates through the matrix logarithm, dense
 matrices of site-blocked operators, the ambient RK4 integrator, the energy
-eigenspaces as graphs, and the full Hamiltonian vector field. The library
-itself never calls them.
+eigenspaces as graphs, the full Hamiltonian vector field and the symmetry
+generator assembled from the factors of g. The library itself never calls
+them.
 """
 
 import numpy as np
@@ -82,6 +83,23 @@ def eigenspace_basis(e_op, g, sign):
 def ham_vf_full(space, F, p):
     """(g delta F, coad_{delta F} eta - g dF + Ad*_g c_hat(Ad_g delta F))."""
     return space.ham_vf_from_diff(space.differential(F, p), p)
+
+
+def fiber_generator_direct(space, x, p):
+    """The restricted field of the momentum function j_x, from g = g+ g-.
+
+    With w = Ad_{g+^{-1}} x: xi = Ad_{g-}^{-1} Pi_+ w and
+    rho = -Q^T (coad(Ad_{g-}^{-1} Pi_- w, eta) + c_hat(Ad_{g^{-1}} x)),
+    Q the dressed projector of g-.
+    """
+    a = space.algebra
+    gp, gm = p.g.factors()
+    w = gp.inv().ad_matrix() @ x
+    adm = gm.ad_matrix()
+    xi = adm.solve(a.project(w, "plus"))
+    inner = (a.coad(adm.solve(a.project(w, "minus")), p.eta)
+             + space.c2.hat(group.adjoint(p.g.inv(), x)))
+    return xi, -space.dressed_projector(gm).T @ inner
 
 
 def fd_differential(F, p, step=1e-5):

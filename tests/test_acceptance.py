@@ -13,7 +13,7 @@ from liedouble import cli, dynamics, group, loop, sigma
 from liedouble.algebra import get_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
-from liedouble.phase import PhaseSpace
+from liedouble.phase import PhasePoint, PhaseSpace
 
 RNG = np.random.default_rng(20260823)
 
@@ -167,8 +167,8 @@ def test_4_symmetry_restoration():
     for space in (SPACE_SL2, SPACE_SO3):
         a = space.algebra
         for _ in range(20):
-            p = space.point(group.random_point(a, RNG, 0.4),
-                            RNG.standard_normal(6))
+            p = PhasePoint(group.random_point(a, RNG, 0.4),
+                           RNG.standard_normal(6))
             x, y = RNG.standard_normal((2, 6))
             full = space.poisson_c(space.momentum_fn(x),
                                    space.momentum_fn(y), p)

@@ -129,6 +129,11 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, dict(BASE_CFG, options={"samples": 8}))
         assert run("check", cfg, tmp_path) == 2
 
+    @pytest.mark.parametrize("seed", [2.5, "7", -1, True])
+    def test_invalid_seed_rejected(self, seed, tmp_path):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, seed=seed))
+        assert run("check", cfg, tmp_path) == 2
+
     @staticmethod
     def declared(**changes):
         decl = {"name": "ab2", "dim": 2, "labels": ["a", "b"],
@@ -173,6 +178,20 @@ class TestTypedFields:
         ("loop_converge.json", "loop", "sizes", [8, 0]),
         ("loop_converge.json", "loop", "sizes", [8]),
         ("loop_converge.json", "loop", "sizes", [8, 9]),
+        ("loop_flow.json", "loop", "level", "abc"),
+        ("loop_flow.json", "loop", "level", float("nan")),
+        ("loop_flow.json", "cocycle", "level", float("inf")),
+        ("sl2_flow.json", "cocycle", "mu0", [0, 0, 0, float("nan"), 0, 0]),
+        ("sl2_flow.json", "energy", "matrix",
+         np.where(np.eye(6) > 0, float("nan"), 0.0).tolist()),
+        ("sl2_flow.json", "fiber", "eta_minus",
+         [0, 0, 0, float("nan"), 0, 0]),
+        ("sl2_flow.json", "fiber", "g_minus",
+         {"matrix": [[1, 0], [0, [float("nan"), 0]]]}),
+        ("sl2_flow.json", "fiber", "g_minus", {"matrix": [1, 2]}),
+        ("loop_flow.json", "fiber", "eta_minus",
+         {"constant": [0, 0, 0, float("inf"), 0, 0]}),
+        ("sl2_flow.json", "integrator", "method", "euler"),
     ])
     def test_invalid_value_is_config_error(self, config, section, key, value,
                                            tmp_path, capsys):
@@ -248,6 +267,32 @@ class TestFailureModes:
         cfg["integrator"]["dt"] = 10.0
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
 
+    def test_cfl_bound_reads_cocycle_level(self, tmp_path, capsys):
+        # ds / k = 0.0039 < dt = 0.005 at the cocycle's level, while the
+        # loop section's level alone would allow the step
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["cocycle"]["level"] = 200
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CFL" in err
+
+    def test_numerical_failure_is_one_line(self, tmp_path):
+        # a large step on a rough 32-site field overflows the exponential;
+        # the run must end in the one-line message, with no numpy warnings
+        # (a subprocess, because pytest collects warnings in-process)
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["loop"]["sites"] = 32
+        cfg["integrator"]["dt"] = 0.08
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "liedouble.cli", "loop", "--config",
+             str(write_cfg(tmp_path, cfg)), "--output", str(tmp_path),
+             "--quiet"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("numerical failure:")
+
     def test_unexpected_exception_is_one_line_exit_3(self, tmp_path,
                                                       monkeypatch, capsys):
         def broken(sc):
@@ -257,6 +302,45 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "KeyError" in err
         assert "Traceback" not in err
+
+
+class TestExchangingHypothesis:
+    """Experiments that follow the restricted field need c_hat to exchange
+    the isotropic factors; a generic coboundary is a config error there."""
+
+    @staticmethod
+    def generic_cfg(config):
+        cfg = json.loads(open(cfg_path(config)).read())
+        dim = 48 if "loop" in cfg else 6
+        cfg["cocycle"] = {"kind": "coboundary", "mu0": [1.0] * dim}
+        return cfg
+
+    @pytest.mark.parametrize("experiment,config", [
+        ("flow", "sl2_flow.json"),
+        ("collective", "sl2_collective.json"),
+        ("sigma", "sl2_sigma.json"),
+        ("loop", "loop_flow.json"),
+    ])
+    def test_restricted_experiments_exit_2(self, experiment, config,
+                                           tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.generic_cfg(config))
+        assert run(experiment, cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exchanges" in err
+
+    @pytest.mark.parametrize("experiment,config", [
+        ("brackets", "sl2_brackets.json"),
+        ("check", "so3_check.json"),
+    ])
+    def test_bracket_and_check_experiments_run(self, experiment, config,
+                                               tmp_path):
+        cfg = write_cfg(tmp_path, self.generic_cfg(config))
+        assert run(experiment, cfg, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert "brackets/reduced_vs_full" not in names
+        if experiment == "brackets":
+            assert "brackets/closed_vs_oracle" in names
 
 
 class TestDeterminism:

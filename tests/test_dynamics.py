@@ -92,6 +92,12 @@ class TestEnergyOperator:
         with pytest.raises(ValueError):
             EnergyOperator(SL2, 2.0 * np.eye(6))
 
+    def test_rejects_non_finite_matrix(self):
+        m = EnergyOperator.preset(SL2, "skewed").matrix.blocks[0].copy()
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError, match="involution"):
+            EnergyOperator(SL2, m)
+
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
             EnergyOperator.from_blocks(SL2, np.triu(np.ones((3, 3))))
@@ -137,6 +143,20 @@ class TestDiracField:
             d = space.differential(obs, p)
             assert d.dF @ xi + d.deltaF @ rho == pytest.approx(
                 space.dirac_bracket(obs, h, p, fiber), abs=1e-7)
+
+
+class TestExchangingHypothesis:
+    def test_restricted_flow_needs_exchanging_cocycle(self):
+        # fixed seed: draws nothing from the shared RNG
+        space = PhaseSpace(SL2, GroupCocycle.coboundary(SL2, np.ones(6)))
+        fiber = space.fiber(group.identity(SL2), np.zeros(6))
+        p = space.random_fiber_point(fiber, np.random.default_rng(53))
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(SL2, "skewed"))
+        with pytest.raises(ValueError, match="exchange"):
+            dynamics.dirac_field(space, h, p)
+        with pytest.raises(ValueError, match="exchange"):
+            dynamics.flow_fiber(space, h, p, fiber, IntegratorConfig(0.01, 2))
 
 
 class TestRigidBody:

@@ -7,7 +7,7 @@ from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra, is_character, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import PhaseSpace
-from oracles import dense
+from oracles import dense, fiber_generator_direct
 
 RNG = np.random.default_rng(9173)
 
@@ -259,6 +259,31 @@ class TestLatticeDirac:
                 red = space.dirac_bracket_reduced(f, g, p, fiber)
                 worst = max(worst, abs(full - red))
         assert worst < 1e-7
+
+    def test_reduced_minus_full_is_cocycle_traces(self):
+        space = lattice_space()
+        fiber = make_fiber(space)
+        rng = np.random.default_rng(518)
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        for _ in range(4):
+            f = space.momentum_fn(smooth_vec(ALG, rng))
+            g = space.momentum_fn(smooth_vec(ALG, rng))
+            diff = (space.dirac_bracket_reduced(f, g, p, fiber)
+                    - space.dirac_bracket(f, g, p, fiber))
+            traces = space.cocycle_traces(space.differential(f, p),
+                                          space.differential(g, p), p)
+            assert abs(diff - traces) <= 1e-12
+
+    def test_generator_matches_direct_formula(self):
+        space = lattice_space()
+        fiber = make_fiber(space)
+        rng = np.random.default_rng(519)
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        x = smooth_vec(ALG, rng)
+        xi, rho = space.fiber_generator(x, p, fiber)
+        xi_o, rho_o = fiber_generator_direct(space, x, p)
+        np.testing.assert_allclose(xi, xi_o, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rho, rho_o, rtol=0, atol=1e-13)
 
     def test_dirac_omega_matches_pairwise_brackets(self):
         # explicit formula, one bracket per pair of frame covectors
