@@ -94,5 +94,6 @@ class BlockOperator:
                               for o, b in self.bands.items()})
 
     def max_abs(self):
-        return max(float(np.abs(b).max(initial=0.0))
-                   for b in self.bands.values())
+        """The largest absolute entry; NaN if any band holds a NaN."""
+        return float(np.max([np.abs(b).max(initial=0.0)
+                             for b in self.bands.values()]))

@@ -17,8 +17,7 @@ import time
 import numpy as np
 
 from . import dynamics, group as grouplib, loop as looplib, sigma
-from .algebra import TwoCocycle, cocycle_identity_residual, load_algebra, \
-    validate_manin
+from .algebra import cocycle_identity_residual, load_algebra, validate_manin
 from .dynamics import EnergyOperator, IntegratorConfig
 from .group import FactorizationError, GroupCocycle
 from .phase import Differential, Observable, PhasePoint, PhaseSpace
@@ -27,80 +26,92 @@ EXPERIMENTS = ("check", "brackets", "flow", "collective", "legendre",
                "sigma", "loop", "converge")
 SCHEMA_VERSION = 1
 
-TOP_KEYS = {"schema", "experiment", "algebra", "cocycle", "fiber", "energy",
-            "integrator", "loop", "options", "seed", "output_dir"}
-COCYCLE_KEYS = {"kind", "mu0", "level"}
-FIBER_KEYS = {"g_minus", "eta_minus"}
-ENERGY_KEYS = {"preset", "matrix"}
-INTEGRATOR_KEYS = {"dt", "steps", "method"}
-LOOP_KEYS = {"sites", "level", "sizes", "samples"}
-OPTION_KEYS = {"points", "pairs", "hamiltonian", "energy_tol", "amplitude"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section, allowed, where):
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError("unknown key(s) %s in %s" % (unknown, where))
+def one_of(*words):
+    """The test of a word-valued key; its ``words`` are the allowed ones."""
+    def valid(v):
+        return any(type(v) is type(w) and v == w for w in words)
+    valid.words = words
+    return " or ".join(map(json.dumps, words)), valid
 
 
-# typed numeric fields: what the value must be, and the test for it
+# what each value must be, and the test for it
 COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+# an integer too large for a float is not finite either
 REAL = ("a finite number", lambda v: type(v) in (int, float)
-        and bool(np.isfinite(v)))
+        and abs(v) <= sys.float_info.max)
 POSITIVE = ("a finite number > 0", lambda v: REAL[1](v) and v > 0)
-FIELDS = {"points": COUNT, "pairs": COUNT, "steps": COUNT, "sites": COUNT,
-          "samples": COUNT, "energy_tol": POSITIVE, "amplitude": POSITIVE,
-          "dt": POSITIVE, "level": REAL,
-          "method": ('"rkmk4"', lambda v: v == "rkmk4"),
-          "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0)}
+VECTOR = ("a list of finite numbers",
+          lambda v: isinstance(v, list) and all(map(REAL[1], v)))
+ROWS = ("a list of rows of finite numbers",
+        lambda v: isinstance(v, list) and all(map(VECTOR[1], v)))
+ENTRIES = ("a square list of rows of finite numbers or [re, im] pairs",
+           lambda v: isinstance(v, list) and all(
+               isinstance(row, list) and len(row) == len(v)
+               and all(REAL[1](x) or VECTOR[1](x) and len(x) == 2
+                       for x in row) for row in v))
+POINT = ("a list of finite numbers or an object",
+         lambda v: VECTOR[1](v) or isinstance(v, dict))
+SECTION = None  # the key's value is checked against SCHEMA[key]
+SCHEMA = {
+    "config": {
+        "schema": one_of(SCHEMA_VERSION), "experiment": one_of(*EXPERIMENTS),
+        "algebra": ("a built-in name, a path or a declaration object",
+                    lambda v: isinstance(v, (str, dict))),
+        "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+        "output_dir": ("a path", lambda v: isinstance(v, str)),
+        **dict.fromkeys(("cocycle", "fiber", "energy", "integrator", "loop",
+                         "options"), SECTION)},
+    "cocycle": {"kind": one_of("zero", "coboundary", "lattice-derivative"),
+                "mu0": VECTOR},
+    "fiber": {"g_minus": POINT, "eta_minus": POINT},
+    "fiber.g_minus": {"matrix": ENTRIES, "constant": VECTOR},
+    "fiber.eta_minus": {"constant": VECTOR},
+    "energy": {"preset": one_of("isotropic", "skewed"), "matrix": ROWS},
+    "integrator": {"dt": POSITIVE, "steps": COUNT, "method": one_of("rkmk4")},
+    "loop": {"sites": COUNT, "level": REAL, "samples": COUNT,
+             "sizes": ("a list of at least two site counts",
+                       lambda v: isinstance(v, list) and len(v) > 1
+                       and all(map(COUNT[1], v)))},
+    "options": {"points": COUNT, "pairs": COUNT, "energy_tol": POSITIVE,
+                "amplitude": POSITIVE,
+                "hamiltonian": one_of("quadratic", "zero")},
+}
 
 
-def _field(section, key, default, where):
-    """The typed value of section[key] (or the default); exit 2 otherwise."""
-    value = section.get(key, default)
-    what, valid = FIELDS[key]
-    if not valid(value):
-        raise ConfigError("%s.%s must be %s (got %r)" % (where, key, what,
-                                                         value))
+def _section(value, name):
+    """value checked against SCHEMA[name], nested sections included: an
+    object of known keys whose values pass their tests; exit 2 otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object (got %r)" % (name, value))
+    unknown = sorted(set(value) - set(SCHEMA[name]))
+    if unknown:
+        raise ConfigError("unknown key(s) %s in %s" % (unknown, name))
+    for key, v in value.items():
+        test = SCHEMA[name][key]
+        if test is SECTION:
+            _section(v, key)
+        elif not test[1](v):
+            raise ConfigError("%s.%s must be %s (got %r)"
+                              % (name, key, test[0], v))
     return value
 
 
-def _finite(value, where):
-    """value as an array of finite numbers; exit 2 otherwise."""
-    try:
-        out = np.asarray(value, dtype=float)
-        if np.isfinite(out).all():
-            return out
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError("%s must hold finite numbers" % where)
-
-
-def _parse_matrix(entries):
-    def scalar(v):
-        re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
-        if not (REAL[1](re) and REAL[1](im)):
-            raise ConfigError("matrix entries must be finite numbers or "
-                              "[re, im] pairs (got %r)" % (v,))
-        return complex(re, im)
-    if not (isinstance(entries, list)
-            and all(isinstance(row, list) for row in entries)):
-        raise ConfigError("matrix must be a list of rows (got %r)"
-                          % (entries,))
-    return np.array([[scalar(v) for v in row] for row in entries])
+def _parse_matrix(rows):
+    """A complex matrix from rows of numbers or [re, im] pairs."""
+    return np.array([[complex(*v) if isinstance(v, list) else complex(v)
+                      for v in row] for row in rows])
 
 
 class Scenario:
     """Everything an experiment needs, resolved from a validated config."""
 
     def __init__(self, cfg, experiment, seed, output_dir):
-        self.cfg = cfg
         self.experiment = experiment
-        self.seed = seed
         self.output_dir = output_dir
         self.rng = np.random.default_rng(seed)
         self.checks = []
@@ -110,116 +121,85 @@ class Scenario:
             base = load_algebra(cfg["algebra"])
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError("algebra: %s" % exc)
-        self.base, self.level, self.samples = base, 1.0, 4
-        self.sizes = [8, 16, 32, 64]
-        loop_cfg = cfg.get("loop")
-        if loop_cfg is not None:
-            _check_keys(loop_cfg, LOOP_KEYS, "loop")
-            self.level = float(_field(loop_cfg, "level", 1.0, "loop"))
-            self.sizes = loop_cfg.get("sizes", self.sizes)
-            if not (isinstance(self.sizes, list) and len(self.sizes) > 1
-                    and all(COUNT[1](n) for n in self.sizes)):
-                raise ConfigError("loop.sizes must be a list of at least two "
-                                  "site counts (got %r)" % (self.sizes,))
-            self.samples = _field(loop_cfg, "samples", 4, "loop")
+        loop = cfg.get("loop", {})
+        self.base, self.samples = base, loop.get("samples", 4)
+        # the level of the lattice cocycle and of the CFL bound
+        self.level = float(loop.get("level", 1.0))
+        self.sizes = loop.get("sizes", [8, 16, 32, 64])
+        self.algebra = base
+        if "loop" in cfg:
             try:
                 for n in self.sizes:
                     looplib.LoopLattice(base, n)
                 self.algebra = looplib.build_loop_double(
-                    base, _field(loop_cfg, "sites", 8, "loop"))
+                    base, loop.get("sites", 8))
             except ValueError as exc:
                 raise ConfigError("loop: %s" % exc)
-        else:
-            self.algebra = base
-        self.cocycle = self._build_cocycle(cfg.get("cocycle"))
+        self.cocycle = self._build_cocycle(cfg.get("cocycle", {}))
         self.space = PhaseSpace(self.algebra, self.cocycle)
-        self.e_op = self._build_energy(cfg.get("energy"))
+        self.e_op = self._build_energy(cfg.get("energy", {}))
         self.fiber = self._build_fiber(cfg.get("fiber"))
         icfg = cfg.get("integrator", {})
-        _check_keys(icfg, INTEGRATOR_KEYS, "integrator")
-        _field(icfg, "method", "rkmk4", "integrator")
-        self.integrator = IntegratorConfig(
-            _field(icfg, "dt", 0.01, "integrator"),
-            _field(icfg, "steps", 100, "integrator"))
+        self.integrator = IntegratorConfig(icfg.get("dt", 0.01),
+                                           icfg.get("steps", 100))
         self.options = cfg.get("options", {})
-        _check_keys(self.options, OPTION_KEYS, "options")
-        for key in set(self.options) & set(FIELDS):
-            self.option(key, None)
-
-    def option(self, key, default):
-        """A typed field of the options section."""
-        return _field(self.options, key, default, "options")
 
     def _build_cocycle(self, spec):
-        if spec is None:
-            return GroupCocycle.zero(self.algebra)
-        _check_keys(spec, COCYCLE_KEYS, "cocycle")
-        kind = spec.get("kind", "zero")
-        if kind == "zero":
-            return GroupCocycle.zero(self.algebra)
+        kind, a = spec.get("kind", "zero"), self.algebra
+        # the lattice cocycle's identities hold only to O(ds^2)
+        self.exact_cocycle = kind != "lattice-derivative"
         if kind == "coboundary":
-            mu0 = _finite(spec.get("mu0", ()), "cocycle.mu0")
-            if mu0.shape != (self.algebra.dim,):
-                raise ConfigError("cocycle: mu0 must have length %d"
-                                  % self.algebra.dim)
-            return GroupCocycle.coboundary(self.algebra, mu0)
-        if kind == "lattice-derivative":
-            if self.algebra.lattice is None:
-                raise ConfigError(
-                    "cocycle: lattice-derivative needs a loop section")
-            # the CFL bound of the loop experiment reads this level too
-            self.level = float(_field(spec, "level", self.level, "cocycle"))
-            return looplib.loop_group_cocycle(self.algebra, self.level)
-        raise ConfigError("cocycle: unknown kind %r" % kind)
+            mu0 = np.asarray(spec.get("mu0", ()), dtype=float)
+            if mu0.shape != (a.dim,):
+                raise ConfigError("cocycle: mu0 must have length %d" % a.dim)
+            return GroupCocycle.coboundary(a, mu0)
+        if kind == "zero":
+            return GroupCocycle.zero(a)
+        if a.lattice is None:
+            raise ConfigError("cocycle: lattice-derivative needs a loop "
+                              "section")
+        return looplib.loop_group_cocycle(a, self.level)
 
     def _build_energy(self, spec):
-        if spec is None:
-            return EnergyOperator.preset(self.algebra, "isotropic")
-        _check_keys(spec, ENERGY_KEYS, "energy")
         try:
             if "matrix" in spec:
-                return EnergyOperator(
-                    self.algebra, _finite(spec["matrix"], "matrix"))
+                return EnergyOperator(self.algebra,
+                                      np.asarray(spec["matrix"], dtype=float))
             return EnergyOperator.preset(self.algebra,
                                          spec.get("preset", "isotropic"))
         except ValueError as exc:
             raise ConfigError("energy: %s" % exc)
 
-    def _fiber_vector(self, spec, what):
+    def _fiber_part(self, spec, what):
+        """g- as a group point, or eta-, from fiber.<what>."""
         a = self.algebra
         if isinstance(spec, dict):
-            if "constant" not in spec or a.lattice is None:
-                raise ConfigError("fiber.%s: expected coordinate list or "
-                                  "{'constant': base coords}" % what)
-            _check_keys(spec, {"constant"}, "fiber.%s" % what)
-            v = _finite(spec["constant"], "fiber.%s.constant" % what)
+            _section(spec, "fiber." + what)
+            if len(spec) != 1 or "constant" in spec and a.lattice is None:
+                raise ConfigError("fiber.%s: expected coordinates or one "
+                                  "form, {'constant': ...} on a loop" % what)
+            if "matrix" in spec:
+                return grouplib.GroupPoint(a, _parse_matrix(spec["matrix"]))
+            v = np.asarray(spec["constant"], dtype=float)
             if v.shape != (a.lattice.base.dim,):
                 raise ConfigError("fiber.%s.constant: wrong length" % what)
             # covectors carry the 1/N of the lattice pairing
             scale = a.lattice.n_sites if what == "eta_minus" else 1
-            return looplib.constant_loop(a, v) / scale
-        v = _finite(spec, "fiber.%s" % what)
-        if v.shape != (a.dim,):
-            raise ConfigError("fiber.%s: expected %d coordinates"
-                              % (what, a.dim))
-        return v
+            v = looplib.constant_loop(a, v) / scale
+        else:
+            v = np.asarray(spec, dtype=float)
+            if v.shape != (a.dim,):
+                raise ConfigError("fiber.%s: expected %d coordinates"
+                                  % (what, a.dim))
+        return grouplib.exp(a, v) if what == "g_minus" else v
 
     def _build_fiber(self, spec):
         if spec is None:
             return None
-        _check_keys(spec, FIBER_KEYS, "fiber")
-        gspec = spec.get("g_minus", None)
-        if isinstance(gspec, dict) and "matrix" in gspec:
-            _check_keys(gspec, {"matrix"}, "fiber.g_minus")
-            gm = grouplib.GroupPoint(self.algebra,
-                                     _parse_matrix(gspec["matrix"]))
-        elif gspec is None:
-            gm = grouplib.identity(self.algebra)
-        else:
-            gm = grouplib.exp(self.algebra,
-                              self._fiber_vector(gspec, "g_minus"))
-        em = (np.zeros(self.algebra.dim) if "eta_minus" not in spec
-              else self._fiber_vector(spec["eta_minus"], "eta_minus"))
+        gm = (self._fiber_part(spec["g_minus"], "g_minus") if "g_minus" in spec
+              else grouplib.identity(self.algebra))
+        em = (self._fiber_part(spec["eta_minus"], "eta_minus")
+              if "eta_minus" in spec else np.zeros(self.algebra.dim))
         try:
             return self.space.fiber(gm, em)
         except ValueError as exc:
@@ -280,7 +260,7 @@ def cmd_check(sc):
     z = sc.rng.standard_normal(a.dim)
     sc.check("cocycle/antisymmetry", abs(c2.eval(x, y) + c2.eval(y, x)),
              1e-10)
-    if c2.kind != TwoCocycle.LATTICE:
+    if sc.exact_cocycle:
         sc.check("cocycle/identity",
                  abs(cocycle_identity_residual(c2, x, y, z)), 1e-10)
 
@@ -290,7 +270,7 @@ def cmd_check(sc):
     sc.check("algebra/psi_roundtrip",
              float(np.abs(a.psi_bar(a.psi(x)) - x).max()), 1e-10)
 
-    points = sc.option("points", 200)
+    points = sc.options.get("points", 200)
     worst = 0.0
     worst_inv = 0.0
     for _ in range(points):
@@ -306,7 +286,7 @@ def cmd_check(sc):
     sc.check("group/factorization_roundtrip", worst, 1e-10)
     sc.check("group/adjoint_pairing_invariance", worst_inv, 1e-9)
 
-    if c2.kind != TwoCocycle.LATTICE:
+    if sc.exact_cocycle:
         g = grouplib.random_point(a, sc.rng)
         h = grouplib.random_point(a, sc.rng)
         lhs = sc.cocycle.value(g.mul(h))
@@ -350,8 +330,8 @@ def cmd_check(sc):
 
 def cmd_brackets(sc):
     fiber = sc.require_fiber()
-    points = sc.option("points", 5)
-    pairs = sc.option("pairs", 5)
+    points = sc.options.get("points", 5)
+    pairs = sc.options.get("pairs", 5)
     rows = []
     worst_oracle = 0.0
     worst_reduced = 0.0
@@ -398,7 +378,7 @@ def cmd_flow(sc):
     traj.to_csv(sc.artifact("trajectory.csv"))
     drift = float(np.abs(traj.energies - traj.energies[0]).max())
     sc.check("flow/energy_drift", drift,
-             sc.option("energy_tol", 1e-6))
+             sc.options.get("energy_tol", 1e-6))
 
 
 def cmd_collective(sc):
@@ -424,7 +404,7 @@ def cmd_collective(sc):
 
 def cmd_legendre(sc):
     fiber = sc.require_fiber()
-    points = sc.option("points", 10)
+    points = sc.options.get("points", 10)
     worst_round = 0.0
     worst_routes = 0.0
     rows = []
@@ -452,7 +432,7 @@ def cmd_legendre(sc):
 def cmd_sigma(sc):
     fiber = sc.restricted_fiber()
     a = sc.algebra
-    points = sc.option("points", 100)
+    points = sc.options.get("points", 100)
     worst_op = 0.0
     for _ in range(points):
         gp = grouplib.exp(a, a.project(
@@ -486,17 +466,17 @@ def cmd_loop(sc):
     a = sc.algebra
     h = dynamics.hamiltonian_quadratic(sc.space, sc.e_op)
     p0 = sc.space.random_fiber_point(fiber, sc.rng,
-                                     sc.option("amplitude", 0.2))
+                                     sc.options.get("amplitude", 0.2))
     traj = looplib.field_flow(sc.space, h, p0, fiber, sc.integrator,
                               sc.level)
     traj.to_csv(sc.artifact("trajectory.csv"))
     sc.check("loop/energy_drift",
              float(np.abs(traj.energies - traj.energies[0]).max()),
-             sc.option("energy_tol", 1e-4))
+             sc.options.get("energy_tol", 1e-4))
     sc.check("loop/fiber_frozen",
              float(max(traj.extras["drift_gminus"].max(),
                        traj.extras["drift_etaminus"].max())), 1e-9)
-    pairs = sc.option("pairs", 4)
+    pairs = sc.options.get("pairs", 4)
     worst = 0.0
     p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     for _ in range(pairs):
@@ -552,16 +532,11 @@ def load_config(path, experiment):
         raise ConfigError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(cfg, TOP_KEYS, "config")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ConfigError("config schema must be %d (got %r)"
-                          % (SCHEMA_VERSION, cfg.get("schema")))
-    declared = cfg.get("experiment")
-    if declared is not None and declared != experiment:
+    if _section(cfg, "config").get("schema") != SCHEMA_VERSION:
+        raise ConfigError("config schema must be %d" % SCHEMA_VERSION)
+    if cfg.get("experiment", experiment) != experiment:
         raise ConfigError("config declares experiment %r but %r was requested"
-                          % (declared, experiment))
+                          % (cfg["experiment"], experiment))
     return cfg
 
 
@@ -570,8 +545,9 @@ def run(experiment, config_path, output_dir=None, seed=None, quiet=False):
     cfg = load_config(config_path, experiment)
     out_dir = output_dir or cfg.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    use_seed = _field(cfg if seed is None else {"seed": seed}, "seed", 0,
-                      "config")
+    if seed is not None:
+        cfg = _section(dict(cfg, seed=seed), "config")
+    use_seed = cfg.get("seed", 0)
     # a numerical failure ends in one line; the non-finite gates catch it
     with np.errstate(all="ignore"):
         sc = Scenario(cfg, experiment, use_seed, out_dir)

@@ -1,6 +1,7 @@
 """Matrix-group layer over a BasisAlgebra: exponential, adjoints, the global
 factorization g = g+ g- (``GroupPoint.factors``, from which the dressing
-actions are read off), and coadjoint group 1-cocycles.
+actions are read off), and coadjoint group 1-cocycles, each given by its
+2-cocycle, its value and its exact inverse-point derivative.
 
 The exponential and the factorization are the algebra's hooks on (N, m, m)
 stacks, and Ad_g is a block-diagonal ``BlockOperator``. A point caches its
@@ -100,53 +101,52 @@ def coadjoint_star(g, eta):
 
 
 class GroupCocycle:
-    """Coadjoint 1-cocycle C: G -> g* with C(gh) = Ad*_{g^{-1}} C(h) + C(g)."""
+    """Coadjoint 1-cocycle C: G -> g* with C(gh) = Ad*_{g^{-1}} C(h) + C(g).
 
-    def __init__(self, algebra, kind, infinitesimal, mu0=None, value_fn=None,
-                 differential_inv_fn=None):
-        self.algebra = algebra
-        self.kind = kind
+    A cocycle is three things: its algebra 2-cocycle (hat = -dC|_e), its
+    value and the exact derivative of that value at the inverse point.
+    ``zero``, ``coboundary`` and ``liedouble.loop.loop_group_cocycle``
+    supply all three.
+    """
+
+    def __init__(self, infinitesimal, value, differential_inv):
         self._infinitesimal = infinitesimal
-        self.mu0 = None if mu0 is None else np.asarray(mu0, dtype=float)
-        self._value_fn = value_fn
-        self._differential_inv_fn = differential_inv_fn
+        self._value = value
+        self._differential_inv = differential_inv
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, TwoCocycle.ZERO, TwoCocycle.zero(algebra))
+        c2 = TwoCocycle.zero(algebra)
+        return cls(c2, lambda g: np.zeros(algebra.dim), lambda g: c2.matrix)
 
     @classmethod
     def coboundary(cls, algebra, mu0):
-        return cls(algebra, TwoCocycle.COBOUNDARY,
-                   TwoCocycle.coboundary(algebra, mu0), mu0=mu0)
+        mu0 = np.asarray(mu0, dtype=float)
+        c2 = TwoCocycle.coboundary(algebra, mu0)
 
-    def value(self, g):
-        if self.kind == TwoCocycle.ZERO:
-            return np.zeros(self.algebra.dim)
-        if self.kind == TwoCocycle.COBOUNDARY:
+        def value(g):
             # C(g) = mu0 - Ad*_{g^{-1}} mu0; this sign makes the 1-cocycle
             # property exact and -dC|_e equal to the hat of the 2-cocycle
-            return self.mu0 - coadjoint_star(g.inv(), self.mu0)
-        return self._value_fn(g)
+            return mu0 - coadjoint_star(g.inv(), mu0)
+
+        def differential_inv(g):
+            # the exact 1-cocycle property gives X -> ad*(X) C(g^{-1}) +
+            # hat(X): column i is coad(e_i, C(g^{-1})) + hat(e_i)
+            return algebra.bracket_form(value(g.inv())).T + c2.matrix
+
+        return cls(c2, value, differential_inv)
+
+    def value(self, g):
+        return self._value(g)
 
     def infinitesimal(self):
         """The algebra 2-cocycle with hat = -dC|_e."""
         return self._infinitesimal
 
     def differential_inv(self, g):
-        """Exact derivative of C at the inverse point, as a matrix M.
-
-        M @ X = d/dt C((g exp(tX))^{-1}) at t = 0. When the 1-cocycle
-        property holds exactly this equals the closed form
-        X -> ad*(X) C(g^{-1}) + hat(X); lattice cocycles, whose property
-        only holds to the stencil order, supply the exact derivative of
-        their defining expression instead.
-        """
-        if self._differential_inv_fn is not None:
-            return self._differential_inv_fn(g)
-        # column i is coad(e_i, C(g^{-1})) + hat(e_i)
-        return (self.algebra.bracket_form(self.value(g.inv())).T
-                + self._infinitesimal.matrix)
+        """Exact derivative of C at the inverse point, as a matrix M:
+        M @ X = d/dt C((g exp(tX))^{-1}) at t = 0."""
+        return self._differential_inv(g)
 
 
 def kernel_check(cocycle, g_minus, tol=1e-10):

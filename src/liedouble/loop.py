@@ -64,23 +64,23 @@ def loop_two_cocycle(loop_algebra, k):
     eye = np.broadcast_to(np.eye(lattice.base.dim) / (2.0 * lattice.ds),
                           (lattice.n_sites,) + (lattice.base.dim,) * 2)
     d_op = BlockOperator({1: eye, -1: -eye})  # the operator of d_s
-    return TwoCocycle(loop_algebra, TwoCocycle.LATTICE,
-                      -k * (loop_algebra.pairing @ d_op))
+    return TwoCocycle(loop_algebra, -k * (loop_algebra.pairing @ d_op))
 
 
 def loop_group_cocycle(loop_algebra, k):
     """C_k(l) = k psi((d_s l) l^{-1}) evaluated site-wise."""
     lattice = loop_algebra.lattice
 
-    def value_fn(g):
+    def value(g):
         return k * loop_algebra.psi(loop_algebra.mat_to_vec(
             d_s(lattice, g.matrix) @ g.inv().matrix))
 
-    def differential_inv_fn(g):
-        # Exact d/dt C_k((g exp(tX))^{-1}) of the lattice expression.
-        # With h = g^{-1} site-wise, the perturbed field is exp(-tX) h and
+    def differential_inv(g):
+        # Exact d/dt C_k((g exp(tX))^{-1}) of the lattice expression, whose
+        # 1-cocycle property only holds to the stencil order. With
+        # h = g^{-1} site-wise, the perturbed field is exp(-tX) h and
         # d/dt [(d_s h) h^{-1}] = -d_s(X h) h^{-1} + (d_s h) h^{-1} X,
-        # where d_s is the same central difference as in value_fn. At site
+        # where d_s is the same central difference as in value. At site
         # j the three bands take X from sites j - 1, j and j + 1.
         base = lattice.base
         h, hinv = g.inv().matrix, g.matrix
@@ -96,9 +96,8 @@ def loop_group_cocycle(loop_algebra, k):
                                 -1: side(-1)})
         return k * (loop_algebra.pairing @ coords)
 
-    return grouplib.GroupCocycle(
-        loop_algebra, TwoCocycle.LATTICE, loop_two_cocycle(loop_algebra, k),
-        value_fn=value_fn, differential_inv_fn=differential_inv_fn)
+    return grouplib.GroupCocycle(loop_two_cocycle(loop_algebra, k), value,
+                                 differential_inv)
 
 
 def constant_loop(loop_algebra, base_vector):

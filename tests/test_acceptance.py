@@ -15,7 +15,12 @@ from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhasePoint, PhaseSpace
 
-RNG = np.random.default_rng(20260823)
+
+def criterion_rng(num):
+    """Criterion num's own generator: its inputs do not depend on which
+    other criteria ran before it."""
+    return np.random.default_rng([20260823, num])
+
 
 SL2 = get_algebra("sl2c-iwasawa")
 SO3 = get_algebra("so3-cotangent")
@@ -65,6 +70,7 @@ def report(num, name, entries):
 
 
 def test_1_structural_suite():
+    rng = criterion_rng(1)
     entries = []
     for a in (SL2, SO3):
         rep = validate_manin(a)
@@ -73,7 +79,7 @@ def test_1_structural_suite():
             entries.append(("%s/%s" % (a.name, key), val, tol))
         worst = 0.0
         for _ in range(1000):
-            g = group.random_point(a, RNG)
+            g = group.random_point(a, rng)
             gp, gm = g.factors()
             worst = max(worst, float(np.abs(
                 gp.matrix @ gm.matrix - g.matrix).max()))
@@ -84,12 +90,13 @@ def test_1_structural_suite():
 
 
 def test_2_dirac_equivalence():
+    rng = criterion_rng(2)
     space = SPACE_SL2
     fiber = fiber_sl2()
     worst = 0.0
     worst_shape = 0.0
     for _ in range(100):
-        p = space.random_fiber_point(fiber, RNG, 0.4)
+        p = space.random_fiber_point(fiber, rng, 0.4)
         dmat = space.dirac_matrix(p)
         n = dmat.shape[0] // 2
         worst_shape = max(
@@ -99,8 +106,8 @@ def test_2_dirac_equivalence():
             float(np.abs(dmat[n:, :n] + np.eye(n)).max()),
             float(np.abs(dmat[n:, n:] + dmat[n:, n:].T).max()))
         for _ in range(20):
-            f = space.momentum_fn(RNG.standard_normal(6))
-            g = space.momentum_fn(RNG.standard_normal(6))
+            f = space.momentum_fn(rng.standard_normal(6))
+            g = space.momentum_fn(rng.standard_normal(6))
             closed = space.dirac_bracket(f, g, p, fiber)
             oracle = space.dirac_oracle(f, g, p)
             worst = max(worst, abs(closed - oracle) / (1 + abs(closed)))
@@ -110,15 +117,16 @@ def test_2_dirac_equivalence():
 
 
 def test_3_remark_no_cocycle_traces():
+    rng = criterion_rng(3)
     entries = []
     # lattice-derivative cocycle on the N = 8 loop double
     alg, space, fiber = lattice_setup()
     worst = 0.0
     for _ in range(2):
-        p = space.random_fiber_point(fiber, RNG, 0.3)
+        p = space.random_fiber_point(fiber, rng, 0.3)
         for _ in range(5):
-            f = space.momentum_fn(RNG.standard_normal(alg.dim))
-            g = space.momentum_fn(RNG.standard_normal(alg.dim))
+            f = space.momentum_fn(rng.standard_normal(alg.dim))
+            g = space.momentum_fn(rng.standard_normal(alg.dim))
             full = space.dirac_bracket(f, g, p, fiber)
             red = space.dirac_bracket_reduced(f, g, p, fiber)
             worst = max(worst, abs(full - red) / (1 + abs(full)))
@@ -128,9 +136,9 @@ def test_3_remark_no_cocycle_traces():
     fib = fiber_so3()
     worst = 0.0
     for _ in range(5):
-        p = SPACE_SO3.random_fiber_point(fib, RNG, 0.4)
-        f = SPACE_SO3.momentum_fn(RNG.standard_normal(6))
-        g = SPACE_SO3.momentum_fn(RNG.standard_normal(6))
+        p = SPACE_SO3.random_fiber_point(fib, rng, 0.4)
+        f = SPACE_SO3.momentum_fn(rng.standard_normal(6))
+        g = SPACE_SO3.momentum_fn(rng.standard_normal(6))
         full = SPACE_SO3.dirac_bracket(f, g, p, fib)
         red = SPACE_SO3.dirac_bracket_reduced(f, g, p, fib)
         worst = max(worst, abs(full - red) / (1 + abs(full)))
@@ -139,13 +147,14 @@ def test_3_remark_no_cocycle_traces():
 
 
 def test_4_symmetry_restoration():
+    rng = criterion_rng(4)
     worst_closed = 0.0
     for space, fiber, n_pairs in ((SPACE_SL2, fiber_sl2(), 100),
                                   (SPACE_SO3, fiber_so3(), 100)):
         a = space.algebra
         for _ in range(n_pairs):
-            p = space.random_fiber_point(fiber, RNG, 0.4)
-            x, y = RNG.standard_normal((2, 6))
+            p = space.random_fiber_point(fiber, rng, 0.4)
+            x, y = rng.standard_normal((2, 6))
             lhs = space.dirac_bracket(space.momentum_fn(x),
                                       space.momentum_fn(y), p, fiber)
             target = space.momentum_fn(a.bracket(x, y),
@@ -155,8 +164,8 @@ def test_4_symmetry_restoration():
     em = np.zeros(6)
     em[4] = 0.8
     bad = SPACE_SL2.fiber(group.identity(SL2), em)
-    p = SPACE_SL2.random_fiber_point(bad, RNG, 0.4)
-    x, y = RNG.standard_normal((2, 6))
+    p = SPACE_SL2.random_fiber_point(bad, rng, 0.4)
+    x, y = rng.standard_normal((2, 6))
     lhs = SPACE_SL2.dirac_bracket(SPACE_SL2.momentum_fn(x),
                                   SPACE_SL2.momentum_fn(y), p, bad)
     target = SPACE_SL2.momentum_fn(SL2.bracket(x, y),
@@ -167,9 +176,9 @@ def test_4_symmetry_restoration():
     for space in (SPACE_SL2, SPACE_SO3):
         a = space.algebra
         for _ in range(20):
-            p = PhasePoint(group.random_point(a, RNG, 0.4),
-                           RNG.standard_normal(6))
-            x, y = RNG.standard_normal((2, 6))
+            p = PhasePoint(group.random_point(a, rng, 0.4),
+                           rng.standard_normal(6))
+            x, y = rng.standard_normal((2, 6))
             full = space.poisson_c(space.momentum_fn(x),
                                    space.momentum_fn(y), p)
             jbr = space.momentum_fn(a.bracket(x, y),
@@ -183,6 +192,7 @@ def test_4_symmetry_restoration():
 
 
 def test_5_action_consistency():
+    rng = criterion_rng(5)
     worst_id = 0.0
     worst_comp = 0.0
     worst_gen = 0.0
@@ -190,13 +200,13 @@ def test_5_action_consistency():
     for space, fiber in ((SPACE_SL2, fiber_sl2()), (SPACE_SO3, fiber_so3())):
         a = space.algebra
         for _ in range(5):
-            p = space.random_fiber_point(fiber, RNG, 0.4)
+            p = space.random_fiber_point(fiber, rng, 0.4)
             q = space.group_action_d(group.identity(a), p, fiber)
             worst_id = max(worst_id,
                            float(np.abs(q.g.matrix - p.g.matrix).max()),
                            float(np.abs(q.eta - p.eta).max()))
-            h1 = group.random_point(a, RNG, 0.3)
-            h2 = group.random_point(a, RNG, 0.3)
+            h1 = group.random_point(a, rng, 0.3)
+            h2 = group.random_point(a, rng, 0.3)
             q12 = space.group_action_d(h1.mul(h2), p, fiber)
             q21 = space.group_action_d(h1,
                                        space.group_action_d(h2, p, fiber),
@@ -207,7 +217,7 @@ def test_5_action_consistency():
                 float(np.abs(q12.eta - q21.eta).max()))
             worst_fiber = max(worst_fiber,
                               space.on_fiber_distance(q12, fiber))
-            x = RNG.standard_normal(6)
+            x = rng.standard_normal(6)
             step = 1e-5
             pp = space.group_action_d(group.exp(a, x, step), p, fiber)
             pm = space.group_action_d(group.exp(a, x, -step), p, fiber)
@@ -227,11 +237,12 @@ def test_5_action_consistency():
 
 
 def test_6_dynamics():
+    rng = criterion_rng(6)
     space = SPACE_SL2
     e = EnergyOperator.preset(SL2, "skewed")
     h = dynamics.hamiltonian_quadratic(space, e)
     fiber = fiber_sl2()
-    p0 = space.random_fiber_point(fiber, RNG, 0.4)
+    p0 = space.random_fiber_point(fiber, rng, 0.4)
     dts = (0.02, 0.01, 0.005)
     entries = []
     worst_fiber = 0.0
@@ -252,7 +263,7 @@ def test_6_dynamics():
     entries.append(("fiber_frozen", worst_fiber, 1e-9))
 
     def orbit_residual(fib, dt):
-        q0 = space.random_fiber_point(fib, RNG, 0.4)
+        q0 = space.random_fiber_point(fib, rng, 0.4)
         tr = dynamics.flow_fiber(space, h, q0, fib, IntegratorConfig(dt, 20))
         worst = 0.0
         for i in range(1, 15):
@@ -280,11 +291,12 @@ def test_6_dynamics():
 
 
 def test_7_hamilton_lagrange():
+    rng = criterion_rng(7)
     space = SPACE_SL2
     e = EnergyOperator.preset(SL2, "skewed")
     h = dynamics.hamiltonian_quadratic(space, e)
     fiber = fiber_sl2()
-    p0 = space.random_fiber_point(fiber, RNG, 0.4)
+    p0 = space.random_fiber_point(fiber, rng, 0.4)
     dts = (0.02, 0.01, 0.005)
     res = []
     for dt in dts:
@@ -295,7 +307,7 @@ def test_7_hamilton_lagrange():
     worst_round = 0.0
     worst_routes = 0.0
     for _ in range(10):
-        p = space.random_fiber_point(fiber, RNG, 0.4)
+        p = space.random_fiber_point(fiber, rng, 0.4)
         gdot = dynamics.legendre_map(space, e, p, fiber)
         q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
         worst_round = max(worst_round,
@@ -307,7 +319,7 @@ def test_7_hamilton_lagrange():
                            abs(vals[1] - vals[2]))
     worst_op = 0.0
     for _ in range(100):
-        gp = group.exp(SL2, SL2.project(0.5 * RNG.standard_normal(6),
+        gp = group.exp(SL2, SL2.project(0.5 * rng.standard_normal(6),
                                         "plus"))
         for sign in (1, -1):
             worst_op = max(worst_op, sigma.operator_identity_check(
@@ -320,10 +332,11 @@ def test_7_hamilton_lagrange():
 
 
 def test_8_lattice_convergence():
+    rng = criterion_rng(8)
     alg, space, _ = lattice_setup()
     c2 = space.c2
-    x = loop.sampled_loop(alg, loop._smooth_coeffs(SL2, RNG))
-    y = loop.sampled_loop(alg, loop._smooth_coeffs(SL2, RNG))
+    x = loop.sampled_loop(alg, loop._smooth_coeffs(SL2, rng))
+    y = loop.sampled_loop(alg, loop._smooth_coeffs(SL2, rng))
     entries = [
         ("cocycle_antisymmetry", abs(c2.eval(x, y) + c2.eval(y, x)), 1e-12),
         ("isotropy_vanishing",
@@ -332,7 +345,7 @@ def test_8_lattice_convergence():
          1e-12),
         ("constant_loop_kernel",
          float(np.abs(space.C.value(group.exp(alg, loop.constant_loop(
-             alg, RNG.standard_normal(6))))).max()), 1e-12),
+             alg, rng.standard_normal(6))))).max()), 1e-12),
     ]
     out = loop.convergence_study(SL2, 0.6, rng=np.random.default_rng(3))
     for key, slope in out["slopes"].items():

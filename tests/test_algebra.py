@@ -219,6 +219,16 @@ class TestValidate:
             assert "jacobi" in report["failures"]
 
 
+    def test_nan_residual_fails(self):
+        # a NaN constant makes the residuals NaN, which must not pass
+        a = get_algebra("so3-cotangent")
+        a.structure_constants[0, 1, 2] = np.nan
+        report = validate_manin(a)
+        assert np.isnan(report["checks"]["jacobi"])
+        assert not report["passed"]
+        assert "jacobi" in report["failures"]
+
+
 class TestDeclaration:
     def decl(self):
         # 2d abelian double: g+ = span(a), g- = span(b), pairing off-diagonal
@@ -235,6 +245,15 @@ class TestDeclaration:
         d["extra"] = 1
         with pytest.raises(ValueError):
             algebra_from_declaration(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        for key, value in (("structure_constants", [[0, 1, 1, bad]]),
+                           ("pairing", [[0, 1], [1, bad]])):
+            d = self.decl()
+            d[key] = value
+            with pytest.raises(ValueError, match="finite"):
+                algebra_from_declaration(d)
 
 
 @settings(max_examples=30, deadline=None)

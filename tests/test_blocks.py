@@ -85,3 +85,10 @@ def test_offsets_wrap_modulo_sites():
     op = BlockOperator([(1, a), (-1, b)])
     assert set(op.bands) == {0}
     np.testing.assert_array_equal(op.blocks, a + b)
+
+
+def test_max_abs_keeps_nan_of_any_band():
+    # in either band order, a NaN must not be dropped for a finite maximum
+    ones, nan = np.ones((2, D, D)), np.full((2, D, D), np.nan)
+    for bands in ({0: ones, 1: nan}, {1: nan, 0: ones}):
+        assert np.isnan(BlockOperator(bands).max_abs())

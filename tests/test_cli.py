@@ -134,6 +134,36 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, dict(BASE_CFG, seed=seed))
         assert run("check", cfg, tmp_path) == 2
 
+    @pytest.mark.parametrize("section,value", [
+        ("integrator", 5), ("cocycle", 3), ("options", []),
+        ("energy", "skewed"), ("loop", None)])
+    def test_section_must_be_object(self, section, value, tmp_path, capsys):
+        cfg = json.loads(open(cfg_path("sl2_flow.json")).read())
+        cfg[section] = value
+        assert run("flow", write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: %s must be an object" % section)
+
+    def test_cocycle_level_is_unknown_key(self, tmp_path, capsys):
+        # the lattice level is loop.level; a second key would leave one dead
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["cocycle"]["level"] = 0.6
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "['level'] in cocycle" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("structure_constants", [[0, 1, 1, float("nan")]]),
+        ("pairing", [[0, 1], [1, float("inf")]])])
+    def test_declared_non_finite_rejected(self, key, value, tmp_path,
+                                          capsys):
+        cfg = write_cfg(tmp_path, self.declared(**{key: value}))
+        assert run("check", cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: algebra:") and "finite" in err
+
     @staticmethod
     def declared(**changes):
         decl = {"name": "ab2", "dim": 2, "labels": ["a", "b"],
@@ -192,6 +222,8 @@ class TestTypedFields:
         ("loop_flow.json", "fiber", "eta_minus",
          {"constant": [0, 0, 0, float("inf"), 0, 0]}),
         ("sl2_flow.json", "integrator", "method", "euler"),
+        pytest.param("loop_flow.json", "loop", "level", 10 ** 400,
+                     id="loop_flow.json-loop-level-int-beyond-float"),
     ])
     def test_invalid_value_is_config_error(self, config, section, key, value,
                                            tmp_path, capsys):
@@ -203,6 +235,25 @@ class TestTypedFields:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("config,section,key,word", [
+        ("sl2_flow.json", "options", "hamiltonian", "quadratc"),
+        ("sl2_flow.json", "energy", "preset", "skewd"),
+        ("sl2_flow.json", "cocycle", "kind", "coboundry"),
+        ("loop_flow.json", "cocycle", "kind", "lattice"),
+    ])
+    def test_word_outside_its_list(self, config, section, key, word,
+                                   tmp_path, capsys):
+        # the message names the key and the words it accepts
+        cfg = json.loads(open(cfg_path(config)).read())
+        cfg.setdefault(section, {})[key] = word
+        assert run(cfg["experiment"], write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: %s.%s must be " % (section, key))
+        words = cli.SCHEMA[section][key][1].words
+        assert all(json.dumps(w) in err for w in words)
 
 
 class TestLoopEnergy:
@@ -231,6 +282,16 @@ class TestLoopEnergy:
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) in (0, 1)
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["checks"]) == 5
+
+
+def test_readme_schema_names_every_key_and_word():
+    readme = open(os.path.join(CONFIGS, "..", "README.md")).read()
+    text = readme.split("### Config schema")[1].split("\n### ")[0]
+    for table in cli.SCHEMA.values():
+        for key, test in table.items():
+            assert "`%s`" % key in text, key
+            for word in getattr(test and test[1], "words", ()):
+                assert "`%s`" % json.dumps(word) in text, (key, word)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -267,11 +328,11 @@ class TestFailureModes:
         cfg["integrator"]["dt"] = 10.0
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
 
-    def test_cfl_bound_reads_cocycle_level(self, tmp_path, capsys):
-        # ds / k = 0.0039 < dt = 0.005 at the cocycle's level, while the
-        # loop section's level alone would allow the step
+    def test_cfl_bound_reads_loop_level(self, tmp_path, capsys):
+        # ds / k = 0.0039 < dt = 0.005 at the loop's level, the one level
+        # of the lattice cocycle
         cfg = json.loads(open(cfg_path("loop_flow.json")).read())
-        cfg["cocycle"]["level"] = 200
+        cfg["loop"]["level"] = 200
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "CFL" in err
