@@ -62,7 +62,7 @@ class BasisAlgebra:
             raise ValueError("structure constants shape does not match dim")
         site_pairing = np.broadcast_to(pairing / n, (n, d, d))
         self.pairing = BlockOperator({0: site_pairing})
-        self._pairing_inv = BlockOperator({0: np.linalg.inv(site_pairing)})
+        self.pairing_inv = BlockOperator({0: np.linalg.inv(site_pairing)})
         self.site_plus = np.asarray(plus_indices, dtype=int)
         self.site_minus = np.asarray(minus_indices, dtype=int)
         offsets = d * np.arange(n)[:, None]
@@ -92,19 +92,25 @@ class BasisAlgebra:
             raise ValueError("vector length does not match algebra dim")
         return x.reshape(self.n_sites, self.site_dim)
 
+    def _contract(self, v, last=False):
+        """The structure constants contracted with v at every site, as
+        (N, d, d) blocks: t[s, j, k] = sum_i v_si c[i, j, k], or with
+        ``last`` t[s, i, j] = sum_k c[i, j, k] v_sk; one matmul each."""
+        d, c = self.site_dim, self.structure_constants
+        flat = c.reshape(d * d, d).T if last else c.reshape(d, d * d)
+        return (self._sites(v) @ flat).reshape(self.n_sites, d, d)
+
     def bracket(self, x, y):
-        return np.einsum("ijk,si,sj->sk", self.structure_constants,
-                         self._sites(x), self._sites(y)).reshape(self.dim)
+        return (self._sites(y)[:, None, :] @ self._contract(x)).reshape(
+            self.dim)
 
     def ad(self, x):
         """Operator of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
-        return BlockOperator({0: np.einsum(
-            "ijk,si->skj", self.structure_constants, self._sites(x))})
+        return BlockOperator({0: self._contract(x).swapaxes(1, 2)})
 
     def bracket_form(self, eta):
         """K[i, j] = <eta, [e_i, e_j]> as a block-diagonal operator."""
-        return BlockOperator({0: np.einsum(
-            "ijk,sk->sij", self.structure_constants, self._sites(eta))})
+        return BlockOperator({0: self._contract(eta, last=True)})
 
     def pair(self, x, y):
         return float(self._sites(x).ravel() @ self.psi(self._sites(y).ravel()))
@@ -117,7 +123,7 @@ class BasisAlgebra:
 
     def psi_bar(self, eta):
         """Inverse of psi."""
-        return self._pairing_inv @ eta
+        return self.pairing_inv @ eta
 
     def _side_indices(self, side):
         if side == "plus":
@@ -148,8 +154,8 @@ class BasisAlgebra:
         This is d/dt|_0 of eta ∘ Ad_{exp(tx)}, the one coadjoint convention
         of the library; the infinitesimal coadjoint action is its negative.
         """
-        return np.einsum("ijk,si,sk->sj", self.structure_constants,
-                         self._sites(x), self._sites(eta)).reshape(self.dim)
+        return (self._contract(x) @ self._sites(eta)[:, :, None]).reshape(
+            self.dim)
 
     # --- matrix representation -----------------------------------------
 
@@ -175,6 +181,26 @@ class BasisAlgebra:
         batch = m.shape[:m.ndim - 2 - len(self._site_axes)]
         return self._coords(m.reshape(m.shape[:-2] + (-1,))).reshape(
             batch + (self.dim,))
+
+    def vec_to_mat_transpose(self, w):
+        """The covector of x -> Re sum(w * vec_to_mat(x)), for w shaped
+        like ``vec_to_mat``'s output: the transpose of ``vec_to_mat``."""
+        self._require_representation()
+        mats = self.basis_matrices.reshape(self.site_dim, -1)
+        w = np.asarray(w).reshape(self._site_axes + (-1,))
+        return (w @ mats.T).real.reshape(self.dim)
+
+    def mat_to_vec_transpose(self, eta):
+        """The w, shaped like ``vec_to_mat``'s output, with
+        Re sum(w * m) = eta @ mat_to_vec(m): the transpose of
+        ``mat_to_vec``."""
+        self._require_representation()
+        u = np.asarray(eta, dtype=float).reshape(
+            self._site_axes + (self.site_dim,)) @ self._dual_basis.T
+        if np.iscomplexobj(self.basis_matrices):
+            half = u.shape[-1] // 2
+            u = u[..., :half] - 1j * u[..., half:]
+        return u.reshape(self._site_axes + self.basis_matrices.shape[1:])
 
     def _coords(self, v):
         # coordinates of flattened (..., m*m) matrices

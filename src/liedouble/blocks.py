@@ -2,19 +2,21 @@
 
 Band o of an operator on N sites of d coordinates holds (N, d, d) blocks
 coupling site j to site j + o (mod N): (A x)_j = sum_o A_o[j] x_{j+o}.
-Algebra operators are block diagonal, the loop cocycles add the bands +-1
-of the central difference, and a base double is N = 1. Products,
-transposes and solves cost O(N d^3).
+Algebra operators are block diagonal, the loop cocycle's hat adds the
+bands +-1 of the central difference, and a base double is N = 1.
+Products, transposes and solves cost O(N d^3).
 """
 
 import numpy as np
 
-__all__ = ["BlockOperator"]
+__all__ = ["BlockOperator", "shift"]
 
 
-def _shift(blocks, o):
-    """blocks[j + o] at index j, periodically; no copy on the diagonal."""
-    return blocks if o == 0 else np.roll(blocks, -o, axis=0)
+def shift(blocks, o):
+    """blocks[j + o] at index j, periodically along the first axis; no copy
+    on the diagonal."""
+    o %= len(blocks)
+    return blocks if o == 0 else np.concatenate((blocks[o:], blocks[:o]))
 
 
 class BlockOperator:
@@ -41,7 +43,7 @@ class BlockOperator:
     @property
     def T(self):
         # block (j, j + o) moves to (j + o, j): offset -o, row j + o
-        return BlockOperator({-o: _shift(b, -o).swapaxes(1, 2)
+        return BlockOperator({-o: shift(b, -o).swapaxes(1, 2)
                               for o, b in self.bands.items()})
 
     def _apply(self, x, transpose=False):
@@ -49,13 +51,13 @@ class BlockOperator:
         xs = x.reshape(self.n_sites, self.site_dim, -1)
         out = 0.0
         for o, b in self.bands.items():
-            out = out + (_shift(b, -o).swapaxes(1, 2) @ _shift(xs, -o)
-                         if transpose else b @ _shift(xs, o))
+            out = out + (shift(b, -o).swapaxes(1, 2) @ shift(xs, -o)
+                         if transpose else b @ shift(xs, o))
         return out.reshape(x.shape)
 
     def __matmul__(self, other):
         if isinstance(other, BlockOperator):
-            return BlockOperator([(o1 + o2, a @ _shift(b, o1))
+            return BlockOperator([(o1 + o2, a @ shift(b, o1))
                                   for o1, a in self.bands.items()
                                   for o2, b in other.bands.items()])
         return self._apply(np.asarray(other, dtype=float))

@@ -142,6 +142,13 @@ class Scenario:
         icfg = cfg.get("integrator", {})
         self.integrator = IntegratorConfig(icfg.get("dt", 0.01),
                                            icfg.get("steps", 100))
+        if experiment == "loop" and self.algebra.lattice is not None:
+            # the config fixes the CFL bound of the loop's field flow
+            try:
+                looplib.check_cfl(self.algebra.lattice, self.integrator.dt,
+                                  self.level)
+            except ValueError as exc:
+                raise ConfigError("integrator: %s (k = loop.level)" % exc)
         self.options = cfg.get("options", {})
 
     def _build_cocycle(self, spec):

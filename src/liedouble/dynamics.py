@@ -25,9 +25,11 @@ class EnergyOperator:
 
     E acts site by site: ``matrix`` is one site's (d, d) matrix, repeated
     on every site, or an (N, d, d) stack. In the normalized frame (T_a in
-    g+, pairing-dual T^a in g-) a site block is assembled from a symmetric
-    invertible S and an antisymmetric A, both of the size of one site's g+,
-    as the usual generalized-metric involution.
+    g+, T^a in g- dual to them under the base double's pairing) a site
+    block is assembled from a symmetric invertible S and an antisymmetric
+    A, both of the size of one site's g+, as the usual generalized-metric
+    involution; on a loop every site carries the base double's involution,
+    whatever N.
     """
 
     def __init__(self, algebra, matrix):
@@ -42,7 +44,8 @@ class EnergyOperator:
         # written as "not <=" so that a NaN fails the checks
         if not np.abs((e @ e).blocks - np.eye(d)).max() <= 1e-10:
             raise ValueError("energy operator is not an involution")
-        pe = algebra.pairing @ e
+        # P E, the symmetric form of the energy
+        pe = self.pe = algebra.pairing @ e
         if not (pe - pe.T).max_abs() <= 1e-10:
             raise ValueError("energy operator is not pairing-symmetric")
 
@@ -58,7 +61,10 @@ class EnergyOperator:
         # maps g+ -> g- with matrices s (metric) and a (two-form) give
         #   E = [[-s^{-1} a, s^{-1}], [s - a s^{-1} a, a s^{-1}]]
         sinv = np.linalg.inv(s)
-        cross = algebra.pairing.restrict(sp, sm).blocks
+        # the base double's cross pairing on every site, undoing the 1/N
+        # of a loop's pairing: each site carries the base's involution, so
+        # the lattice Hamiltonian is a Riemann sum of one density
+        cross = algebra.n_sites * algebra.pairing.restrict(sp, sm).blocks
         # convert frame blocks to coordinate blocks: T^b carries cross^{-1}
         to_minus = np.linalg.inv(cross)
         e = np.zeros((algebra.n_sites, algebra.site_dim, algebra.site_dim))
@@ -80,9 +86,10 @@ class EnergyOperator:
         raise ValueError("unknown preset %r" % name)
 
     def at(self, g):
-        """E_g = Ad_{g^{-1}} E Ad_g as an operator."""
+        """E_g = Ad_{g^{-1}} E Ad_g = P^{-1} Ad_g^T (P E) Ad_g as an
+        operator, by the ad-invariance of the pairing P."""
         adg = g.ad_matrix()
-        return adg.solve(self.matrix @ adg)
+        return self.algebra.pairing_inv @ adg.T @ self.pe @ adg
 
     def blocks_at(self, g):
         """The metric/two-form blocks (G_g, B_g): g+ -> g- at the point g.
@@ -102,25 +109,30 @@ class EnergyOperator:
 
 
 def hamiltonian_quadratic(space, e_op):
-    """H = (1/2) (psi_bar(u), E_g psi_bar(u))_g with u = eta - C(g^{-1})."""
+    """H = (1/2) (u, E_g u)_g with u = psi_bar(eta - C(g^{-1})).
+
+    With v = Ad_g u, H = (1/2) v.(P E) v and E_g u = psi_bar(Ad_g^T (P E) v),
+    so the Hamiltonian applies operators to vectors and solves nothing.
+    """
     a = space.algebra
 
     def carrier(p):
-        return a.psi_bar(p.eta - space.C.value(p.g.inv()))
+        u = a.psi_bar(p.eta - space.C.value(p.g.inv()))
+        return u, p.g.ad_matrix() @ u
 
     def fn(p):
-        u = carrier(p)
-        return 0.5 * a.pair(u, e_op.at(p.g) @ u)
+        _, v = carrier(p)
+        return 0.5 * float(v @ (e_op.pe @ v))
 
     def diff(p):
-        u = carrier(p)
-        delta = e_op.at(p.g) @ u
+        u, v = carrier(p)
+        delta = a.psi_bar(p.g.ad_matrix().T @ (e_op.pe @ v))
         # group slot: the E_g variation gives psi([u, delta]); the C(g^{-1})
         # variation is the exact cocycle derivative, so the differential is
         # exact even for lattice cocycles whose product identity only holds
         # to the stencil order
         dF = (a.psi(a.bracket(u, delta))
-              - space.C.differential_inv(p.g).T @ delta)
+              - space.C.differential_inv(p.g, delta))
         return Differential(dF, delta)
 
     return Observable(fn, diff=diff, name="quadratic")

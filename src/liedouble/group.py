@@ -1,11 +1,14 @@
 """Matrix-group layer over a BasisAlgebra: exponential, adjoints, the global
 factorization g = g+ g- (``GroupPoint.factors``, from which the dressing
 actions are read off), and coadjoint group 1-cocycles, each given by its
-2-cocycle, its value and its exact inverse-point derivative.
+2-cocycle, its value and the pullback of a vector through its exact
+inverse-point derivative.
 
 The exponential and the factorization are the algebra's hooks on (N, m, m)
-stacks, and Ad_g is a block-diagonal ``BlockOperator``. A point caches its
-inverse, adjoint and factors; ``g.inv().inv()`` is ``g`` itself.
+stacks, and Ad_g is a block-diagonal ``BlockOperator``. The pairing P is
+ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
+solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
+is ``g`` itself.
 """
 
 import weakref
@@ -104,7 +107,8 @@ class GroupCocycle:
     """Coadjoint 1-cocycle C: G -> g* with C(gh) = Ad*_{g^{-1}} C(h) + C(g).
 
     A cocycle is three things: its algebra 2-cocycle (hat = -dC|_e), its
-    value and the exact derivative of that value at the inverse point.
+    value, and the exact derivative of that value at the inverse point,
+    given as its transpose applied to a vector (``differential_inv``).
     ``zero``, ``coboundary`` and ``liedouble.loop.loop_group_cocycle``
     supply all three.
     """
@@ -116,8 +120,9 @@ class GroupCocycle:
 
     @classmethod
     def zero(cls, algebra):
-        c2 = TwoCocycle.zero(algebra)
-        return cls(c2, lambda g: np.zeros(algebra.dim), lambda g: c2.matrix)
+        def zero(*args):
+            return np.zeros(algebra.dim)
+        return cls(TwoCocycle.zero(algebra), zero, zero)
 
     @classmethod
     def coboundary(cls, algebra, mu0):
@@ -129,10 +134,11 @@ class GroupCocycle:
             # property exact and -dC|_e equal to the hat of the 2-cocycle
             return mu0 - coadjoint_star(g.inv(), mu0)
 
-        def differential_inv(g):
-            # the exact 1-cocycle property gives X -> ad*(X) C(g^{-1}) +
-            # hat(X): column i is coad(e_i, C(g^{-1})) + hat(e_i)
-            return algebra.bracket_form(value(g.inv())).T + c2.matrix
+        def differential_inv(g, delta):
+            # the exact 1-cocycle property gives the derivative
+            # X -> coad(X, C(g^{-1})) + hat(X), whose transpose takes delta
+            # to -coad(delta, C(g^{-1})) - hat(delta), hat being antisymmetric
+            return -algebra.coad(delta, value(g.inv())) - c2.hat(delta)
 
         return cls(c2, value, differential_inv)
 
@@ -143,10 +149,11 @@ class GroupCocycle:
         """The algebra 2-cocycle with hat = -dC|_e."""
         return self._infinitesimal
 
-    def differential_inv(self, g):
-        """Exact derivative of C at the inverse point, as a matrix M:
-        M @ X = d/dt C((g exp(tX))^{-1}) at t = 0."""
-        return self._differential_inv(g)
+    def differential_inv(self, g, delta):
+        """The covector M^T delta, where M is the exact derivative of C at
+        the inverse point, M X = d/dt C((g exp(tX))^{-1}) at t = 0: the
+        pullback of delta, which is all a differential needs of M."""
+        return self._differential_inv(g, np.asarray(delta, dtype=float))
 
 
 def kernel_check(cocycle, g_minus, tol=1e-10):

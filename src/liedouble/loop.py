@@ -9,21 +9,23 @@ d_s (cocycle identity, the 1-cocycle property of C_k) hold up to O(ds^2)
 and converge at second order under refinement.
 
 Every lattice operator is a ``BlockOperator``: the algebra's are block
-diagonal, and the cocycle hat and the exact differential of C_k add the
-periodic +-1 bands of the central difference, so one field-flow step costs
-O(N) in the number of sites.
+diagonal, and the cocycle hat adds the periodic +-1 bands of the central
+difference. The exact differential of C_k is never built as an operator:
+a Hamiltonian needs only its transpose applied to one vector, which pulls
+a matrix functional back through the same stencil site by site. One
+field-flow step costs O(N) in the number of sites.
 """
 
 import numpy as np
 
 from . import group as grouplib
 from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
-from .blocks import BlockOperator
+from .blocks import BlockOperator, shift
 from .dynamics import flow_fiber
 
 __all__ = ["LoopLattice", "build_loop_double", "d_s", "loop_two_cocycle",
-           "loop_group_cocycle", "constant_loop", "sampled_loop", "field_flow",
-           "convergence_study"]
+           "loop_group_cocycle", "constant_loop", "sampled_loop", "check_cfl",
+           "field_flow", "convergence_study"]
 
 class LoopLattice:
     """N equispaced sites on the circle of circumference 2 pi."""
@@ -42,8 +44,7 @@ def d_s(lattice, x):
     """Periodic central difference of site-major coordinates or of an
     (N, m, m) matrix stack."""
     blocks = np.asarray(x).reshape(lattice.n_sites, -1)
-    out = (np.roll(blocks, -1, axis=0) - np.roll(blocks, 1, axis=0)) \
-        / (2.0 * lattice.ds)
+    out = (shift(blocks, 1) - shift(blocks, -1)) / (2.0 * lattice.ds)
     return out.reshape(np.shape(x))
 
 
@@ -75,26 +76,22 @@ def loop_group_cocycle(loop_algebra, k):
         return k * loop_algebra.psi(loop_algebra.mat_to_vec(
             d_s(lattice, g.matrix) @ g.inv().matrix))
 
-    def differential_inv(g):
-        # Exact d/dt C_k((g exp(tX))^{-1}) of the lattice expression, whose
-        # 1-cocycle property only holds to the stencil order. With
-        # h = g^{-1} site-wise, the perturbed field is exp(-tX) h and
-        # d/dt [(d_s h) h^{-1}] = -d_s(X h) h^{-1} + (d_s h) h^{-1} X,
-        # where d_s is the same central difference as in value. At site
-        # j the three bands take X from sites j - 1, j and j + 1.
-        base = lattice.base
+    def differential_inv(g, delta):
+        # Pullback of delta through the exact d/dt C_k((g exp(tX))^{-1}) of
+        # the lattice expression, whose 1-cocycle property only holds to
+        # the stencil order. With h = g^{-1} site-wise, the perturbed field
+        # is exp(-tX) h and d/dt [(d_s h) h^{-1}] = q X - d_s(X h) h^{-1},
+        # q = (d_s h) h^{-1}. Against the matrix functional w of
+        # k psi(delta), Re sum w * (q X) pulls back to q^T w, and since the
+        # central difference is antisymmetric, -Re sum w * (d_s(X h) h^{-1})
+        # pulls back to d_s(w h^{-T}) h^T; the sum is read off against the
+        # basis matrices.
         h, hinv = g.inv().matrix, g.matrix
-        eye = np.broadcast_to(np.eye(h.shape[-1]), h.shape)
         q = d_s(lattice, h) @ hinv
-
-        def side(o):
-            # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j
-            return -o / (2.0 * lattice.ds) * base.sandwich(
-                eye, np.roll(h, -o, axis=0) @ hinv)
-
-        coords = BlockOperator({0: base.sandwich(q, eye), 1: side(1),
-                                -1: side(-1)})
-        return k * (loop_algebra.pairing @ coords)
+        w = loop_algebra.mat_to_vec_transpose(k * loop_algebra.psi(delta))
+        pulled = (q.swapaxes(1, 2) @ w
+                  + d_s(lattice, w @ hinv.swapaxes(1, 2)) @ h.swapaxes(1, 2))
+        return loop_algebra.vec_to_mat_transpose(pulled)
 
     return grouplib.GroupCocycle(loop_two_cocycle(loop_algebra, k), value,
                                  differential_inv)
@@ -121,12 +118,16 @@ def sampled_loop(loop_algebra, coeffs):
     return out.reshape(-1)
 
 
+def check_cfl(lattice, dt, k):
+    """Raise a ValueError unless dt <= ds/|k|, the lattice CFL bound."""
+    if abs(k) > 0 and dt > lattice.ds / abs(k):
+        raise ValueError("time step %.3g exceeds the CFL bound ds/|k| = %.3g"
+                         % (dt, lattice.ds / abs(k)))
+
+
 def field_flow(space, obs, p0, fiber, cfg, k):
     """Restricted flow of a lattice field; enforces the lattice CFL bound."""
-    ds = space.algebra.lattice.ds
-    if abs(k) > 0 and cfg.dt > ds / abs(k):
-        raise ValueError("time step %.3g exceeds the CFL bound %.3g"
-                         % (cfg.dt, ds / abs(k)))
+    check_cfl(space.algebra.lattice, cfg.dt, k)
     return flow_fiber(space, obs, p0, fiber, cfg)
 
 

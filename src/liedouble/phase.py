@@ -198,12 +198,14 @@ class PhaseSpace:
     # --- constraint machinery -------------------------------------------
 
     def dressed_projector(self, g_minus):
-        """Ad_{g-^{-1}} Pi_{g+} Ad_{g-} as an operator on coordinates.
+        """Ad_{g-^{-1}} Pi_{g+} Ad_{g-} = P^{-1} Ad_{g-}^T (P Pi_{g+}) Ad_{g-}
+        as an operator on coordinates, by the ad-invariance of the pairing.
 
         Its transpose is the dual-side sandwich Ad*_{g-} Pi_{g+*} Ad*_{g-^{-1}}.
         """
+        a = self.algebra
         adm = g_minus.ad_matrix()
-        return adm.solve(self.algebra.selector("plus") @ adm)
+        return a.pairing_inv @ adm.T @ a.pairing @ a.selector("plus") @ adm
 
     def constraint_differentials(self, p):
         """Differentials of the 2n constraint functions at p.
@@ -240,10 +242,13 @@ class PhaseSpace:
     def restricted_field(self, d, p):
         """The Hamiltonian field of the restricted bracket, with no cocycle
         term: xi = Q deltaF, rho = Q^T (coad_xi eta - dF), Q the dressed
-        projector of g-."""
-        q = self.dressed_projector(p.g_minus())
-        xi = q @ d.deltaF
-        rho = q.T @ (self.algebra.coad(xi, p.eta) - d.dF)
+        projector of g-. Its factors are applied to vectors: with A = Ad_{g-},
+        xi = psi_bar(A^T P Pi_+ A deltaF), rho = A^T Pi_+ P A psi_bar(y)."""
+        a = self.algebra
+        adm = p.g_minus().ad_matrix()
+        xi = a.psi_bar(adm.T @ a.psi(a.project(adm @ d.deltaF, "plus")))
+        y = a.coad(xi, p.eta) - d.dF
+        rho = adm.T @ a.project(a.psi(adm @ a.psi_bar(y)), "plus")
         return xi, rho
 
     def cocycle_traces(self, dF, dG, p):

@@ -4,7 +4,8 @@ Each oracle is a slow, generic evaluation of something the library computes
 in closed form or analytically: finite-difference differentials, the scalar
 constraint functions behind the constraint frame, the explicit inverse of
 the Dirac matrix, algebra coordinates through the matrix logarithm, dense
-matrices of site-blocked operators, the ambient RK4 integrator, the energy
+matrices of site-blocked operators, the cocycle derivatives at the inverse
+point as whole operators, the ambient RK4 integrator, the energy
 eigenspaces as graphs, the full Hamiltonian vector field and the symmetry
 generator assembled from the factors of g. The library itself never calls
 them.
@@ -13,7 +14,8 @@ them.
 import numpy as np
 import scipy.linalg
 
-from liedouble import dynamics, group
+from liedouble import dynamics, group, loop
+from liedouble.blocks import BlockOperator
 from liedouble.phase import Differential, Observable, PhasePoint
 
 
@@ -38,6 +40,38 @@ def dense(op):
     """
     return sum(_block_diag(np.roll(b, o, axis=0), -o)
                for o, b in op.bands.items())
+
+
+def loop_differential_inv(loop_algebra, k, g):
+    """The exact inverse-point derivative M of the level-k lattice cocycle
+    as a 3-band operator: M X = d/dt C_k((g exp(tX))^{-1}) at t = 0.
+
+    With h = g^{-1} site-wise, d/dt [(d_s h) h^{-1}] at site j is
+    q_j X_j - (X_{j+1} h_{j+1} - X_{j-1} h_{j-1}) h_j^{-1} / (2 ds),
+    q = (d_s h) h^{-1}; the bands take X from sites j - 1, j and j + 1.
+    """
+    lattice = loop_algebra.lattice
+    base = lattice.base
+    h, hinv = g.inv().matrix, g.matrix
+    eye = np.broadcast_to(np.eye(h.shape[-1]), h.shape)
+    q = loop.d_s(lattice, h) @ hinv
+
+    def side(o):
+        # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j
+        return -o / (2.0 * lattice.ds) * base.sandwich(
+            eye, np.roll(h, -o, axis=0) @ hinv)
+
+    coords = BlockOperator({0: base.sandwich(q, eye), 1: side(1),
+                            -1: side(-1)})
+    return k * (loop_algebra.pairing @ coords)
+
+
+def coboundary_differential_inv(algebra, mu0, g):
+    """The same derivative for the coboundary of mu0, as an operator:
+    column i is coad(e_i, C(g^{-1})) + hat(e_i)."""
+    c = group.GroupCocycle.coboundary(algebra, mu0)
+    return (algebra.bracket_form(c.value(g.inv())).T
+            + c.infinitesimal().matrix)
 
 
 def ambient_rk4_step(space, field, p, dt):

@@ -323,17 +323,17 @@ class TestFailureModes:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "algebra/jacobi" in failed
 
-    def test_cfl_violation_is_runtime_failure(self, tmp_path):
+    def test_cfl_violation_is_config_error(self, tmp_path):
         cfg = json.loads(open(cfg_path("loop_flow.json")).read())
         cfg["integrator"]["dt"] = 10.0
-        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 2
 
     def test_cfl_bound_reads_loop_level(self, tmp_path, capsys):
         # ds / k = 0.0039 < dt = 0.005 at the loop's level, the one level
         # of the lattice cocycle
         cfg = json.loads(open(cfg_path("loop_flow.json")).read())
         cfg["loop"]["level"] = 200
-        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 3
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "CFL" in err
 
@@ -344,6 +344,7 @@ class TestFailureModes:
         cfg = json.loads(open(cfg_path("loop_flow.json")).read())
         cfg["loop"]["sites"] = 32
         cfg["integrator"]["dt"] = 0.08
+        cfg["options"]["amplitude"] = 1.0
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "liedouble.cli", "loop", "--config",

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liedouble import group
-from liedouble.algebra import get_algebra
+from liedouble import group, loop
+from liedouble.algebra import TwoCocycle, get_algebra
 from liedouble.group import GroupCocycle, GroupPoint
+from oracles import coboundary_differential_inv, dense
 
 RNG = np.random.default_rng(991)
 
@@ -130,6 +131,19 @@ class TestAdjoint:
             group.adjoint(g.mul(h), x),
             group.adjoint(g, group.adjoint(h, x)), atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["so3-cotangent", "sl2c-iwasawa",
+                                      "loop"])
+    def test_pairing_invariance_as_operators(self, name):
+        # Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no solve
+        a = (loop.build_loop_double(SL2, 8) if name == "loop"
+             else get_algebra(name))
+        rng = np.random.default_rng(5150)
+        p = dense(a.pairing)
+        for _ in range(5):
+            adg = dense(group.random_point(a, rng).ad_matrix())
+            np.testing.assert_allclose(adg.T @ p @ adg, p, rtol=0,
+                                       atol=1e-12)
+
     def test_coadjoint_transpose(self):
         g = group.random_point(SO3, RNG)
         eta, x = RNG.standard_normal((2, 6))
@@ -250,6 +264,29 @@ class TestGroupCocycle:
             lhs = chat.eval(group.adjoint(g, x), group.adjoint(g, y))
             rhs = chat.eval(x, y) + c.value(g.inv()) @ SL2.bracket(x, y)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+    @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)
+    def test_pullback_matches_operator_oracle(self, a):
+        # differential_inv(g, delta) = M^T delta for the whole operator M
+        rng = np.random.default_rng(2718)
+        mu0 = rng.standard_normal(a.dim)
+        c = GroupCocycle.coboundary(a, mu0)
+        for _ in range(5):
+            g = group.random_point(a, rng)
+            delta = rng.standard_normal(a.dim)
+            want = dense(coboundary_differential_inv(a, mu0, g)).T @ delta
+            got = c.differential_inv(g, delta)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)
+    def test_zero_pullback(self, a):
+        rng = np.random.default_rng(2719)
+        g = group.random_point(a, rng)
+        delta = rng.standard_normal(a.dim)
+        want = dense(TwoCocycle.zero(a).matrix).T @ delta
+        np.testing.assert_array_equal(
+            GroupCocycle.zero(a).differential_inv(g, delta), want)
 
 
 class TestKernelCheck:

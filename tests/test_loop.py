@@ -6,8 +6,8 @@ import pytest
 from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra, is_character, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
-from liedouble.phase import PhaseSpace
-from oracles import dense, fiber_generator_direct
+from liedouble.phase import PhasePoint, PhaseSpace
+from oracles import dense, fiber_generator_direct, loop_differential_inv
 
 RNG = np.random.default_rng(9173)
 
@@ -213,7 +213,8 @@ class TestGroupCocycle:
 
     def test_exact_differential_at_inverse(self):
         g = group.exp(ALG, smooth_vec(ALG, RNG))
-        m = dense(CG.differential_inv(g))
+        # row j of M is the pullback of the unit covector e_j
+        m = np.array([CG.differential_inv(g, e) for e in np.eye(ALG.dim)])
         h = 1e-6
         worst = 0.0
         for i in RNG.choice(ALG.dim, 8, replace=False):
@@ -223,6 +224,15 @@ class TestGroupCocycle:
                   - CG.value(g.mul(group.exp(ALG, -e)).inv())) / (2 * h)
             worst = max(worst, np.abs(m[:, i] - fd).max())
         assert worst < 1e-8
+
+    def test_pullback_matches_operator_oracle(self):
+        rng = np.random.default_rng(4411)
+        for _ in range(3):
+            g = group.exp(ALG, smooth_vec(ALG, rng))
+            delta = rng.standard_normal(ALG.dim)
+            want = dense(loop_differential_inv(ALG, K, g)).T @ delta
+            got = CG.differential_inv(g, delta)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_one_cocycle_property_second_order_only(self):
         # the product identity is a convergence property, not exact
@@ -312,6 +322,28 @@ class TestLatticeDirac:
         assert closed == pytest.approx(oracle, abs=1e-7)
 
 
+class TestLoopEnergy:
+    @pytest.mark.parametrize("preset", ["isotropic", "skewed"])
+    def test_constant_loop_energy_is_the_base_energy(self, preset):
+        # every site carries the base double's involution, so on a constant
+        # loop the lattice Hamiltonian, a Riemann sum of one density, is
+        # the base double's Hamiltonian at every N
+        rng = np.random.default_rng(31)
+        x = BASE.project(0.3 * rng.standard_normal(BASE.dim), "plus")
+        eta = 0.5 * rng.standard_normal(BASE.dim)
+        want = dynamics.hamiltonian_quadratic(
+            PhaseSpace(BASE), EnergyOperator.preset(BASE, preset)).value(
+            PhasePoint(group.exp(BASE, x), eta))
+        for n in (8, 16, 32):
+            alg = loop.build_loop_double(BASE, n)
+            h = dynamics.hamiltonian_quadratic(
+                PhaseSpace(alg), EnergyOperator.preset(alg, preset))
+            # covectors carry the 1/N of the lattice pairing
+            p = PhasePoint(group.exp(alg, loop.constant_loop(alg, x)),
+                           loop.constant_loop(alg, eta) / n)
+            assert h.value(p) == pytest.approx(want, rel=1e-12)
+
+
 class TestFieldFlow:
     def test_cfl_guard(self):
         space = lattice_space()
@@ -322,6 +354,27 @@ class TestFieldFlow:
         bad = IntegratorConfig(2.0 * ALG.lattice.ds / K, 2)
         with pytest.raises(ValueError):
             loop.field_flow(space, h, p0, fiber, bad, K)
+
+    def test_step_calls_no_solve(self, monkeypatch):
+        # the restricted field applies operators to vectors: Ad_{g-}^{-1}
+        # and Ad_g^{-1} come from the ad-invariance of the pairing
+        space = lattice_space()
+        fiber = make_fiber(space)
+        e_op = EnergyOperator.preset(ALG, "isotropic")
+        h = dynamics.hamiltonian_quadratic(space, e_op)
+        p0 = space.random_fiber_point(fiber, np.random.default_rng(7), 0.2)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        tr = loop.field_flow(space, h, p0, fiber,
+                             IntegratorConfig(ALG.lattice.ds / (4 * K), 1), K)
+        assert len(tr.energies) == 2 and np.all(np.isfinite(tr.energies))
+        assert calls == []
 
     def test_energy_drift_fourth_order_and_fiber_frozen(self):
         space = lattice_space()
