@@ -138,10 +138,10 @@ def hamiltonian_quadratic(space, e_op):
     return Observable(fn, diff=diff, name="quadratic")
 
 
-def dirac_field(space, obs, p):
-    """The restricted (Dirac) field of obs, under the exchanging hypothesis."""
+def dirac_field(space, obs, p, fiber):
+    """The restricted (Dirac) field of obs on the fiber, if exchanging."""
     space.require_exchanging()
-    return space.restricted_field(space.differential(obs, p), p)
+    return space.restricted_field(space.differential(obs, p), p, fiber)
 
 
 class IntegratorConfig:
@@ -197,8 +197,8 @@ def _rkmk4_step(space, field, p, dt):
         xi, rho = field(q)
         return _dexpinv(a, v, xi), rho
 
-    # the first stage sits at p itself, whose adjoints and factors the
-    # energy and drift evaluations of the previous step have cached
+    # the first stage sits at p itself, whose adjoint the energy
+    # evaluation of the previous step has cached
     k1v, k1e = field(p)
     k2v, k2e = rate(0.5 * dt * k1v, p.eta + 0.5 * dt * k1e)
     k3v, k3e = rate(0.5 * dt * k2v, p.eta + 0.5 * dt * k2e)
@@ -218,6 +218,7 @@ def _integrate(space, field, obs, p0, cfg, fiber=None, step=_rkmk4_step):
         points.append(p)
         energies.append(obs.value(p))
         if fiber is not None:
+            # a step's one factorization; the field reads only the fiber's g-
             gm, em = space.fibration(p)
             drifts.append((np.abs(gm.matrix - fiber.g_minus.matrix).max(),
                            np.abs(em - fiber.eta_minus).max()))
@@ -241,7 +242,7 @@ def flow_fiber(space, obs, p0, fiber, cfg):
     space._require_on_fiber(p0, fiber)
 
     def field(p):
-        return dirac_field(space, obs, p)
+        return dirac_field(space, obs, p, fiber)
 
     return _integrate(space, field, obs, p0, cfg, fiber=fiber)
 
@@ -296,7 +297,7 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
         # the generator direction: first slot of L_h(J) for quadratic h
         x = p.g.ad_matrix() @ space.differential(obs, p).deltaF
         xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
-        xi, rho = dirac_field(space, obs, p)
+        xi, rho = dirac_field(space, obs, p, fiber)
         res_field = max(res_field, np.abs(xi - xi_gen).max(),
                         np.abs(rho - rho_gen).max())
         # extended coadjoint orbit equation for J along the flow

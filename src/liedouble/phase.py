@@ -6,7 +6,8 @@ dF the left-trivialized group-slot covector and deltaF the fiber-slot algebra
 vector; a bracket pairs a differential with a Hamiltonian field. The module
 provides the extended form omega_c and its field, the second-class
 constraint machinery over a frozen (g-, eta-), the one restricted field on
-those fibers (exact when c_hat exchanges the isotropic factors), and the
+those fibers (exact when c_hat exchanges the isotropic factors; it reads
+the fiber's dressed projector and never factorizes the point), and the
 momentum maps whose closure witnesses the restored left-translation
 symmetry on admissible fibers.
 """
@@ -41,13 +42,14 @@ class PhasePoint:
 
 
 class FiberSpec:
-    """The frozen pair (g-, eta-) selecting a constrained submanifold."""
+    """The frozen (g-, eta-) of a constrained submanifold, and Q of g-."""
 
-    def __init__(self, g_minus, eta_minus, cocycle=None):
+    def __init__(self, g_minus, eta_minus, projector, cocycle=None):
         self.g_minus = g_minus
         self.eta_minus = np.asarray(eta_minus, dtype=float)
         if not g_minus.member("minus"):
             raise ValueError("g_minus is not in the minus factor")
+        self.projector = projector
         # raises on support outside the dual of g-
         self.is_character = is_character(g_minus.algebra, self.eta_minus)
         self.in_kernel = (None if cocycle is None
@@ -129,7 +131,8 @@ class PhaseSpace:
         return p.g_minus(), self.algebra.project(p.eta, "minus")
 
     def fiber(self, g_minus, eta_minus):
-        return FiberSpec(g_minus, eta_minus, cocycle=self.C)
+        return FiberSpec(g_minus, eta_minus, self.dressed_projector(g_minus),
+                         cocycle=self.C)
 
     def on_fiber_distance(self, p, fiber):
         gm, em = self.fibration(p)
@@ -239,23 +242,18 @@ class PhaseSpace:
         if not self.exchanging:
             raise ValueError("cocycle does not exchange the isotropic factors")
 
-    def restricted_field(self, d, p):
-        """The Hamiltonian field of the restricted bracket, with no cocycle
-        term: xi = Q deltaF, rho = Q^T (coad_xi eta - dF), Q the dressed
-        projector of g-. Its factors are applied to vectors: with A = Ad_{g-},
-        xi = psi_bar(A^T P Pi_+ A deltaF), rho = A^T Pi_+ P A psi_bar(y)."""
-        a = self.algebra
-        adm = p.g_minus().ad_matrix()
-        xi = a.psi_bar(adm.T @ a.psi(a.project(adm @ d.deltaF, "plus")))
-        y = a.coad(xi, p.eta) - d.dF
-        rho = adm.T @ a.project(a.psi(adm @ a.psi_bar(y)), "plus")
-        return xi, rho
+    def restricted_field(self, d, p, fiber):
+        """The restricted bracket's field, no cocycle term: xi = Q deltaF,
+        rho = Q^T (coad_xi eta - dF), Q the fiber's dressed projector."""
+        q = fiber.projector
+        xi = q @ d.deltaF
+        return xi, (self.algebra.coad(xi, p.eta) - d.dF) @ q
 
-    def cocycle_traces(self, dF, dG, p):
-        """<C(g+^{-1}), [PF, PG]> + c(PF, PG) with P = Pi_+ Ad_{g-}: what
-        the restricted field leaves out of the bracket; 0 if exchanging."""
+    def cocycle_traces(self, dF, dG, p, fiber):
+        """<C(g+^{-1}), [PF, PG]> + c(PF, PG) with P = Pi_+ Ad_{g-} of the
+        fiber: what the restricted field leaves out of the bracket."""
         a = self.algebra
-        adm = p.g_minus().ad_matrix()
+        adm = fiber.g_minus.ad_matrix()
         pf = a.project(adm @ dF.deltaF, "plus")
         pg = a.project(adm @ dG.deltaF, "plus")
         return float(self.C.value(p.g_plus().inv()) @ a.bracket(pf, pg)
@@ -265,15 +263,15 @@ class PhaseSpace:
         """Closed-form restricted bracket on N(g-, eta-), for any cocycle."""
         self._require_on_fiber(p, fiber)
         dF, dG = self.differential(F, p), self.differential(G, p)
-        return (self.pair(dF, self.restricted_field(dG, p))
-                - self.cocycle_traces(dF, dG, p))
+        return (self.pair(dF, self.restricted_field(dG, p, fiber))
+                - self.cocycle_traces(dF, dG, p, fiber))
 
     def dirac_bracket_reduced(self, F, G, p, fiber):
         """The restricted bracket without the cocycle traces."""
         self.require_exchanging()
         self._require_on_fiber(p, fiber)
-        return self.pair(self.differential(F, p),
-                         self.restricted_field(self.differential(G, p), p))
+        return self.pair(self.differential(F, p), self.restricted_field(
+            self.differential(G, p), p, fiber))
 
     def dirac_oracle(self, F, G, p):
         """Generic second-class formula {F,G} - {F,phi} K^{-1} {phi,G}."""
@@ -325,7 +323,7 @@ class PhaseSpace:
         self.require_exchanging()
         self._require_on_fiber(p, fiber)
         return self.restricted_field(self.differential(self.momentum_fn(x), p),
-                                     p)
+                                     p, fiber)
 
     def group_action_d(self, h, p, fiber):
         """The finite fiber action integrating fiber_generator."""

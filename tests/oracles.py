@@ -6,9 +6,9 @@ constraint functions behind the constraint frame, the explicit inverse of
 the Dirac matrix, algebra coordinates through the matrix logarithm, dense
 matrices of site-blocked operators, the cocycle derivatives at the inverse
 point as whole operators, the ambient RK4 integrator, the energy
-eigenspaces as graphs, the full Hamiltonian vector field and the symmetry
-generator assembled from the factors of g. The library itself never calls
-them.
+eigenspaces as graphs, the full Hamiltonian vector field, and the
+restricted field and the symmetry generator assembled from the factors of
+g. The library itself never calls them.
 """
 
 import numpy as np
@@ -98,8 +98,8 @@ def ambient_flow_fiber(space, obs, p0, fiber, cfg):
     """dynamics.flow_fiber with the ambient RK4 step in place of RKMK4."""
     space._require_on_fiber(p0, fiber)
     return dynamics._integrate(
-        space, lambda p: dynamics.dirac_field(space, obs, p), obs, p0, cfg,
-        fiber=fiber, step=ambient_rk4_step)
+        space, lambda p: dynamics.dirac_field(space, obs, p, fiber), obs, p0,
+        cfg, fiber=fiber, step=ambient_rk4_step)
 
 
 def eigenspace_basis(e_op, g, sign):
@@ -117,6 +117,19 @@ def eigenspace_basis(e_op, g, sign):
 def ham_vf_full(space, F, p):
     """(g delta F, coad_{delta F} eta - g dF + Ad*_g c_hat(Ad_g delta F))."""
     return space.ham_vf_from_diff(space.differential(F, p), p)
+
+
+def restricted_field_at_point(space, d, p):
+    """The restricted field with the dressed projector of the point's own
+    g-, its factors applied to vectors: with A = Ad_{g-},
+    xi = psi_bar(A^T P Pi_+ A deltaF), rho = A^T Pi_+ P A psi_bar(y),
+    y = coad_xi eta - dF."""
+    a = space.algebra
+    adm = p.g_minus().ad_matrix()
+    xi = a.psi_bar(adm.T @ a.psi(a.project(adm @ d.deltaF, "plus")))
+    y = a.coad(xi, p.eta) - d.dF
+    rho = adm.T @ a.project(a.psi(adm @ a.psi_bar(y)), "plus")
+    return xi, rho
 
 
 def fiber_generator_direct(space, x, p):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from liedouble import dynamics, group
+from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
@@ -136,7 +136,7 @@ class TestDiracField:
         h = dynamics.hamiltonian_quadratic(space, e)
         for _ in range(3):
             p = space.random_fiber_point(fiber, RNG)
-            xi, rho = dynamics.dirac_field(space, h, p)
+            xi, rho = dynamics.dirac_field(space, h, p, fiber)
             m = RNG.standard_normal((6, 6))
             obs = fd_observable(lambda q: float(
                 log_coords(q.g) @ m @ q.eta + q.eta @ q.eta))
@@ -154,9 +154,65 @@ class TestExchangingHypothesis:
         h = dynamics.hamiltonian_quadratic(
             space, EnergyOperator.preset(SL2, "skewed"))
         with pytest.raises(ValueError, match="exchange"):
-            dynamics.dirac_field(space, h, p)
+            dynamics.dirac_field(space, h, p, fiber)
         with pytest.raises(ValueError, match="exchange"):
             dynamics.flow_fiber(space, h, p, fiber, IntegratorConfig(0.01, 2))
+
+
+class TestFiberFlowCost:
+    """A fiber flow reads its fiber's dressed projector: the one
+    factorization of a step is the drift diagnostic at its end point."""
+
+    @pytest.mark.parametrize("double", ["base", "loop"])
+    def test_step_factorizes_once(self, double, monkeypatch):
+        b1 = np.eye(6)[3]
+        if double == "base":
+            space = SPACE_SL2
+            gm, em = group.exp(SL2, 0.3 * b1), 0.7 * b1
+        else:
+            alg = loop.build_loop_double(SL2, 8)
+            space = PhaseSpace(alg, loop.loop_group_cocycle(alg, 0.6))
+            gm = group.exp(alg, 0.3 * loop.constant_loop(alg, b1))
+            em = loop.constant_loop(alg, 0.5 / 8 * b1)
+        a = space.algebra
+        calls = {"factorizer": 0, "dressed_projector": 0, "ad_builds": 0}
+        factorizer = a.factorizer
+        dressed_projector = PhaseSpace.dressed_projector
+        ad_matrix = group.GroupPoint.ad_matrix
+
+        def counted_factorizer(m):
+            calls["factorizer"] += 1
+            return factorizer(m)
+
+        def counted_projector(self, g_minus):
+            calls["dressed_projector"] += 1
+            return dressed_projector(self, g_minus)
+
+        def counted_ad(self):
+            calls["ad_builds"] += self._ad is None
+            return ad_matrix(self)
+
+        monkeypatch.setattr(a, "factorizer", counted_factorizer)
+        monkeypatch.setattr(PhaseSpace, "dressed_projector", counted_projector)
+        monkeypatch.setattr(group.GroupPoint, "ad_matrix", counted_ad)
+        fiber = space.fiber(gm, em)
+        assert calls["dressed_projector"] == 1
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(a, "isotropic"))
+        p0 = space.random_fiber_point(fiber, np.random.default_rng(61), 0.3)
+        # the flow's on-fiber check factorizes p0 and its first energy
+        # evaluation builds Ad of p0; both happen here, before counting
+        space.on_fiber_distance(p0, fiber)
+        h.value(p0)
+        calls.update(factorizer=0, ad_builds=0)
+        steps = 3
+        tr = dynamics.flow_fiber(space, h, p0, fiber,
+                                 IntegratorConfig(0.01, steps))
+        # per step: one factorization, of the end point; one adjoint per
+        # new stage point and one for the end point, none of a g-
+        assert calls == {"factorizer": steps, "dressed_projector": 1,
+                         "ad_builds": 4 * steps}
+        assert tr.extras["drift_gminus"].max() < 1e-10
 
 
 class TestRigidBody:

@@ -7,7 +7,8 @@ from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra, is_character, validate_manin
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import PhasePoint, PhaseSpace
-from oracles import dense, fiber_generator_direct, loop_differential_inv
+from oracles import (dense, fiber_generator_direct, loop_differential_inv,
+                     restricted_field_at_point)
 
 RNG = np.random.default_rng(9173)
 
@@ -281,7 +282,7 @@ class TestLatticeDirac:
             diff = (space.dirac_bracket_reduced(f, g, p, fiber)
                     - space.dirac_bracket(f, g, p, fiber))
             traces = space.cocycle_traces(space.differential(f, p),
-                                          space.differential(g, p), p)
+                                          space.differential(g, p), p, fiber)
             assert abs(diff - traces) <= 1e-12
 
     def test_generator_matches_direct_formula(self):
@@ -294,6 +295,24 @@ class TestLatticeDirac:
         xi_o, rho_o = fiber_generator_direct(space, x, p)
         np.testing.assert_allclose(xi, xi_o, rtol=0, atol=1e-13)
         np.testing.assert_allclose(rho, rho_o, rtol=0, atol=1e-13)
+
+    def test_fiber_projector_matches_point_formula(self):
+        # the fiber's Q against the factors of each point's own g-
+        space = lattice_space()
+        fiber = make_fiber(space)
+        q = fiber.projector
+        assert (q @ q - q).max_abs() <= 1e-12
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(ALG, "isotropic"))
+        rng = np.random.default_rng(520)
+        for _ in range(3):
+            p = space.random_fiber_point(fiber, rng, 0.3)
+            for obs in (h, space.momentum_fn(smooth_vec(ALG, rng))):
+                d = space.differential(obs, p)
+                for got, want in zip(space.restricted_field(d, p, fiber),
+                                     restricted_field_at_point(space, d, p)):
+                    assert (np.abs(got - want).max()
+                            <= 1e-13 * np.abs(want).max())
 
     def test_dirac_omega_matches_pairwise_brackets(self):
         # explicit formula, one bracket per pair of frame covectors

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from liedouble import group
+from liedouble import dynamics, group
 from liedouble.algebra import get_algebra
 from liedouble.group import GroupCocycle
 from liedouble.phase import Observable, PhasePoint, PhaseSpace
 from oracles import (constraint_observables, dirac_matrix_inverse,
                      fd_differential, fd_observable, fiber_generator_direct,
-                     ham_vf_full, log_coords)
+                     ham_vf_full, log_coords, restricted_field_at_point)
 
 RNG = np.random.default_rng(4157)
 
@@ -241,7 +241,7 @@ class TestRestrictedField:
             diff = (space.dirac_bracket_reduced(F, G, p, fiber)
                     - space.dirac_bracket(F, G, p, fiber))
             traces = space.cocycle_traces(space.differential(F, p),
-                                          space.differential(G, p), p)
+                                          space.differential(G, p), p, fiber)
             assert abs(diff - traces) <= 1e-12
             # and they vanish: the paper's hypothesis holds on both doubles
             assert abs(traces) <= 1e-12
@@ -254,11 +254,29 @@ class TestRestrictedField:
         p = space.random_fiber_point(fiber, rng)
         F, G = (space.momentum_fn(x) for x in rng.standard_normal((2, 6)))
         dF, dG = space.differential(F, p), space.differential(G, p)
-        traces = space.cocycle_traces(dF, dG, p)
+        traces = space.cocycle_traces(dF, dG, p, fiber)
         assert abs(traces) > 1e-3
         assert space.dirac_bracket(F, G, p, fiber) == pytest.approx(
-            space.pair(dF, space.restricted_field(dG, p)) - traces,
+            space.pair(dF, space.restricted_field(dG, p, fiber)) - traces,
             abs=1e-12)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_fiber_projector_matches_point_formula(self, space):
+        # the fiber's Q against the factors of each point's own g-
+        rng = np.random.default_rng(45)
+        fiber = make_fiber(space, rng)
+        q = fiber.projector
+        assert (q @ q - q).max_abs() <= 1e-12
+        h = dynamics.hamiltonian_quadratic(
+            space, dynamics.EnergyOperator.preset(space.algebra, "skewed"))
+        for _ in range(3):
+            p = space.random_fiber_point(fiber, rng)
+            for obs in (h, space.momentum_fn(rng.standard_normal(6))):
+                d = space.differential(obs, p)
+                for got, want in zip(space.restricted_field(d, p, fiber),
+                                     restricted_field_at_point(space, d, p)):
+                    assert (np.abs(got - want).max()
+                            <= 1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("space", SPACES)
     def test_generator_matches_direct_formula(self, space):
