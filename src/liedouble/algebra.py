@@ -11,7 +11,11 @@ and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the base
 double on N sites. Coordinates are site-major, the bracket is the per-site
 structure-constant tensor applied at every site, and ``ad``,
 ``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s. The
-built-in doubles carry a factorizer and a closed-form exponential.
+built-in doubles carry a factorizer and a closed-form exponential, whose
+scalars are closed forms too; a series remains only where
+(sinh(s)/s - 1)/s^2 cancels near zero. With a matrix representation,
+``sandwich``, the kernel of the group adjoint, is one real matmul against
+a tensor built once from the basis matrices and their dual basis.
 """
 
 import json
@@ -77,6 +81,7 @@ class BasisAlgebra:
             if np.iscomplexobj(mats):
                 flat = np.hstack([flat.real, flat.imag])
             self._dual_basis = np.linalg.pinv(flat.T).T
+            self._sandwich_tensor = _sandwich_tensor(mats, self._dual_basis)
             self.identity_matrix = np.broadcast_to(
                 np.eye(mats.shape[1], dtype=mats.dtype),
                 self._site_axes + mats.shape[1:]).copy()
@@ -210,13 +215,32 @@ class BasisAlgebra:
         return v.real @ self._dual_basis
 
     def sandwich(self, left, right):
-        """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks,
-        from the row-major identity vec(A E B) = kron(A, B^T) vec(E)."""
-        m = self.basis_matrices.shape[-1]
-        kron = np.einsum("jab,jcd->jadbc", left, right).reshape(-1, m * m,
-                                                                 m * m)
-        cols = kron @ self.basis_matrices.reshape(self.site_dim, m * m).T
-        return self._coords(cols.swapaxes(1, 2)).swapaxes(1, 2)
+        """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks:
+        the products left_ab right_cd, the entries of kron(left, right^T),
+        contracted with the algebra's one real tensor (real and imaginary
+        parts side by side for a complex representation)."""
+        kron = (left[:, :, :, None, None] * right[:, None, None]).reshape(
+            len(left), -1)
+        if np.iscomplexobj(self.basis_matrices):
+            kron = kron.astype(complex, copy=False).view(float)
+        return (kron @ self._sandwich_tensor).reshape(
+            -1, self.site_dim, self.site_dim)
+
+
+def _sandwich_tensor(mats, dual_basis):
+    """The (m^4, d^2) tensor, (2 m^4, d^2) for complex basis matrices, of
+    ``BasisAlgebra.sandwich``: coordinate k of A E_i B is
+    Re sum_abcd A_ab B_cd (E_i)_bc conj(D_k)_ad, with D the dual basis
+    (its real rows, then its imaginary rows, for a complex basis)."""
+    d, m = mats.shape[0], mats.shape[-1]
+    if np.iscomplexobj(mats):
+        dual_basis = dual_basis[:m * m] - 1j * dual_basis[m * m:]
+    w = np.einsum("ibc,adk->abcdki", mats,
+                  dual_basis.reshape(m, m, d)).reshape(m ** 4, d * d)
+    if not np.iscomplexobj(mats):
+        return w
+    # the interleaved (Re, Im) of a complex kron pairs with (Re w, -Im w)
+    return np.stack([w.real, -w.imag], axis=1).reshape(2 * m ** 4, d * d)
 
 
 class TwoCocycle:
@@ -357,26 +381,33 @@ def _so3_cotangent():
         factorizer=_so3_factorize, exponential=_so3_exp)
 
 
+# the Taylor coefficients of (sinh(s)/s - 1)/s^2 in s^2, highest first
+_SINHC_REMAINDER = [1.0 / math.factorial(2 * k + 3)
+                    for k in range(9, -1, -1)]
+
+
 def _cosh_sinhc(s2, remainders=False):
     """(cosh s, sinh(s)/s) from s^2, optionally with (cosh s - 1)/s^2 and
-    (sinh(s)/s - 1)/s^2. For |s^2| < 1, exactly so at s = 0, they are the
-    series sum_k s2^k / (2k + m)! with m = 0, 1, 2, 3."""
-    big = np.abs(s2) >= 1.0
-    small = np.where(big, 0.0, s2)
-    f = []
-    for m in range(4 if remainders else 2):
-        f.append(np.zeros_like(small))
-        for k in range(9, -1, -1):
-            f[m] = f[m] * small + 1.0 / math.factorial(2 * k + m)
-    if not big.any():
-        return f
-    s2_big = np.where(big, s2, 1.0)
-    s = np.emath.sqrt(s2_big)
-    direct = [np.cosh(s), np.sinh(s) / s]
+    (sinh(s)/s - 1)/s^2; all are even in s, so the root's sign does not
+    matter. The first three are closed forms: sinh(s)/s is 1 exactly at
+    s = 0, and (cosh s - 1)/s^2 = sinhc(s/2)^2 / 2 does not cancel. The
+    last cancels near zero, where |s^2| < 1 sums its Taylor series."""
+    s = np.sqrt(np.asarray(s2, dtype=complex))
+    zero = s == 0
+
+    def sinhc(z):
+        return np.where(zero, 1.0, np.sinh(z) / np.where(zero, 1.0, z))
+
+    out = [np.cosh(s), sinhc(s)]
+    if remainders:
+        near = np.abs(s2) < 1.0
+        out += [0.5 * sinhc(0.5 * s) ** 2,
+                np.where(near, np.polyval(_SINHC_REMAINDER,
+                                          np.where(near, s2, 0.0)),
+                         (out[1] - 1.0) / np.where(near, 1.0, s2))]
     if not np.iscomplexobj(s2):
-        direct = [d.real for d in direct]  # s^2 < 0 is a real angle, s = i t
-    direct += [(d - 1.0) / s2_big for d in direct]
-    return [np.where(big, d, fm) for d, fm in zip(direct, f)]
+        out = [f.real for f in out]  # s^2 < 0 is a real angle, s = i t
+    return out
 
 
 def _so3_exp(m):

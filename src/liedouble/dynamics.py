@@ -113,9 +113,12 @@ def hamiltonian_quadratic(space, e_op):
 
     With v = Ad_g u, H = (1/2) v.(P E) v and E_g u = psi_bar(Ad_g^T (P E) v),
     so the Hamiltonian applies operators to vectors and solves nothing.
+    (u, v) is kept for the last point, which a flow step's end-point
+    energy and the next step's first stage share.
     """
     a = space.algebra
 
+    @grouplib._memo_last
     def carrier(p):
         u = a.psi_bar(p.eta - space.C.value(p.g.inv()))
         return u, p.g.ad_matrix() @ u

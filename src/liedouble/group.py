@@ -8,7 +8,9 @@ The exponential and the factorization are the algebra's hooks on (N, m, m)
 stacks, and Ad_g is a block-diagonal ``BlockOperator``. The pairing P is
 ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
 solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
-is ``g`` itself.
+is ``g`` itself. What a cocycle's value at g^{-1} and its derivative at g
+share (the coboundary's C(g^{-1}), the lattice log-derivative) is kept
+for the last point that asked, so an RKMK4 stage point computes it once.
 """
 
 import weakref
@@ -86,6 +88,22 @@ class GroupPoint:
         return all(pred(mj, tol) for mj in sites)
 
 
+def _memo_last(fn):
+    """fn of a point, kept for the last point it saw. The memo holds that
+    point, so the identity test never meets a recycled object, and makes
+    the kept arrays read-only, so no caller edits them in place."""
+    last = [None, None]
+
+    def memo(point):
+        if last[0] is not point:
+            out = fn(point)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+            last[:] = point, out
+        return last[1]
+    return memo
+
+
 def identity(algebra):
     return GroupPoint(algebra, algebra.identity_matrix.copy())
 
@@ -129,6 +147,7 @@ class GroupCocycle:
         mu0 = np.asarray(mu0, dtype=float)
         c2 = TwoCocycle.coboundary(algebra, mu0)
 
+        @_memo_last
         def value(g):
             # C(g) = mu0 - Ad*_{g^{-1}} mu0; this sign makes the 1-cocycle
             # property exact and -dC|_e equal to the hat of the 2-cocycle

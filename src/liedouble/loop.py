@@ -72,9 +72,15 @@ def loop_group_cocycle(loop_algebra, k):
     """C_k(l) = k psi((d_s l) l^{-1}) evaluated site-wise."""
     lattice = loop_algebra.lattice
 
+    @grouplib._memo_last
+    def log_derivative(h):
+        # q = (d_s h) h^{-1}, which the value at h and the derivative at
+        # h^{-1} share
+        return d_s(lattice, h.matrix) @ h.inv().matrix
+
     def value(g):
         return k * loop_algebra.psi(loop_algebra.mat_to_vec(
-            d_s(lattice, g.matrix) @ g.inv().matrix))
+            log_derivative(g)))
 
     def differential_inv(g, delta):
         # Pullback of delta through the exact d/dt C_k((g exp(tX))^{-1}) of
@@ -86,8 +92,8 @@ def loop_group_cocycle(loop_algebra, k):
         # central difference is antisymmetric, -Re sum w * (d_s(X h) h^{-1})
         # pulls back to d_s(w h^{-T}) h^T; the sum is read off against the
         # basis matrices.
+        q = log_derivative(g.inv())
         h, hinv = g.inv().matrix, g.matrix
-        q = d_s(lattice, h) @ hinv
         w = loop_algebra.mat_to_vec_transpose(k * loop_algebra.psi(delta))
         pulled = (q.swapaxes(1, 2) @ w
                   + d_s(lattice, w @ hinv.swapaxes(1, 2)) @ h.swapaxes(1, 2))

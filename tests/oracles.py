@@ -6,10 +6,13 @@ constraint functions behind the constraint frame, the explicit inverse of
 the Dirac matrix, algebra coordinates through the matrix logarithm, dense
 matrices of site-blocked operators, the cocycle derivatives at the inverse
 point as whole operators, the ambient RK4 integrator, the energy
-eigenspaces as graphs, the full Hamiltonian vector field, and the
-restricted field and the symmetry generator assembled from the factors of
-g. The library itself never calls them.
+eigenspaces as graphs, the full Hamiltonian vector field, the restricted
+field and the symmetry generator assembled from the factors of g, the
+exponential's scalar functions as Taylor series, and the adjoint sandwich
+through the Kronecker product. The library itself never calls them.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +43,40 @@ def dense(op):
     """
     return sum(_block_diag(np.roll(b, o, axis=0), -o)
                for o, b in op.bands.items())
+
+
+def cosh_sinhc_series(s2, remainders=False):
+    """(cosh s, sinh(s)/s) from s^2, optionally with (cosh s - 1)/s^2 and
+    (sinh(s)/s - 1)/s^2. For |s^2| < 1, exactly so at s = 0, they are the
+    series sum_k s2^k / (2k + m)! with m = 0, 1, 2, 3 by Horner's rule;
+    beyond, the direct quotients."""
+    big = np.abs(s2) >= 1.0
+    small = np.where(big, 0.0, s2)
+    f = []
+    for m in range(4 if remainders else 2):
+        f.append(np.zeros_like(small))
+        for k in range(9, -1, -1):
+            f[m] = f[m] * small + 1.0 / math.factorial(2 * k + m)
+    if not big.any():
+        return f
+    s2_big = np.where(big, s2, 1.0)
+    s = np.emath.sqrt(s2_big)
+    direct = [np.cosh(s), np.sinh(s) / s]
+    if not np.iscomplexobj(s2):
+        direct = [d.real for d in direct]  # s^2 < 0 is a real angle, s = i t
+    direct += [(d - 1.0) / s2_big for d in direct]
+    return [np.where(big, d, fm) for d, fm in zip(direct, f)]
+
+
+def sandwich_kron(algebra, left, right):
+    """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks, from
+    the row-major identity vec(A E B) = kron(A, B^T) vec(E), each image
+    read off by the algebra's coordinates of flattened matrices."""
+    m = algebra.basis_matrices.shape[-1]
+    kron = np.einsum("jab,jcd->jadbc", left, right).reshape(-1, m * m,
+                                                             m * m)
+    cols = kron @ algebra.basis_matrices.reshape(algebra.site_dim, m * m).T
+    return algebra._coords(cols.swapaxes(1, 2)).swapaxes(1, 2)
 
 
 def loop_differential_inv(loop_algebra, k, g):

@@ -161,19 +161,30 @@ class TestExchangingHypothesis:
 
 class TestFiberFlowCost:
     """A fiber flow reads its fiber's dressed projector: the one
-    factorization of a step is the drift diagnostic at its end point."""
+    factorization of a step is the drift diagnostic at its end point. Each
+    new point's carrier and cocycle data are computed once."""
+
+    @staticmethod
+    def make_space(double):
+        """A fresh cocycle maker, its phase space and a fiber's (g-, eta-)."""
+        b1 = np.eye(6)[3]
+        if double == "base":
+            def cocycle():
+                return GroupCocycle.coboundary(SL2, MU0_SL2)
+            gm, em = group.exp(SL2, 0.3 * b1), 0.7 * b1
+            alg = SL2
+        else:
+            alg = loop.build_loop_double(SL2, 8)
+
+            def cocycle():
+                return loop.loop_group_cocycle(alg, 0.6)
+            gm = group.exp(alg, 0.3 * loop.constant_loop(alg, b1))
+            em = loop.constant_loop(alg, 0.5 / 8 * b1)
+        return cocycle, PhaseSpace(alg, cocycle()), gm, em
 
     @pytest.mark.parametrize("double", ["base", "loop"])
     def test_step_factorizes_once(self, double, monkeypatch):
-        b1 = np.eye(6)[3]
-        if double == "base":
-            space = SPACE_SL2
-            gm, em = group.exp(SL2, 0.3 * b1), 0.7 * b1
-        else:
-            alg = loop.build_loop_double(SL2, 8)
-            space = PhaseSpace(alg, loop.loop_group_cocycle(alg, 0.6))
-            gm = group.exp(alg, 0.3 * loop.constant_loop(alg, b1))
-            em = loop.constant_loop(alg, 0.5 / 8 * b1)
+        _, space, gm, em = self.make_space(double)
         a = space.algebra
         calls = {"factorizer": 0, "dressed_projector": 0, "ad_builds": 0}
         factorizer = a.factorizer
@@ -213,6 +224,71 @@ class TestFiberFlowCost:
         assert calls == {"factorizer": steps, "dressed_projector": 1,
                          "ad_builds": 4 * steps}
         assert tr.extras["drift_gminus"].max() < 1e-10
+
+    @pytest.mark.parametrize("double", ["base", "loop"])
+    def test_cocycle_data_once_per_point(self, double, monkeypatch):
+        _, space, gm, em = self.make_space(double)
+        fiber = space.fiber(gm, em)
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(space.algebra, "isotropic"))
+        p0 = space.random_fiber_point(fiber, np.random.default_rng(61), 0.3)
+        space.on_fiber_distance(p0, fiber)
+        h.value(p0)
+        calls = dict.fromkeys(["value", "differential_inv", "d_s",
+                               "coadjoint_star"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for owner, name in [(GroupCocycle, "value"),
+                            (GroupCocycle, "differential_inv"),
+                            (loop, "d_s"), (group, "coadjoint_star")]:
+            monkeypatch.setattr(owner, name,
+                                counted(name, getattr(owner, name)))
+        steps = 3
+        dynamics.flow_fiber(space, h, p0, fiber, IntegratorConfig(0.01, steps))
+        # the coboundary's C(g^{-1}) = mu0 - Ad*_g mu0 is one coadjoint_star;
+        # the lattice q = (d_s h) h^{-1} is one d_s beyond the one through
+        # which each differential_inv pulls its covector back
+        builds = (calls["coadjoint_star"] if double == "base"
+                  else calls["d_s"] - calls["differential_inv"])
+        # per step, one value and one build at each new point: three stage
+        # points and the end point, whose carrier the next step reads
+        assert calls["value"] == 4 * steps
+        assert calls["differential_inv"] == 4 * steps
+        assert builds == 4 * steps
+
+    @pytest.mark.parametrize("double", ["base", "loop"])
+    def test_memos_serve_their_own_point(self, double):
+        cocycle, space, gm, em = self.make_space(double)
+        a = space.algebra
+        fiber = space.fiber(gm, em)
+        rng = np.random.default_rng(62)
+        p1, p2 = (space.random_fiber_point(fiber, rng, 0.3) for _ in "12")
+        # neighbours share g or eta, and points built and dropped on the
+        # way may reuse a dropped point's memory
+        points = [p1, PhasePoint(p1.g, p2.eta), p2, PhasePoint(p2.g, p1.eta)]
+        points = points * 2 + points[::-1] + [None] * 4
+        e_op = EnergyOperator.preset(a, "skewed")
+        h = dynamics.hamiltonian_quadratic(space, e_op)
+        delta = rng.standard_normal(a.dim)
+        for p in points:
+            p = p or space.random_fiber_point(fiber, rng, 0.3)
+            fresh_c = cocycle()
+            fresh_h = dynamics.hamiltonian_quadratic(PhaseSpace(a, fresh_c),
+                                                     e_op)
+            d, d_ref = (obs.analytic_differential(p) for obs in (h, fresh_h))
+            assert h.value(p) == fresh_h.value(p)
+            np.testing.assert_array_equal(d.dF, d_ref.dF)
+            np.testing.assert_array_equal(d.deltaF, d_ref.deltaF)
+            np.testing.assert_array_equal(space.C.value(p.g.inv()),
+                                          fresh_c.value(p.g.inv()))
+            np.testing.assert_array_equal(
+                space.C.differential_inv(p.g, delta),
+                fresh_c.differential_inv(p.g, delta))
 
 
 class TestRigidBody:

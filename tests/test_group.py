@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from liedouble import group, loop
-from liedouble.algebra import TwoCocycle, get_algebra
+from liedouble.algebra import TwoCocycle, _cosh_sinhc, get_algebra
 from liedouble.group import GroupCocycle, GroupPoint
-from oracles import coboundary_differential_inv, dense
+from oracles import (coboundary_differential_inv, cosh_sinhc_series,
+                     dense, sandwich_kron)
 
 RNG = np.random.default_rng(991)
 
@@ -99,6 +100,27 @@ class TestClosedFormExp:
                                                 keepdims=True)
         self.check(SO3, coords)
 
+    # s^2 at 0, at +-1e-12 ... +-10 and on both sides of |s^2| = 1, where
+    # the series of the last remainder hands over to the quotient
+    MAGNITUDES = [1e-12, 1e-9, 1e-6, 1e-3, 0.25, 0.5, 1 - 1e-9, 1.0,
+                  1 + 1e-9, 2.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_scalars_match_series_oracle(self, kind):
+        r = np.array([0.0] + self.MAGNITUDES)
+        if kind == "real":
+            s2 = np.concatenate([r, -r])
+        else:
+            phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, 13))
+            s2 = (r[:, None] * phases).ravel()
+        got = _cosh_sinhc(s2, remainders=True)
+        ref = cosh_sinhc_series(s2, remainders=True)
+        assert all(f.dtype == s2.dtype for f in got)
+        for f, f_ref, rtol in zip(got, ref, [1e-15, 1e-15, 1e-15, 1e-14]):
+            assert (np.abs(f - f_ref) <= rtol * np.abs(f_ref)).all()
+        # exact at s = 0
+        assert [f[0] for f in got] == [1.0, 1.0, 0.5, 1.0 / 6.0]
+
     def test_loop_stack(self):
         # a lattice point exponentiates site by site
         from liedouble import loop
@@ -143,6 +165,23 @@ class TestAdjoint:
             adg = dense(group.random_point(a, rng).ad_matrix())
             np.testing.assert_allclose(adg.T @ p @ adg, p, rtol=0,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [1, 8])
+    @pytest.mark.parametrize("name", ["so3-cotangent", "sl2c-iwasawa"])
+    def test_sandwich_matches_kron_oracle(self, name, n_sites):
+        base = get_algebra(name)
+        a = base if n_sites == 1 else loop.build_loop_double(base, n_sites)
+        rng = np.random.default_rng(5151)
+        m = base.basis_matrices.shape[-1]
+        g = group.random_point(a, rng).matrix.reshape(-1, m, m)
+        # the adjoint's pair, and the loop cocycle's pairs with an identity
+        eye = np.broadcast_to(np.eye(m), g.shape)
+        for left, right in [(g, np.linalg.inv(g)), (g @ g, eye), (eye, g)]:
+            got = a.sandwich(left, right)
+            ref = sandwich_kron(a, left, right)
+            assert got.shape == (len(g), base.dim, base.dim)
+            assert np.abs(got - ref).max() <= 1e-14 * max(
+                1.0, np.abs(ref).max())
 
     def test_coadjoint_transpose(self):
         g = group.random_point(SO3, RNG)
