@@ -4,7 +4,7 @@ Band o of an operator on N sites of d coordinates holds (N, d, d) blocks
 coupling site j to site j + o (mod N): (A x)_j = sum_o A_o[j] x_{j+o}.
 Algebra operators are block diagonal, the loop cocycle's hat adds the
 bands +-1 of the central difference, and a base double is N = 1.
-Products, transposes and solves cost O(N d^3).
+Products and transposes cost O(N d^3).
 """
 
 import numpy as np
@@ -22,8 +22,7 @@ def shift(blocks, o):
 class BlockOperator:
     """{offset: (N, d, d) blocks}, or (offset, blocks) pairs, which are
     summed per offset mod N. Supports ``A @ x`` and ``x @ A`` for vectors
-    and stacks of them, ``A @ B``, ``A.T``, sums, scalar multiples and
-    ``solve`` for block-diagonal A."""
+    and stacks of them, ``A @ B``, ``A.T``, sums and scalar multiples."""
 
     __array_ufunc__ = None  # ndarray @ operator defers to __rmatmul__
 
@@ -78,17 +77,6 @@ class BlockOperator:
 
     def __sub__(self, other):
         return self + -other
-
-    def solve(self, rhs):
-        """A^{-1} rhs site by site, for a vector or operator rhs."""
-        if set(self.bands) != {0}:
-            raise ValueError("solve needs a block-diagonal operator")
-        if isinstance(rhs, BlockOperator):
-            return BlockOperator({o: np.linalg.solve(self.blocks, b)
-                                  for o, b in rhs.bands.items()})
-        rhs = np.asarray(rhs, dtype=float)
-        return np.linalg.solve(self.blocks, rhs.reshape(
-            self.n_sites, self.site_dim, -1)).reshape(rhs.shape)
 
     def restrict(self, rows, cols):
         """The operator of the (rows, cols) sub-blocks of every block."""

@@ -390,6 +390,12 @@ def cmd_flow(sc):
 
 def cmd_collective(sc):
     fiber = sc.restricted_fiber()
+    # the fiber action that witnesses collectivity needs an admissible fiber
+    if not fiber.is_character:
+        raise ConfigError("fiber: eta_minus must be a character of g-")
+    if not fiber.in_kernel:
+        raise ConfigError("fiber: g_minus must lie in the kernel of the "
+                          "cocycle")
     p0 = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     rows = []
     results = []
@@ -410,7 +416,7 @@ def cmd_collective(sc):
 
 
 def cmd_legendre(sc):
-    fiber = sc.require_fiber()
+    fiber = sc.restricted_fiber()
     points = sc.options.get("points", 10)
     worst_round = 0.0
     worst_routes = 0.0

@@ -3,7 +3,8 @@
 The quadratic Hamiltonians are built from an involutive energy operator E on
 the double (E^2 = 1, symmetric for the ad-invariant pairing), composed with
 the extended momentum map. Fiber flows follow PhaseSpace.restricted_field,
-so they need its hypothesis. Flows are integrated with a 4th-order
+so they need its hypothesis, and so does the Legendre map, which is that
+field's g+ velocity. Flows are integrated with a 4th-order
 Runge-Kutta-Munthe-Kaas scheme that keeps the group slot on the group.
 """
 
@@ -250,32 +251,37 @@ def flow_fiber(space, obs, p0, fiber, cfg):
     return _integrate(space, field, obs, p0, cfg, fiber=fiber)
 
 
+def _carrier(space, g_plus, eta_minus):
+    """v = psi_bar(C(g+^{-1}) - eta-), the g+ vector sourcing the twist
+    terms of the Legendre map and of the Lagrangian."""
+    return space.algebra.psi_bar(space.C.value(g_plus.inv()) - eta_minus)
+
+
 def legendre_map(space, e_op, p, fiber):
-    """Fiber momentum to velocity: returns g+^{-1} d/dt g+ as coordinates."""
+    """Fiber momentum to velocity: g+^{-1} d/dt g+ as coordinates.
+
+    It is the g+ velocity of the restricted quadratic flow,
+    Ad_{g-} xi = Pi_+ Ad_{g-} deltaH, since Ad_{g-} Q = Pi_+ Ad_{g-} for
+    the fiber's dressed projector Q; so it needs the restricted field's
+    hypothesis.
+    """
+    space.require_exchanging()
     space._require_on_fiber(p, fiber)
-    a = space.algebra
-    gp, gm = p.g.factors()
-    eta_plus = p.eta - fiber.eta_minus
-    gg, bb = e_op.blocks_at(gp)
-    lhs = a.psi_bar(grouplib.coadjoint_star(gm.inv(), eta_plus))
-    em_vec = a.psi_bar(fiber.eta_minus)
-    rhs_known = (-bb @ a.psi_bar(space.C.value(gp.inv()))
-                 + bb @ em_vec - a.project(gm.ad_matrix() @ em_vec, "minus"))
-    # G_g maps g+ onto g- site by site; solve its (minus, plus) blocks
-    gdot = np.zeros(a.dim)
-    gdot[a.plus_indices] = gg.restrict(a.site_minus, a.site_plus).solve(
-        (lhs - rhs_known)[a.minus_indices])
-    return gdot
+    delta = space.differential(hamiltonian_quadratic(space, e_op), p).deltaF
+    return space.algebra.project(fiber.g_minus.ad_matrix() @ delta, "plus")
 
 
 def legendre_inverse(space, e_op, g_plus, gdot, fiber):
-    """Velocity to fiber momentum: the point (g+ g-, eta) with matching g+dot."""
+    """Velocity to fiber momentum: the point (g+ g-, eta) with matching g+dot.
+
+    On an admissible fiber (eta- a character of g-, g- in the cocycle's
+    kernel) it inverts legendre_map.
+    """
     a = space.algebra
     gm = fiber.g_minus
     gg, bb = e_op.blocks_at(g_plus)
-    em_vec = a.psi_bar(fiber.eta_minus)
-    val = (gg @ gdot - bb @ a.psi_bar(space.C.value(g_plus.inv()))
-           + bb @ em_vec - a.project(gm.ad_matrix() @ em_vec, "minus"))
+    val = (gg @ gdot - bb @ _carrier(space, g_plus, fiber.eta_minus)
+           - a.project(gm.ad_matrix() @ a.psi_bar(fiber.eta_minus), "minus"))
     eta_plus = grouplib.coadjoint_star(gm, a.psi(val))
     return space.fiber_point(fiber, g_plus, eta_plus)
 

@@ -44,7 +44,7 @@ class PhasePoint:
 class FiberSpec:
     """The frozen (g-, eta-) of a constrained submanifold, and Q of g-."""
 
-    def __init__(self, g_minus, eta_minus, projector, cocycle=None):
+    def __init__(self, g_minus, eta_minus, projector, cocycle):
         self.g_minus = g_minus
         self.eta_minus = np.asarray(eta_minus, dtype=float)
         if not g_minus.member("minus"):
@@ -52,8 +52,7 @@ class FiberSpec:
         self.projector = projector
         # raises on support outside the dual of g-
         self.is_character = is_character(g_minus.algebra, self.eta_minus)
-        self.in_kernel = (None if cocycle is None
-                          else grouplib.kernel_check(cocycle, g_minus))
+        self.in_kernel = grouplib.kernel_check(cocycle, g_minus)
 
 
 class Differential:
@@ -132,7 +131,7 @@ class PhaseSpace:
 
     def fiber(self, g_minus, eta_minus):
         return FiberSpec(g_minus, eta_minus, self.dressed_projector(g_minus),
-                         cocycle=self.C)
+                         self.C)
 
     def on_fiber_distance(self, p, fiber):
         gm, em = self.fibration(p)
@@ -297,23 +296,17 @@ class PhaseSpace:
     def momentum_ext(self, p):
         return self.momentum_left(p) + self.C.value(p.g), 1.0
 
-    def momentum_fn(self, x, a_ext=0.0, extended=True):
-        """The momentum function j_X (extended: plus <C(g),X> + a)."""
+    def momentum_fn(self, x, a_ext=0.0):
+        """The extended momentum function j_X = <momentum_ext, X> + a."""
         x = np.asarray(x, dtype=float)
         alg = self.algebra
 
         def fn(p):
-            val = p.eta @ grouplib.adjoint(p.g.inv(), x)
-            if extended:
-                val += self.C.value(p.g) @ x + a_ext
-            return val
+            return self.momentum_ext(p)[0] @ x + a_ext
 
         def diff(p):
             ax = grouplib.adjoint(p.g.inv(), x)
-            dF = alg.coad(ax, p.eta)
-            if extended:
-                dF = dF + self.c2.hat(ax)
-            return Differential(dF, ax)
+            return Differential(alg.coad(ax, p.eta) + self.c2.hat(ax), ax)
 
         return Observable(fn, diff=diff, name="j[%s]" % np.array2string(
             x, precision=2))
@@ -330,7 +323,7 @@ class PhaseSpace:
         self.require_exchanging()
         if not fiber.is_character:
             raise ValueError("eta_minus must be a character of g-")
-        if fiber.in_kernel is False:
+        if not fiber.in_kernel:
             raise ValueError("g_minus must lie in the kernel of the cocycle")
         self._require_on_fiber(p, fiber)
         gp, gm = p.g.factors()

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import group as grouplib
 from .blocks import BlockOperator
-from .dynamics import hamiltonian_quadratic, legendre_inverse, legendre_map
+from .dynamics import (_carrier, hamiltonian_quadratic, legendre_inverse,
+                       legendre_map)
 
 __all__ = ["r_operator", "dtheta_check", "lagrangian_N", "el_residual",
            "bivector_pi", "operator_identity_check", "lagrangian_density"]
@@ -21,11 +22,6 @@ def r_operator(e_op, g, sign=1):
     """R_g(+-) = B_g +- G_g as a coordinate matrix g+ -> g-."""
     gg, bb = e_op.blocks_at(g)
     return bb + sign * gg
-
-
-def _carrier(space, g_plus, eta_minus):
-    """psi_bar(C(g+^{-1}) - eta-), the g+ vector sourcing the twist terms."""
-    return space.algebra.psi_bar(space.C.value(g_plus.inv()) - eta_minus)
 
 
 def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):

@@ -8,6 +8,7 @@ matrices of site-blocked operators, the cocycle derivatives at the inverse
 point as whole operators, the ambient RK4 integrator, the energy
 eigenspaces as graphs, the full Hamiltonian vector field, the restricted
 field and the symmetry generator assembled from the factors of g, the
+Legendre map solved from the energy's metric/two-form blocks, the
 exponential's scalar functions as Taylor series, and the adjoint sandwich
 through the Kronecker product. The library itself never calls them.
 """
@@ -179,11 +180,30 @@ def fiber_generator_direct(space, x, p):
     a = space.algebra
     gp, gm = p.g.factors()
     w = gp.inv().ad_matrix() @ x
-    adm = gm.ad_matrix()
-    xi = adm.solve(a.project(w, "plus"))
-    inner = (a.coad(adm.solve(a.project(w, "minus")), p.eta)
+    adm_inv = gm.inv().ad_matrix()
+    xi = adm_inv @ a.project(w, "plus")
+    inner = (a.coad(adm_inv @ a.project(w, "minus"), p.eta)
              + space.c2.hat(group.adjoint(p.g.inv(), x)))
     return xi, -space.dressed_projector(gm).T @ inner
+
+
+def legendre_map_blocks(space, e_op, p, fiber):
+    """The Legendre map from the metric/two-form blocks (G, B) at g+:
+    solves G gdot = psi_bar(Ad*_{g-^{-1}} eta+) + B v + Pi_- Ad_{g-} eta-,
+    v = psi_bar(C(g+^{-1}) - eta-), on G's (minus, plus) blocks. It is the
+    restricted flow's g+ velocity on admissible fibers only."""
+    a = space.algebra
+    gp, gm = p.g.factors()
+    gg, bb = e_op.blocks_at(gp)
+    v = a.psi_bar(space.C.value(gp.inv()) - fiber.eta_minus)
+    rhs = (a.psi_bar(group.coadjoint_star(gm.inv(), p.eta - fiber.eta_minus))
+           + bb @ v
+           + a.project(gm.ad_matrix() @ a.psi_bar(fiber.eta_minus), "minus"))
+    blocks = gg.restrict(a.site_minus, a.site_plus).blocks
+    gdot = np.zeros(a.dim)
+    gdot[a.plus_indices] = np.linalg.solve(blocks, rhs[a.minus_indices]
+                                           .reshape(a.n_sites, -1, 1)).ravel()
+    return gdot
 
 
 def fd_differential(F, p, step=1e-5):

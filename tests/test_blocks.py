@@ -49,25 +49,6 @@ class TestAgainstDense:
                                    - 2.0 * dense(b), atol=1e-12)
         assert (a - a).max_abs() == 0.0
 
-    def test_solve(self, n, offsets):
-        rng = np.random.default_rng(4105)
-        diag = BlockOperator(
-            {0: rng.standard_normal((n, D, D)) + 4.0 * np.eye(D)})
-        rhs = random_op(rng, n, offsets)
-        x = rng.standard_normal(n * D)
-        np.testing.assert_allclose(diag.solve(x),
-                                   np.linalg.solve(dense(diag), x),
-                                   atol=1e-12)
-        np.testing.assert_allclose(dense(diag.solve(rhs)),
-                                   np.linalg.solve(dense(diag), dense(rhs)),
-                                   atol=1e-12)
-
-
-def test_solve_rejects_banded_operator():
-    op = random_op(np.random.default_rng(4106), 8, (0, 1))
-    with pytest.raises(ValueError):
-        op.solve(np.ones(8 * D))
-
 
 def test_restrict_takes_sub_blocks_of_every_band():
     op = random_op(np.random.default_rng(4107), 8, (0, 1, -1))

@@ -382,6 +382,7 @@ class TestExchangingHypothesis:
         ("collective", "sl2_collective.json"),
         ("sigma", "sl2_sigma.json"),
         ("loop", "loop_flow.json"),
+        ("legendre", "sl2_legendre.json"),
     ])
     def test_restricted_experiments_exit_2(self, experiment, config,
                                            tmp_path, capsys):
@@ -403,6 +404,41 @@ class TestExchangingHypothesis:
         assert "brackets/reduced_vs_full" not in names
         if experiment == "brackets":
             assert "brackets/closed_vs_oracle" in names
+
+
+MU0_EXCHANGING = [0.0, 0.0, 0.0, 0.9, 0.0, 0.0]
+# fibers off the admissible ones: eta- not a character of g-, or g- outside
+# the kernel of the coboundary of MU0_EXCHANGING
+OFF_ADMISSIBLE = [
+    ({"g_minus": [0, 0, 0, 0.3, 0, 0], "eta_minus": [0, 0, 0, 0, 0.8, 0]},
+     "character"),
+    ({"g_minus": [0, 0, 0, 0, 0.3, 0], "eta_minus": [0, 0, 0, 0.7, 0, 0]},
+     "kernel"),
+]
+
+
+class TestAdmissibleFiber:
+    """collective needs an admissible fiber; legendre reports off one."""
+
+    @pytest.mark.parametrize("fiber,word", OFF_ADMISSIBLE)
+    def test_collective_exits_2(self, fiber, word, tmp_path, capsys):
+        cfg = json.loads(open(cfg_path("sl2_collective.json")).read())
+        cfg.update(cocycle={"kind": "coboundary", "mu0": MU0_EXCHANGING},
+                   fiber=fiber)
+        assert run("collective", write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and word in err
+
+    @pytest.mark.parametrize("fiber,word", OFF_ADMISSIBLE)
+    def test_legendre_fails_roundtrip(self, fiber, word, tmp_path):
+        # the flow's velocity is not the blocks' Legendre map there, so
+        # the Lagrangian inverse does not return the point
+        cfg = json.loads(open(cfg_path("sl2_legendre.json")).read())
+        cfg.update(fiber=fiber)
+        assert run("legendre", write_cfg(tmp_path, cfg), tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not checks["legendre/roundtrip"]["passed"]
 
 
 class TestDeterminism:

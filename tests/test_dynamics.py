@@ -8,7 +8,8 @@ from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhasePoint, PhaseSpace
 from oracles import (ambient_flow_fiber, dense, eigenspace_basis,
-                     fd_differential, fd_observable, log_coords)
+                     fd_differential, fd_observable, legendre_map_blocks,
+                     log_coords)
 
 RNG = np.random.default_rng(7721)
 
@@ -24,10 +25,17 @@ SPACE_SO3 = PhaseSpace(SO3, GroupCocycle.coboundary(SO3, MU0_SO3))
 
 SPACES = [SPACE_SL2, SPACE_SO3]
 
+LOOP = loop.build_loop_double(SL2, 8)
+SPACE_LOOP = PhaseSpace(LOOP, loop.loop_group_cocycle(LOOP, 0.6))
+
 
 def make_fiber(space, rng):
+    """An admissible fiber: eta- a character of g-, g- in C's kernel."""
     a = space.algebra
-    if a is SL2:
+    if a is LOOP:
+        gm = group.exp(a, 0.3 * loop.constant_loop(a, np.eye(6)[3]))
+        em = loop.constant_loop(a, 0.5 * np.eye(6)[3]) / 8
+    elif a is SL2:
         gm = group.exp(a, 0.3 * np.eye(6)[3])
         em = np.zeros(6)
         em[3] = 0.7
@@ -420,18 +428,42 @@ class TestFlows:
 
 
 class TestLegendre:
-    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("space", SPACES + [SPACE_LOOP])
     def test_matches_flow_velocity(self, space):
-        a = space.algebra
-        e = EnergyOperator.preset(a, "skewed")
-        h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p = space.random_fiber_point(fiber, RNG)
-        d = space.differential(h, p)
-        gp, gm = p.g.factors()
-        gdot_flow = a.project(gm.ad_matrix() @ d.deltaF, "plus")
-        np.testing.assert_allclose(dynamics.legendre_map(space, e, p, fiber),
-                                   gdot_flow, atol=1e-9)
+        # on admissible fibers the flow's g+ velocity solves the blocks'
+        # Legendre equation
+        rng = np.random.default_rng(4301)
+        e = EnergyOperator.preset(space.algebra, "skewed")
+        fiber = make_fiber(space, rng)
+        assert fiber.is_character and fiber.in_kernel
+        for _ in range(3):
+            p = space.random_fiber_point(fiber, rng, 0.3)
+            np.testing.assert_allclose(
+                dynamics.legendre_map(space, e, p, fiber),
+                legendre_map_blocks(space, e, p, fiber), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g_minus,eta_minus", [
+        (0.3 * np.eye(6)[3], 0.8 * np.eye(6)[4]),  # eta- not a character
+        (0.3 * np.eye(6)[4], 0.7 * np.eye(6)[3]),  # g- not in C's kernel
+    ])
+    def test_is_flow_velocity_off_admissible_fibers(self, g_minus,
+                                                    eta_minus):
+        space = SPACE_SL2
+        e = EnergyOperator.preset(SL2, "skewed")
+        fiber = space.fiber(group.exp(SL2, g_minus), eta_minus)
+        assert not (fiber.is_character and fiber.in_kernel)
+        p = space.random_fiber_point(fiber, np.random.default_rng(4302), 0.3)
+        gdot = dynamics.legendre_map(space, e, p, fiber)
+        # the g+ velocity of the restricted flow, g+^{-1} d/dt g+ = Ad_{g-} xi
+        xi, _ = dynamics.dirac_field(
+            space, dynamics.hamiltonian_quadratic(space, e), p, fiber)
+        np.testing.assert_allclose(gdot, fiber.g_minus.ad_matrix() @ xi,
+                                   rtol=0, atol=1e-12)
+        # which the blocks' Legendre equation no longer gives
+        assert np.abs(gdot - legendre_map_blocks(space, e, p, fiber)).max() \
+            > 1e-2
+        q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
+        assert np.abs(q.eta - p.eta).max() > 1e-2
 
     @pytest.mark.parametrize("space", SPACES)
     def test_roundtrip(self, space):

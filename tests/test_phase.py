@@ -307,9 +307,10 @@ class TestMomentum:
     def test_value_matches_coadjoint_transport(self, space):
         p = rand_point(space, RNG)
         x = RNG.standard_normal(6)
-        j = space.momentum_fn(x, extended=False)
+        j = space.momentum_fn(x, 0.25)
         assert j.value(p) == pytest.approx(
-            p.eta @ group.adjoint(p.g.inv(), x), abs=1e-12)
+            p.eta @ group.adjoint(p.g.inv(), x) + space.C.value(p.g) @ x
+            + 0.25, abs=1e-12)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_analytic_differential_vs_fd(self, space):
