@@ -10,12 +10,15 @@ Every algebra is a lattice of identical sites: a base double is one site,
 and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the base
 double on N sites. Coordinates are site-major, the bracket is the per-site
 structure-constant tensor applied at every site, and ``ad``,
-``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s. The
-built-in doubles carry a factorizer and a closed-form exponential, whose
-scalars are closed forms too; a series remains only where
-(sinh(s)/s - 1)/s^2 cancels near zero. With a matrix representation,
-``sandwich``, the kernel of the group adjoint, is one real matmul against
-a tensor built once from the basis matrices and their dual basis.
+``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s;
+the pairing, its inverse and the g+/g- selectors repeat one site's block
+(uniform bands). The built-in doubles carry closed-form group kernels on
+(N, m, m) stacks: the exponential, whose scalars are closed forms too (a
+series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
+inverse and the factorization. No ``numpy.linalg`` call is left on their
+flow path. With a matrix representation, ``sandwich``, the kernel of the
+group adjoint, is one real matmul against a tensor built once from the
+basis matrices and their dual basis.
 """
 
 import json
@@ -43,12 +46,14 @@ class BasisAlgebra:
     and g- basis vectors of the whole algebra and together exhaust it;
     ``site_plus`` and ``site_minus`` are the split of one site. The group
     hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
-    stacks, ``exponential`` to the matrix exponentials.
+    stacks, ``exponential`` to the matrix exponentials, ``inverse`` to the
+    inverse matrices (``numpy.linalg.inv`` when it is not given).
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
                  structure_constants, basis_matrices=None, lattice=None,
-                 group_memberships=None, factorizer=None, exponential=None):
+                 group_memberships=None, factorizer=None, exponential=None,
+                 inverse=None):
         self.name = name
         self.lattice = lattice
         self.n_sites = n = 1 if lattice is None else lattice.n_sites
@@ -64,9 +69,8 @@ class BasisAlgebra:
                                               dtype=float)
         if self.structure_constants.shape != (d, d, d):
             raise ValueError("structure constants shape does not match dim")
-        site_pairing = np.broadcast_to(pairing / n, (n, d, d))
-        self.pairing = BlockOperator({0: site_pairing})
-        self.pairing_inv = BlockOperator({0: np.linalg.inv(site_pairing)})
+        self.pairing = _uniform_operator(pairing / n, n)
+        self.pairing_inv = _uniform_operator(np.linalg.inv(pairing / n), n)
         self.site_plus = np.asarray(plus_indices, dtype=int)
         self.site_minus = np.asarray(minus_indices, dtype=int)
         offsets = d * np.arange(n)[:, None]
@@ -88,6 +92,7 @@ class BasisAlgebra:
         self.group_memberships = group_memberships or {}
         self.factorizer = factorizer
         self.exponential = exponential
+        self.inverse = inverse
 
     # --- core bilinear operations -------------------------------------
 
@@ -146,10 +151,10 @@ class BasisAlgebra:
 
     def selector(self, side):
         """The coordinate projection onto g+ or g- as an operator."""
-        sel = np.zeros((self.n_sites, self.site_dim, self.site_dim))
+        sel = np.zeros((self.site_dim, self.site_dim))
         idx = {"plus": self.site_plus, "minus": self.site_minus}[side]
-        sel[:, idx, idx] = 1.0
-        return BlockOperator({0: sel})
+        sel[idx, idx] = 1.0
+        return _uniform_operator(sel, self.n_sites)
 
     # --- coadjoint action ----------------------------------------------
 
@@ -172,9 +177,10 @@ class BasisAlgebra:
     def vec_to_mat(self, x):
         """The (m, m) matrix of x; an (N, m, m) stack on a lattice."""
         self._require_representation()
-        x = np.asarray(x, dtype=float).reshape(self._site_axes
-                                               + (self.site_dim,))
-        return np.einsum("...i,ijk->...jk", x, self.basis_matrices)
+        mats = self.basis_matrices
+        x = np.asarray(x, dtype=float).reshape(-1, self.site_dim)
+        return (x @ mats.reshape(self.site_dim, -1)).reshape(
+            self._site_axes + mats.shape[1:])
 
     def mat_to_vec(self, m):
         """Coordinates of the element m (shaped like ``vec_to_mat``'s output).
@@ -202,10 +208,17 @@ class BasisAlgebra:
         self._require_representation()
         u = np.asarray(eta, dtype=float).reshape(
             self._site_axes + (self.site_dim,)) @ self._dual_basis.T
+        return self._entries_transpose(u).reshape(
+            self._site_axes + self.basis_matrices.shape[1:])
+
+    def _entries_transpose(self, u):
+        """The w with Re sum(w * v) = u . entries(v), the entries of v being
+        its real parts, then its imaginary parts for a complex
+        representation, as ``_coords`` reads them."""
         if np.iscomplexobj(self.basis_matrices):
             half = u.shape[-1] // 2
-            u = u[..., :half] - 1j * u[..., half:]
-        return u.reshape(self._site_axes + self.basis_matrices.shape[1:])
+            return u[..., :half] - 1j * u[..., half:]
+        return u
 
     def _coords(self, v):
         # coordinates of flattened (..., m*m) matrices
@@ -225,6 +238,11 @@ class BasisAlgebra:
             kron = kron.astype(complex, copy=False).view(float)
         return (kron @ self._sandwich_tensor).reshape(
             -1, self.site_dim, self.site_dim)
+
+
+def _uniform_operator(block, n):
+    """The block-diagonal operator repeating one (d, d) block on n sites."""
+    return BlockOperator({0: np.broadcast_to(block, (n,) + block.shape)})
 
 
 def _sandwich_tensor(mats, dual_basis):
@@ -378,7 +396,8 @@ def _so3_cotangent():
         [0, 1, 2], [3, 4, 5],
         group_memberships={
             "plus": _so3_member_plus, "minus": _so3_member_minus},
-        factorizer=_so3_factorize, exponential=_so3_exp)
+        factorizer=_so3_factorize, exponential=_so3_exp,
+        inverse=_so3_inv)
 
 
 # the Taylor coefficients of (sinh(s)/s - 1)/s^2 in s^2, highest first
@@ -393,10 +412,9 @@ def _cosh_sinhc(s2, remainders=False):
     s = 0, and (cosh s - 1)/s^2 = sinhc(s/2)^2 / 2 does not cancel. The
     last cancels near zero, where |s^2| < 1 sums its Taylor series."""
     s = np.sqrt(np.asarray(s2, dtype=complex))
-    zero = s == 0
 
     def sinhc(z):
-        return np.where(zero, 1.0, np.sinh(z) / np.where(zero, 1.0, z))
+        return np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
 
     out = [np.cosh(s), sinhc(s)]
     if remainders:
@@ -438,12 +456,35 @@ def _so3_member_minus(m, tol):
             and np.abs(m[3] - [0, 0, 0, 1]).max() < tol)
 
 
+_CYCLE = np.array([[1], [2], [0]])
+
+
+def _inv3(r):
+    """adj(r) / det(r) for (..., 3, 3) stacks; entry (i, j) of the
+    cofactor matrix is r[i+1, j+1] r[i+2, j+2] - r[i+1, j+2] r[i+2, j+1].
+    On a rotation it is r^T, and it stays exact off the group, where the
+    ambient RK4 oracle's stage points lie."""
+    p, q = _CYCLE, _CYCLE[[1, 2, 0]]
+    cof = r[..., p, p.T] * r[..., q, q.T] - r[..., p, q.T] * r[..., q, p.T]
+    det = (r[..., 0, :] * cof[..., 0, :]).sum(-1)
+    return cof.swapaxes(-1, -2) / det[..., None, None]
+
+
+def _so3_inv(m):
+    """[[R, v], [0, 1]]^{-1} = [[R^{-1}, -R^{-1} v], [0, 1]]."""
+    rinv = _inv3(m[..., :3, :3])
+    out = np.broadcast_to(np.eye(4), m.shape).copy()
+    out[..., :3, :3] = rinv
+    out[..., :3, 3:] = -rinv @ m[..., :3, 3:]
+    return out
+
+
 def _so3_factorize(m):
     r = m[..., :3, :3]
     gp = np.broadcast_to(np.eye(4), m.shape).copy()
     gp[..., :3, :3] = r
     gm = np.broadcast_to(np.eye(4), m.shape).copy()
-    gm[..., :3, 3:] = np.linalg.solve(r, m[..., :3, 3:])
+    gm[..., :3, 3:] = _inv3(r) @ m[..., :3, 3:]
     return gp, gm
 
 
@@ -451,7 +492,7 @@ def _sl2c_iwasawa():
     """sl(2,C) as a real algebra: su(2) + upper-triangular real-diagonal part.
 
     Pairing is -2 Im tr(XY); the group factorization SL(2,C) = SU(2) SB(2,C)
-    is global (QR with positive real diagonal).
+    is global (Gram-Schmidt with positive real diagonal).
     """
     # -i/2 times the Pauli matrices, then the Borel generators
     mats = np.array([[[0, -.5j], [-.5j, 0]], [[0, -.5], [.5, 0]],
@@ -463,7 +504,8 @@ def _sl2c_iwasawa():
         "sl2c-iwasawa", labels, mats, pairing, [0, 1, 2], [3, 4, 5],
         group_memberships={
             "plus": _su2_member, "minus": _sb2_member},
-        factorizer=_sl2c_factorize, exponential=_sl2c_exp)
+        factorizer=_sl2c_factorize, exponential=_sl2c_exp,
+        inverse=_sl2c_inv)
 
 
 def _su2_member(m, tol):
@@ -477,20 +519,40 @@ def _sb2_member(m, tol):
             and abs(m[0, 0].imag) < tol and m[0, 0].real > 0)
 
 
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 def _sl2c_exp(m):
     """Traceless X has X^2 = -det(X) I, so exp X = cosh(s) I + sinh(s)/s X
     with s^2 = -det X; the b2/b3 directions are nilpotent (s = 0)."""
     s2 = m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]
     cosh, sinhc = _cosh_sinhc(s2)
-    return cosh[..., None, None] * np.eye(2) + sinhc[..., None, None] * m
+    out = sinhc[..., None, None] * m
+    out.reshape(-1, 4)[:, ::3] += cosh.reshape(-1, 1)  # the diagonal
+    return out
+
+
+def _sl2c_inv(m):
+    """The adjugate [[d, -b], [-c, a]] over the determinant, which is 1 on
+    the group; dividing keeps a declared matrix's inverse exact too."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return m[..., ::-1, ::-1].swapaxes(-1, -2) * (
+        _ADJUGATE_SIGNS / det[..., None, None])
 
 
 def _sl2c_factorize(m):
-    q, r = np.linalg.qr(m)
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    ph = ph / np.abs(ph)
-    q = q * ph[..., None, :]
-    r = (1.0 / ph)[..., :, None] * r
+    """Gram-Schmidt on the first column (a, c): with (q0, q1) = (a, c)/n,
+    n = |(a, c)|, q = [[q0, -conj q1], [q1, conj q0]] lies in SU(2) and
+    r = q^H m = [[n, conj q0 b + conj q1 d], [0, q0 d - q1 b]] in SB(2,C)."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    n = np.hypot(np.abs(a), np.abs(c))
+    q0, q1 = a / n, c / n
+    q, r = np.empty_like(m), np.zeros_like(m)
+    q[..., 0, 0], q[..., 1, 0] = q0, q1
+    q[..., 0, 1], q[..., 1, 1] = -q1.conj(), q0.conj()
+    r[..., 0, 0] = n
+    r[..., 0, 1] = q0.conj() * b + q1.conj() * d
+    r[..., 1, 1] = q0 * d - q1 * b
     return q, r
 
 

@@ -4,6 +4,10 @@ Band o of an operator on N sites of d coordinates holds (N, d, d) blocks
 coupling site j to site j + o (mod N): (A x)_j = sum_o A_o[j] x_{j+o}.
 Algebra operators are block diagonal, the loop cocycle's hat adds the
 bands +-1 of the central difference, and a base double is N = 1.
+A band built by ``np.broadcast_to`` from one (d, d) block (stride 0 along
+the sites, like the pairing), or the band of a single site, is uniform: it
+applies to a vector as one 2-D product, and the product of two uniform
+bands stays uniform.
 Products and transposes cost O(N d^3).
 """
 
@@ -14,9 +18,21 @@ __all__ = ["BlockOperator", "shift"]
 
 def shift(blocks, o):
     """blocks[j + o] at index j, periodically along the first axis; no copy
-    on the diagonal."""
+    on the diagonal or for a uniform band."""
     o %= len(blocks)
-    return blocks if o == 0 else np.concatenate((blocks[o:], blocks[:o]))
+    return (blocks if o == 0 or _uniform(blocks)
+            else np.concatenate((blocks[o:], blocks[:o])))
+
+
+def _uniform(blocks):
+    # one block serves every site: a single site, or stride 0
+    return len(blocks) == 1 or blocks.strides[0] == 0
+
+
+def _product(a, b):
+    if _uniform(a) and _uniform(b):
+        return np.broadcast_to(a[0] @ b[0], a.shape)
+    return a @ b
 
 
 class BlockOperator:
@@ -47,6 +63,14 @@ class BlockOperator:
 
     def _apply(self, x, transpose=False):
         # A x sums A_o[j] x_{j+o}; A^T x sums A_o[j-o]^T x_{j-o}
+        if len(self.bands) == 1 and 0 in self.bands:
+            b = self.bands[0]
+            if _uniform(b) and x.ndim == 1:
+                rows = x.reshape(self.n_sites, self.site_dim)
+                return (rows @ (b[0] if transpose else b[0].T)).reshape(-1)
+            return ((b.swapaxes(1, 2) if transpose else b)
+                    @ x.reshape(self.n_sites, self.site_dim, -1)).reshape(
+                        x.shape)
         xs = x.reshape(self.n_sites, self.site_dim, -1)
         out = 0.0
         for o, b in self.bands.items():
@@ -56,7 +80,7 @@ class BlockOperator:
 
     def __matmul__(self, other):
         if isinstance(other, BlockOperator):
-            return BlockOperator([(o1 + o2, a @ shift(b, o1))
+            return BlockOperator([(o1 + o2, _product(a, shift(b, o1)))
                                   for o1, a in self.bands.items()
                                   for o2, b in other.bands.items()])
         return self._apply(np.asarray(other, dtype=float))

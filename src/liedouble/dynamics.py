@@ -65,14 +65,15 @@ class EnergyOperator:
         # the base double's cross pairing on every site, undoing the 1/N
         # of a loop's pairing: each site carries the base's involution, so
         # the lattice Hamiltonian is a Riemann sum of one density
-        cross = algebra.n_sites * algebra.pairing.restrict(sp, sm).blocks
+        site_pairing = algebra.n_sites * algebra.pairing.blocks[0]
+        cross = site_pairing[sp[:, None], sm]
         # convert frame blocks to coordinate blocks: T^b carries cross^{-1}
         to_minus = np.linalg.inv(cross)
-        e = np.zeros((algebra.n_sites, algebra.site_dim, algebra.site_dim))
-        e[:, sp[:, None], sp] = -sinv @ a
-        e[:, sp[:, None], sm] = sinv @ cross
-        e[:, sm[:, None], sp] = to_minus @ (s - a @ sinv @ a)
-        e[:, sm[:, None], sm] = to_minus @ (a @ sinv) @ cross
+        e = np.zeros((algebra.site_dim, algebra.site_dim))
+        e[sp[:, None], sp] = -sinv @ a
+        e[sp[:, None], sm] = sinv @ cross
+        e[sm[:, None], sp] = to_minus @ (s - a @ sinv @ a)
+        e[sm[:, None], sm] = to_minus @ (a @ sinv) @ cross
         return cls(algebra, e)
 
     @classmethod
@@ -113,30 +114,33 @@ def hamiltonian_quadratic(space, e_op):
     """H = (1/2) (u, E_g u)_g with u = psi_bar(eta - C(g^{-1})).
 
     With v = Ad_g u, H = (1/2) v.(P E) v and E_g u = psi_bar(Ad_g^T (P E) v),
-    so the Hamiltonian applies operators to vectors and solves nothing.
-    (u, v) is kept for the last point, which a flow step's end-point
-    energy and the next step's first stage share.
+    so the Hamiltonian applies operators to vectors and solves nothing;
+    P E is one site's block on every site, a single 2-D product.
+    The carrier (psi(u), u, v, P E v) is kept for the last point, which a
+    flow step's end-point energy and the next step's first stage share.
     """
     a = space.algebra
 
     @grouplib._memo_last
     def carrier(p):
-        u = a.psi_bar(p.eta - space.C.value(p.g.inv()))
-        return u, p.g.ad_matrix() @ u
+        w = p.eta - space.C.value(p.g.inv())
+        u = a.psi_bar(w)
+        v = p.g.ad_matrix() @ u
+        return w, u, v, e_op.pe @ v
 
     def fn(p):
-        _, v = carrier(p)
-        return 0.5 * float(v @ (e_op.pe @ v))
+        *_, v, pe_v = carrier(p)
+        return 0.5 * float(v @ pe_v)
 
     def diff(p):
-        u, v = carrier(p)
-        delta = a.psi_bar(p.g.ad_matrix().T @ (e_op.pe @ v))
-        # group slot: the E_g variation gives psi([u, delta]); the C(g^{-1})
-        # variation is the exact cocycle derivative, so the differential is
-        # exact even for lattice cocycles whose product identity only holds
-        # to the stencil order
-        dF = (a.psi(a.bracket(u, delta))
-              - space.C.differential_inv(p.g, delta))
+        w, _, _, pe_v = carrier(p)
+        delta = a.psi_bar(pe_v @ p.g.ad_matrix())
+        # group slot: the E_g variation gives psi([u, delta]), which is
+        # coad(delta, psi(u)) by ad-invariance; the C(g^{-1}) variation is
+        # the exact cocycle derivative, so the differential is exact even
+        # for lattice cocycles whose product identity only holds to the
+        # stencil order
+        dF = a.coad(delta, w) - space.C.differential_inv(p.g, delta)
         return Differential(dF, delta)
 
     return Observable(fn, diff=diff, name="quadratic")
@@ -189,8 +193,9 @@ def _dexpinv(a, u, k):
     # g(t) = g0 exp(u(t)) with g^{-1} gdot = k gives udot = dexpinv_{-u}(k);
     # the omitted terms are O(|u|^4 |k|), below the local error of a
     # 4th-order step
-    c1 = a.bracket(u, k)
-    return k + 0.5 * c1 + a.bracket(u, c1) / 12.0
+    ad_u = a.ad(u)
+    c1 = ad_u @ k
+    return k + 0.5 * c1 + (ad_u @ c1) / 12.0
 
 
 def _rkmk4_step(space, field, p, dt):

@@ -4,8 +4,11 @@ actions are read off), and coadjoint group 1-cocycles, each given by its
 2-cocycle, its value and the pullback of a vector through its exact
 inverse-point derivative.
 
-The exponential and the factorization are the algebra's hooks on (N, m, m)
-stacks, and Ad_g is a block-diagonal ``BlockOperator``. The pairing P is
+The exponential, the inverse and the factorization are the algebra's
+hooks on (N, m, m) stacks, and Ad_g is a block-diagonal ``BlockOperator``.
+Products of (N, 2, 2) stacks, the SL(2,C) loops, use the explicit
+two-term column form (``matmul``), which numpy's complex matmul loop is
+several times slower than at these sizes. The pairing P is
 ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
 solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
 is ``g`` itself. What a cocycle's value at g^{-1} and its derivative at g
@@ -46,18 +49,16 @@ class GroupPoint:
         self._inv = None  # a callable returning the cached inverse
 
     def mul(self, other):
-        return GroupPoint(self.algebra, self.matrix @ other.matrix)
+        return GroupPoint(self.algebra, matmul(self.matrix, other.matrix))
 
     def inv(self):
         inv = self._inv and self._inv()
         if inv is None:
-            inv = GroupPoint(self.algebra, np.linalg.inv(self.matrix))
+            inverse = self.algebra.inverse or np.linalg.inv
+            inv = GroupPoint(self.algebra, inverse(self.matrix))
             # a weak back-reference: g.inv().inv() is g, without a cycle
             inv._inv, self._inv = weakref.ref(self), lambda: inv
         return inv
-
-    def is_identity(self, tol=1e-12):
-        return np.abs(self.matrix - self.algebra.identity_matrix).max() < tol
 
     def ad_matrix(self):
         """Adjoint operator on coordinates, cached; site j of a lattice
@@ -71,7 +72,7 @@ class GroupPoint:
     def factors(self):
         if self._factors is None:
             gp, gm = self.algebra.factorizer(self.matrix)
-            resid = np.abs(gp @ gm - self.matrix).max()
+            resid = np.abs(matmul(gp, gm) - self.matrix).max()
             if not np.isfinite(resid) or resid > FACTOR_TOL:
                 raise FactorizationError(
                     "factorization residual %.3e exceeds %.1e"
@@ -86,6 +87,14 @@ class GroupPoint:
             return True
         sites = self.matrix.reshape((-1,) + self.matrix.shape[-2:])
         return all(pred(mj, tol) for mj in sites)
+
+
+def matmul(a, b):
+    """a @ b for matrices or stacks of them; (N, 2, 2) stacks as the sum of
+    two column-times-row products."""
+    if a.ndim == 3 and a.shape[-1] == 2:
+        return a[:, :, :1] * b[:, :1] + a[:, :, 1:] * b[:, 1:]
+    return a @ b
 
 
 def _memo_last(fn):
@@ -118,7 +127,7 @@ def adjoint(g, x):
 
 def coadjoint_star(g, eta):
     """Transpose convention: <Ad*_g eta, X> = <eta, Ad_g X>."""
-    return g.ad_matrix().T @ np.asarray(eta, dtype=float)
+    return np.asarray(eta, dtype=float) @ g.ad_matrix()
 
 
 class GroupCocycle:

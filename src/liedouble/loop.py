@@ -20,7 +20,7 @@ import numpy as np
 
 from . import group as grouplib
 from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
-from .blocks import BlockOperator, shift
+from .blocks import BlockOperator
 from .dynamics import flow_fiber
 
 __all__ = ["LoopLattice", "build_loop_double", "d_s", "loop_two_cocycle",
@@ -44,8 +44,9 @@ def d_s(lattice, x):
     """Periodic central difference of site-major coordinates or of an
     (N, m, m) matrix stack."""
     blocks = np.asarray(x).reshape(lattice.n_sites, -1)
-    out = (shift(blocks, 1) - shift(blocks, -1)) / (2.0 * lattice.ds)
-    return out.reshape(np.shape(x))
+    padded = np.concatenate((blocks[-1:], blocks, blocks[:1]))
+    return ((padded[2:] - padded[:-2]) / (2.0 * lattice.ds)).reshape(
+        np.shape(x))
 
 
 def build_loop_double(base, n_sites):
@@ -56,7 +57,7 @@ def build_loop_double(base, n_sites):
         base.structure_constants, basis_matrices=base.basis_matrices,
         lattice=LoopLattice(base, n_sites),
         group_memberships=base.group_memberships, factorizer=base.factorizer,
-        exponential=base.exponential)
+        exponential=base.exponential, inverse=base.inverse)
 
 
 def loop_two_cocycle(loop_algebra, k):
@@ -71,16 +72,22 @@ def loop_two_cocycle(loop_algebra, k):
 def loop_group_cocycle(loop_algebra, k):
     """C_k(l) = k psi((d_s l) l^{-1}) evaluated site-wise."""
     lattice = loop_algebra.lattice
+    n, shape = lattice.n_sites, loop_algebra.identity_matrix.shape
+    matmul = grouplib.matmul
+    # k psi o mat_to_vec of one site as the (d, m*m) matrix K with
+    # k psi(mat_to_vec(q)) = Re(q K^T) per site; its transpose takes delta
+    # to the matrix functional delta K of k psi(delta)
+    kpsi = loop_algebra._entries_transpose(
+        (k * loop_algebra.pairing.blocks[0]) @ loop_algebra._dual_basis.T)
 
     @grouplib._memo_last
     def log_derivative(h):
         # q = (d_s h) h^{-1}, which the value at h and the derivative at
         # h^{-1} share
-        return d_s(lattice, h.matrix) @ h.inv().matrix
+        return matmul(d_s(lattice, h.matrix), h.inv().matrix)
 
     def value(g):
-        return k * loop_algebra.psi(loop_algebra.mat_to_vec(
-            log_derivative(g)))
+        return (log_derivative(g).reshape(n, -1) @ kpsi.T).real.reshape(-1)
 
     def differential_inv(g, delta):
         # Pullback of delta through the exact d/dt C_k((g exp(tX))^{-1}) of
@@ -94,9 +101,10 @@ def loop_group_cocycle(loop_algebra, k):
         # basis matrices.
         q = log_derivative(g.inv())
         h, hinv = g.inv().matrix, g.matrix
-        w = loop_algebra.mat_to_vec_transpose(k * loop_algebra.psi(delta))
-        pulled = (q.swapaxes(1, 2) @ w
-                  + d_s(lattice, w @ hinv.swapaxes(1, 2)) @ h.swapaxes(1, 2))
+        w = (delta.reshape(n, -1) @ kpsi).reshape(shape)
+        pulled = (matmul(q.swapaxes(1, 2), w)
+                  + matmul(d_s(lattice, matmul(w, hinv.swapaxes(1, 2))),
+                           h.swapaxes(1, 2)))
         return loop_algebra.vec_to_mat_transpose(pulled)
 
     return grouplib.GroupCocycle(loop_two_cocycle(loop_algebra, k), value,

@@ -9,8 +9,9 @@ point as whole operators, the ambient RK4 integrator, the energy
 eigenspaces as graphs, the full Hamiltonian vector field, the restricted
 field and the symmetry generator assembled from the factors of g, the
 Legendre map solved from the energy's metric/two-form blocks, the
-exponential's scalar functions as Taylor series, and the adjoint sandwich
-through the Kronecker product. The library itself never calls them.
+exponential's scalar functions as Taylor series, the adjoint sandwich
+through the Kronecker product, and the factorizations of the built-in
+groups through QR and a linear solve. The library itself never calls them.
 """
 
 import math
@@ -44,6 +45,31 @@ def dense(op):
     """
     return sum(_block_diag(np.roll(b, o, axis=0), -o)
                for o, b in op.bands.items())
+
+
+def is_identity(g, tol=1e-12):
+    return np.abs(g.matrix - g.algebra.identity_matrix).max() < tol
+
+
+def solve_factorize(m):
+    """SO(3) x R^3 = SO(3) R^3 on (..., 4, 4) stacks: (R, 0) (I, R^{-1} v)
+    with R^{-1} v by numpy's solve."""
+    gp = np.broadcast_to(np.eye(4), m.shape).copy()
+    gp[..., :3, :3] = m[..., :3, :3]
+    gm = np.broadcast_to(np.eye(4), m.shape).copy()
+    gm[..., :3, 3:] = np.linalg.solve(m[..., :3, :3], m[..., :3, 3:])
+    return gp, gm
+
+
+def qr_factorize(m):
+    """SL(2,C) = SU(2) SB(2,C) on (..., 2, 2) stacks by numpy's QR, with
+    the phases of r's diagonal moved into q."""
+    q, r = np.linalg.qr(m)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    ph = ph / np.abs(ph)
+    q = q * ph[..., None, :]
+    r = (1.0 / ph)[..., :, None] * r
+    return q, r
 
 
 def cosh_sinhc_series(s2, remainders=False):

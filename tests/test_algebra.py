@@ -8,7 +8,6 @@ from liedouble.algebra import (TwoCocycle, algebra_from_declaration,
                                is_character, validate_manin)
 from liedouble.loop import build_loop_double
 
-RNG = np.random.default_rng(20240817)
 
 SO3 = get_algebra("so3-cotangent")
 SL2 = get_algebra("sl2c-iwasawa")
@@ -45,9 +44,9 @@ class TestBracket:
         out = SO3.bracket(basis(SO3, 0), basis(SO3, 1))
         np.testing.assert_allclose(out, basis(SO3, 2), atol=1e-13)
 
-    def test_antisymmetry_random(self):
+    def test_antisymmetry_random(self, rng):
         for _ in range(20):
-            x = RNG.standard_normal(6)
+            x = rng.standard_normal(6)
             np.testing.assert_allclose(SL2.bracket(x, x), 0, atol=1e-12)
 
     def test_sl2_matrix_commutator_oracle(self):
@@ -65,15 +64,15 @@ class TestBracket:
 
 
 class TestPairing:
-    def test_isotropy(self):
-        xp = SL2.project(RNG.standard_normal(6), "plus")
-        yp = SL2.project(RNG.standard_normal(6), "plus")
+    def test_isotropy(self, rng):
+        xp = SL2.project(rng.standard_normal(6), "plus")
+        yp = SL2.project(rng.standard_normal(6), "plus")
         assert abs(SL2.pair(xp, yp)) < 1e-12
 
-    def test_ad_invariance_random(self):
+    def test_ad_invariance_random(self, rng):
         for a in (SO3, SL2):
             for _ in range(20):
-                x, y, z = RNG.standard_normal((3, a.dim))
+                x, y, z = rng.standard_normal((3, a.dim))
                 r = a.pair(a.bracket(x, y), z) + a.pair(y, a.bracket(x, z))
                 assert abs(r) < 1e-10
 
@@ -85,19 +84,19 @@ class TestPairing:
 
 
 class TestPsi:
-    def test_roundtrip(self):
+    def test_roundtrip(self, rng):
         for a in (SO3, SL2):
-            x = RNG.standard_normal(a.dim)
+            x = rng.standard_normal(a.dim)
             np.testing.assert_allclose(a.psi_bar(a.psi(x)), x, atol=1e-12)
 
-    def test_psi_swaps_factors(self):
-        xp = SL2.project(RNG.standard_normal(6), "plus")
+    def test_psi_swaps_factors(self, rng):
+        xp = SL2.project(rng.standard_normal(6), "plus")
         eta = SL2.psi(xp)
         # image annihilates g+: no support on plus coords
         assert np.abs(eta[SL2.plus_indices]).max() < 1e-12
 
-    def test_definition(self):
-        x, y = RNG.standard_normal((2, 6))
+    def test_definition(self, rng):
+        x, y = rng.standard_normal((2, 6))
         assert SL2.psi(x) @ y == pytest.approx(SL2.pair(x, y), abs=1e-12)
 
 
@@ -105,13 +104,13 @@ class TestProject:
     def test_minus_basis_kills_plus(self):
         np.testing.assert_allclose(SL2.project(basis(SL2, 3), "plus"), 0)
 
-    def test_complementary(self):
-        x = RNG.standard_normal(6)
+    def test_complementary(self, rng):
+        x = rng.standard_normal(6)
         np.testing.assert_allclose(
             SL2.project(x, "plus") + SL2.project(x, "minus"), x)
 
-    def test_dual_projection_annihilates(self):
-        eta = RNG.standard_normal(6)
+    def test_dual_projection_annihilates(self, rng):
+        eta = rng.standard_normal(6)
         ep = SL2.project(eta, "plus")
         for i in SL2.minus_indices:
             assert abs(ep @ basis(SL2, i)) < 1e-14
@@ -119,22 +118,22 @@ class TestProject:
 
 class TestAdStar:
     # the infinitesimal coadjoint action ad*_x = -coad(x, .)
-    def test_zero(self):
-        x = RNG.standard_normal(6)
+    def test_zero(self, rng):
+        x = rng.standard_normal(6)
         np.testing.assert_allclose(-SL2.coad(x, np.zeros(6)), 0)
 
-    def test_definition(self):
+    def test_definition(self, rng):
         for _ in range(20):
-            x, y = RNG.standard_normal((2, 6))
-            eta = RNG.standard_normal(6)
+            x, y = rng.standard_normal((2, 6))
+            eta = rng.standard_normal(6)
             lhs = -SL2.coad(x, eta) @ y
             assert lhs + eta @ SL2.bracket(x, y) == pytest.approx(0, abs=1e-10)
 
-    def test_abelian_factor(self):
+    def test_abelian_factor(self, rng):
         # g- of the cotangent double is abelian: ad* of a g- vector on
         # covectors dual to g- contracts only vanishing structure constants
-        xm = SO3.project(RNG.standard_normal(6), "minus")
-        eta = SO3.project(RNG.standard_normal(6), "minus")
+        xm = SO3.project(rng.standard_normal(6), "minus")
+        eta = SO3.project(rng.standard_normal(6), "minus")
         out = -SO3.coad(xm, eta)
         # oracle: direct structure-constant contraction
         expect = -np.einsum("ijk,i,k->j", SO3.structure_constants, xm, eta)
@@ -144,28 +143,28 @@ class TestAdStar:
 
 
 class TestCocycle:
-    def test_zero_kind(self):
+    def test_zero_kind(self, rng):
         c = TwoCocycle.zero(SL2)
-        np.testing.assert_allclose(c.hat(RNG.standard_normal(6)), 0)
+        np.testing.assert_allclose(c.hat(rng.standard_normal(6)), 0)
 
-    def test_eval_antisymmetric(self):
-        mu0 = RNG.standard_normal(6)
+    def test_eval_antisymmetric(self, rng):
+        mu0 = rng.standard_normal(6)
         c = TwoCocycle.coboundary(SL2, mu0)
-        x = RNG.standard_normal(6)
+        x = rng.standard_normal(6)
         assert c.eval(x, x) == pytest.approx(0, abs=1e-12)
         assert (c.matrix + c.matrix.T).max_abs() < 1e-12
 
-    def test_coboundary_matches_ad_star(self):
-        mu0 = RNG.standard_normal(6)
+    def test_coboundary_matches_ad_star(self, rng):
+        mu0 = rng.standard_normal(6)
         c = TwoCocycle.coboundary(SO3, mu0)
-        x = RNG.standard_normal(6)
+        x = rng.standard_normal(6)
         np.testing.assert_allclose(c.hat(x), -SO3.coad(x, mu0), atol=1e-12)
 
-    def test_cocycle_identity(self):
-        mu0 = RNG.standard_normal(6)
+    def test_cocycle_identity(self, rng):
+        mu0 = rng.standard_normal(6)
         c = TwoCocycle.coboundary(SL2, mu0)
         for _ in range(10):
-            x, y, z = RNG.standard_normal((3, 6))
+            x, y, z = rng.standard_normal((3, 6))
             assert cocycle_identity_residual(c, x, y, z) == pytest.approx(
                 0, abs=1e-12)
 
@@ -182,8 +181,8 @@ class TestCharacter:
     def test_zero_is_character(self):
         assert is_character(SL2, np.zeros(6))
 
-    def test_abelian_minus_always(self):
-        eta = SO3.project(RNG.standard_normal(6), "minus")
+    def test_abelian_minus_always(self, rng):
+        eta = SO3.project(rng.standard_normal(6), "minus")
         assert is_character(SO3, eta)
 
     def test_sb2_cases(self):

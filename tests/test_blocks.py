@@ -50,6 +50,43 @@ class TestAgainstDense:
         assert (a - a).max_abs() == 0.0
 
 
+def uniform_op(rng, n):
+    """One (D, D) block on every site, stored with stride 0 like the
+    pairing."""
+    return BlockOperator({0: np.broadcast_to(rng.standard_normal((D, D)),
+                                             (n, D, D))})
+
+
+@pytest.mark.parametrize("n", [1, 8])
+class TestUniform:
+    def test_apply_left_multiplication_and_transpose(self, n):
+        rng = np.random.default_rng(4111)
+        op = uniform_op(rng, n)
+        x = rng.standard_normal(n * D)
+        cols = rng.standard_normal((n * D, 3))
+        np.testing.assert_allclose(op @ x, dense(op) @ x, atol=1e-12)
+        np.testing.assert_allclose(op @ cols, dense(op) @ cols, atol=1e-12)
+        np.testing.assert_allclose(x @ op, x @ dense(op), atol=1e-12)
+        np.testing.assert_allclose(cols.T @ op, cols.T @ dense(op),
+                                   atol=1e-12)
+        np.testing.assert_array_equal(dense(op.T), dense(op).T)
+        assert op.T.blocks.strides[0] == 0
+
+    def test_products(self, n):
+        rng = np.random.default_rng(4112)
+        a, b = uniform_op(rng, n), uniform_op(rng, n)
+        per_site = random_op(rng, n, (0,))
+        banded = random_op(rng, n, (0, 1, -1))
+        ab = a @ b
+        assert ab.blocks.strides[0] == 0  # the product stays uniform
+        for got, want in ((ab, dense(a) @ dense(b)),
+                          (a @ per_site, dense(a) @ dense(per_site)),
+                          (per_site @ a, dense(per_site) @ dense(a)),
+                          (a @ banded, dense(a) @ dense(banded)),
+                          (banded @ a, dense(banded) @ dense(a))):
+            np.testing.assert_allclose(dense(got), want, atol=1e-12)
+
+
 def test_restrict_takes_sub_blocks_of_every_band():
     op = random_op(np.random.default_rng(4107), 8, (0, 1, -1))
     rows, cols = np.array([0, 2]), np.array([1, 3, 5])

@@ -11,8 +11,6 @@ from oracles import (ambient_flow_fiber, dense, eigenspace_basis,
                      fd_differential, fd_observable, legendre_map_blocks,
                      log_coords)
 
-RNG = np.random.default_rng(7721)
-
 SL2 = get_algebra("sl2c-iwasawa")
 SO3 = get_algebra("so3-cotangent")
 
@@ -50,26 +48,26 @@ def make_fiber(space, rng):
 class TestEnergyOperator:
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("name", ["isotropic", "skewed"])
-    def test_involution_and_symmetry_at_points(self, space, name):
+    def test_involution_and_symmetry_at_points(self, space, name, rng):
         e = EnergyOperator.preset(space.algebra, name)
-        g = group.random_point(space.algebra, RNG, 0.4)
+        g = group.random_point(space.algebra, rng, 0.4)
         eg = e.at(g)
         np.testing.assert_allclose(dense(eg @ eg), np.eye(6), atol=1e-12)
         a = space.algebra
         for _ in range(5):
-            x, y = RNG.standard_normal((2, 6))
+            x, y = rng.standard_normal((2, 6))
             assert a.pair(eg @ x, y) == pytest.approx(a.pair(x, eg @ y),
                                                       abs=1e-10)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_blocks_symmetry(self, space):
+    def test_blocks_symmetry(self, space, rng):
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        g = group.random_point(a, RNG, 0.4)
+        g = group.random_point(a, rng, 0.4)
         gg, bb = e.blocks_at(g)
         for _ in range(5):
-            x = a.project(RNG.standard_normal(6), "plus")
-            y = a.project(RNG.standard_normal(6), "plus")
+            x = a.project(rng.standard_normal(6), "plus")
+            y = a.project(rng.standard_normal(6), "plus")
             assert a.pair(gg @ x, y) == pytest.approx(a.pair(x, gg @ y),
                                                       abs=1e-10)
             assert a.pair(bb @ x, y) == pytest.approx(-a.pair(x, bb @ y),
@@ -77,19 +75,19 @@ class TestEnergyOperator:
 
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_eigenspace_graphs(self, space, sign):
+    def test_eigenspace_graphs(self, space, sign, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
-        g = group.random_point(space.algebra, RNG, 0.4)
+        g = group.random_point(space.algebra, rng, 0.4)
         eg = e.at(g)
         for row in eigenspace_basis(e, g, sign):
             np.testing.assert_allclose(eg @ row, sign * row, atol=1e-10)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_eigenspaces_transport_by_plus_factor(self, space):
+    def test_eigenspaces_transport_by_plus_factor(self, space, rng):
         # Ad_{g+} maps the eigenspaces at g+ to the eigenspaces at identity
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6), "plus"))
+        gp = group.exp(a, a.project(0.4 * rng.standard_normal(6), "plus"))
         for sign in (1, -1):
             for row in eigenspace_basis(e, gp, sign):
                 moved = group.adjoint(gp, row)
@@ -113,24 +111,24 @@ class TestEnergyOperator:
 
 class TestQuadraticHamiltonian:
     @pytest.mark.parametrize("space", SPACES)
-    def test_analytic_differential_vs_fd(self, space):
+    def test_analytic_differential_vs_fd(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        p = PhasePoint(group.random_point(space.algebra, RNG, 0.4),
-                       RNG.standard_normal(6))
+        p = PhasePoint(group.random_point(space.algebra, rng, 0.4),
+                       rng.standard_normal(6))
         d = h.analytic_differential(p)
         fd = fd_differential(h, p)
         np.testing.assert_allclose(d.dF, fd.dF, atol=1e-6)
         np.testing.assert_allclose(d.deltaF, fd.deltaF, atol=1e-8)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_collective_in_extended_momentum(self, space):
+    def test_collective_in_extended_momentum(self, space, rng):
         # H depends on (g, eta) only through the extended momentum value
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
         a = space.algebra
-        p = PhasePoint(group.random_point(a, RNG, 0.4),
-                       RNG.standard_normal(6))
+        p = PhasePoint(group.random_point(a, rng, 0.4),
+                       rng.standard_normal(6))
         mu, _ = space.momentum_ext(p)
         direct = 0.5 * a.pair(a.psi_bar(mu), e.matrix @ a.psi_bar(mu))
         assert h.value(p) == pytest.approx(direct, abs=1e-10)
@@ -138,14 +136,14 @@ class TestQuadraticHamiltonian:
 
 class TestDiracField:
     @pytest.mark.parametrize("space", SPACES)
-    def test_field_generates_restricted_bracket(self, space):
-        fiber = make_fiber(space, RNG)
+    def test_field_generates_restricted_bracket(self, space, rng):
+        fiber = make_fiber(space, rng)
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
         for _ in range(3):
-            p = space.random_fiber_point(fiber, RNG)
+            p = space.random_fiber_point(fiber, rng)
             xi, rho = dynamics.dirac_field(space, h, p, fiber)
-            m = RNG.standard_normal((6, 6))
+            m = rng.standard_normal((6, 6))
             obs = fd_observable(lambda q: float(
                 log_coords(q.g) @ m @ q.eta + q.eta @ q.eta))
             d = space.differential(obs, p)
@@ -155,7 +153,6 @@ class TestDiracField:
 
 class TestExchangingHypothesis:
     def test_restricted_flow_needs_exchanging_cocycle(self):
-        # fixed seed: draws nothing from the shared RNG
         space = PhaseSpace(SL2, GroupCocycle.coboundary(SL2, np.ones(6)))
         fiber = space.fiber(group.identity(SL2), np.zeros(6))
         p = space.random_fiber_point(fiber, np.random.default_rng(53))
@@ -232,6 +229,23 @@ class TestFiberFlowCost:
         assert calls == {"factorizer": steps, "dressed_projector": 1,
                          "ad_builds": 4 * steps}
         assert tr.extras["drift_gminus"].max() < 1e-10
+
+    @pytest.mark.parametrize("double", ["base", "loop"])
+    def test_flow_calls_no_numpy_linalg(self, double, monkeypatch):
+        # inverses, factorizations and products are the group's closed
+        # forms; numpy.linalg stays out of the step
+        _, space, gm, em = self.make_space(double)
+        fiber = space.fiber(gm, em)
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(space.algebra, "isotropic"))
+        p0 = space.random_fiber_point(fiber, np.random.default_rng(62), 0.3)
+        calls = []
+        for name in ("inv", "qr", "solve", "det"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, _fn=fn, **kw:
+                                calls.append(_fn.__name__) or _fn(*args, **kw))
+        tr = dynamics.flow_fiber(space, h, p0, fiber, IntegratorConfig(0.01, 3))
+        assert calls == [] and np.all(np.isfinite(tr.energies))
 
     @pytest.mark.parametrize("double", ["base", "loop"])
     def test_cocycle_data_once_per_point(self, double, monkeypatch):
@@ -329,11 +343,11 @@ class TestRigidBody:
 class TestFlows:
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("method", ["rkmk4", "ambient-rk4"])
-    def test_energy_drift_fourth_order_on_fiber(self, space, method):
+    def test_energy_drift_fourth_order_on_fiber(self, space, method, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p0 = space.random_fiber_point(fiber, RNG, 0.4)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.4)
         steps = (0.02, 0.01, 0.005)
         flow = (dynamics.flow_fiber if method == "rkmk4"
                 else ambient_flow_fiber)
@@ -346,11 +360,11 @@ class TestFlows:
         assert slope >= 3.5
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_energy_drift_fourth_order_full_space(self, space):
+    def test_energy_drift_fourth_order_full_space(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        p0 = PhasePoint(group.random_point(space.algebra, RNG, 0.4),
-                        0.5 * RNG.standard_normal(6))
+        p0 = PhasePoint(group.random_point(space.algebra, rng, 0.4),
+                        0.5 * rng.standard_normal(6))
         steps = (0.02, 0.01, 0.005)
         drifts = []
         for dt in steps:
@@ -361,11 +375,11 @@ class TestFlows:
         assert slope >= 3.5
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_integrator_routes_agree(self, space):
+    def test_integrator_routes_agree(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p0 = space.random_fiber_point(fiber, RNG, 0.4)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.4)
         t1 = dynamics.flow_fiber(space, h, p0, fiber,
                                  IntegratorConfig(0.01, 50))
         t2 = ambient_flow_fiber(space, h, p0, fiber,
@@ -376,22 +390,22 @@ class TestFlows:
                                    t2.points[-1].g.matrix, atol=1e-8)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_fiber_stays_frozen(self, space):
+    def test_fiber_stays_frozen(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p0 = space.random_fiber_point(fiber, RNG, 0.4)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.4)
         tr = dynamics.flow_fiber(space, h, p0, fiber,
                                  IntegratorConfig(0.01, 100))
         assert tr.extras["drift_gminus"].max() < 1e-10
         assert tr.extras["drift_etaminus"].max() < 1e-10
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_collectivity_residuals(self, space):
+    def test_collectivity_residuals(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p0 = space.random_fiber_point(fiber, RNG, 0.4)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.4)
         tr = dynamics.flow_fiber(space, h, p0, fiber,
                                  IntegratorConfig(0.01, 100))
         res = dynamics.collectivity_check(space, e, tr, fiber)
@@ -400,14 +414,14 @@ class TestFlows:
         assert res["reconstruction"] < 1e-2
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_second_order_form_minus_sign(self, space):
+    def test_second_order_form_minus_sign(self, space, rng):
         # d/dt (E_g(g^{-1}gdot) + psi_bar C(g^{-1}))
         #     = -[g^{-1}gdot, psi_bar C(g^{-1})]
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        p0 = PhasePoint(group.random_point(a, RNG, 0.4),
-                        0.5 * RNG.standard_normal(6))
+        p0 = PhasePoint(group.random_point(a, rng, 0.4),
+                        0.5 * rng.standard_normal(6))
         dt = 1e-3
         tr = dynamics.flow_full(space, h, p0, IntegratorConfig(dt, 4))
 
@@ -466,11 +480,11 @@ class TestLegendre:
         assert np.abs(q.eta - p.eta).max() > 1e-2
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_roundtrip(self, space):
+    def test_roundtrip(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
-        fiber = make_fiber(space, RNG)
+        fiber = make_fiber(space, rng)
         for _ in range(5):
-            p = space.random_fiber_point(fiber, RNG)
+            p = space.random_fiber_point(fiber, rng)
             gdot = dynamics.legendre_map(space, e, p, fiber)
             q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
             np.testing.assert_allclose(q.eta, p.eta, atol=1e-9)
@@ -478,12 +492,12 @@ class TestLegendre:
 
 
 class TestTrajectoryCsv:
-    def test_roundtrippable_and_headers(self, tmp_path):
+    def test_roundtrippable_and_headers(self, tmp_path, rng):
         space = SPACE_SO3
         e = EnergyOperator.preset(SO3, "isotropic")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fiber(space, RNG)
-        p0 = space.random_fiber_point(fiber, RNG, 0.3)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.3)
         tr = dynamics.flow_fiber(space, h, p0, fiber,
                                  IntegratorConfig(0.01, 5))
         path = tmp_path / "traj.csv"

@@ -6,9 +6,9 @@ from liedouble import group, loop
 from liedouble.algebra import TwoCocycle, _cosh_sinhc, get_algebra
 from liedouble.group import GroupCocycle, GroupPoint
 from oracles import (coboundary_differential_inv, cosh_sinhc_series,
-                     dense, sandwich_kron)
+                     dense, is_identity, qr_factorize, sandwich_kron,
+                     solve_factorize)
 
-RNG = np.random.default_rng(991)
 
 SO3 = get_algebra("so3-cotangent")
 SL2 = get_algebra("sl2c-iwasawa")
@@ -27,10 +27,10 @@ def fd_step(x):
 class TestExp:
     def test_exp_zero(self):
         g = group.exp(SL2, np.zeros(6))
-        assert g.is_identity()
+        assert is_identity(g)
 
-    def test_one_parameter(self):
-        x = RNG.standard_normal(6)
+    def test_one_parameter(self, rng):
+        x = rng.standard_normal(6)
         g1 = group.exp(SL2, x, 0.3).mul(group.exp(SL2, x, 0.5))
         g2 = group.exp(SL2, x, 0.8)
         np.testing.assert_allclose(g1.matrix, g2.matrix, atol=1e-10)
@@ -134,21 +134,21 @@ class TestClosedFormExp:
 
 
 class TestAdjoint:
-    def test_identity(self):
-        x = RNG.standard_normal(6)
+    def test_identity(self, rng):
+        x = rng.standard_normal(6)
         np.testing.assert_allclose(
             group.adjoint(group.identity(SL2), x), x, atol=1e-12)
 
-    def test_pairing_invariance(self):
+    def test_pairing_invariance(self, rng):
         for _ in range(10):
-            g = group.random_point(SL2, RNG)
-            x, y = RNG.standard_normal((2, 6))
+            g = group.random_point(SL2, rng)
+            x, y = rng.standard_normal((2, 6))
             assert SL2.pair(group.adjoint(g, x), group.adjoint(g, y)) == \
                 pytest.approx(SL2.pair(x, y), abs=1e-9)
 
-    def test_group_action(self):
-        g, h = group.random_point(SL2, RNG), group.random_point(SL2, RNG)
-        x = RNG.standard_normal(6)
+    def test_group_action(self, rng):
+        g, h = group.random_point(SL2, rng), group.random_point(SL2, rng)
+        x = rng.standard_normal(6)
         np.testing.assert_allclose(
             group.adjoint(g.mul(h), x),
             group.adjoint(g, group.adjoint(h, x)), atol=1e-10)
@@ -183,9 +183,9 @@ class TestAdjoint:
             assert np.abs(got - ref).max() <= 1e-14 * max(
                 1.0, np.abs(ref).max())
 
-    def test_coadjoint_transpose(self):
-        g = group.random_point(SO3, RNG)
-        eta, x = RNG.standard_normal((2, 6))
+    def test_coadjoint_transpose(self, rng):
+        g = group.random_point(SO3, rng)
+        eta, x = rng.standard_normal((2, 6))
         lhs = group.coadjoint_star(g, eta) @ x
         rhs = eta @ group.adjoint(g, x)
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -194,46 +194,94 @@ class TestAdjoint:
 class TestFactorize:
     def test_identity(self):
         gp, gm = group.identity(SL2).factors()
-        assert gp.is_identity() and gm.is_identity()
+        assert is_identity(gp) and is_identity(gm)
 
-    def test_plus_point(self):
-        g = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
+    def test_plus_point(self, rng):
+        g = group.exp(SL2, SL2.project(rng.standard_normal(6), "plus"))
         gp, gm = g.factors()
         np.testing.assert_allclose(gp.matrix, g.matrix, atol=1e-10)
-        assert gm.is_identity(1e-10)
+        assert is_identity(gm, 1e-10)
 
-    def test_random_sl2c(self):
+    def test_random_sl2c(self, rng):
         for _ in range(50):
-            g = group.exp(SL2, RNG.standard_normal(6))
+            g = group.exp(SL2, rng.standard_normal(6))
             gp, gm = g.factors()
             assert np.abs(gp.matrix @ gm.matrix - g.matrix).max() < 1e-10
             assert gp.member("plus") and gm.member("minus")
 
-    def test_semidirect(self):
+    def test_semidirect(self, rng):
         for _ in range(20):
-            g = group.exp(SO3, RNG.standard_normal(6))
+            g = group.exp(SO3, rng.standard_normal(6))
             gp, gm = g.factors()
             assert np.abs(gp.matrix @ gm.matrix - g.matrix).max() < 1e-10
             assert gp.member("plus") and gm.member("minus")
+
+
+KERNEL_CASES = [(name, n) for name in ("sl2c-iwasawa", "so3-cotangent")
+                for n in (1, 8, 32)]
+
+
+def kernel_points(name, n_sites, rng, count=2):
+    """The double (a loop for n_sites > 1) and matrices of random points:
+    one matrix each, or (N, m, m) stacks."""
+    base = get_algebra(name)
+    a = base if n_sites == 1 else loop.build_loop_double(base, n_sites)
+    return a, [group.random_point(a, rng).matrix for _ in range(count)]
+
+
+class TestKernels:
+    """The closed-form group kernels against numpy.linalg and @."""
+
+    @pytest.mark.parametrize("name,n_sites", KERNEL_CASES)
+    def test_inverse_matches_numpy(self, name, n_sites, rng):
+        a, (m, _) = kernel_points(name, n_sites, rng)
+        # a group point, and a matrix a little off the group, as a declared
+        # g- within the membership tolerance can be (so3-cotangent keeps
+        # its affine last row)
+        off = m * (1.0 + 1e-9 * rng.standard_normal(m.shape))
+        off[..., 3:, :] = m[..., 3:, :]
+        for mat in (m, off):
+            got, want = a.inverse(mat), np.linalg.inv(mat)
+            assert got.shape == mat.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name,n_sites", KERNEL_CASES)
+    def test_factorizer_matches_linalg_oracle(self, name, n_sites, rng):
+        a, (m, _) = kernel_points(name, n_sites, rng)
+        oracle = qr_factorize if name == "sl2c-iwasawa" else solve_factorize
+        for got, want in zip(a.factorizer(m), oracle(m)):
+            assert got.shape == m.shape
+            assert np.abs(got - want).max() <= 1e-14
+        gp, gm = a.factorizer(m)
+        assert GroupPoint(a, gp).member("plus")
+        assert GroupPoint(a, gm).member("minus")
+
+    @pytest.mark.parametrize("name,n_sites", KERNEL_CASES)
+    def test_product_matches_matmul(self, name, n_sites, rng):
+        _, (m, h) = kernel_points(name, n_sites, rng)
+        for left, right in ((m, h), (m.swapaxes(-1, -2), h)):
+            want = left @ right
+            assert np.abs(group.matmul(left, right) - want).max() <= (
+                1e-14 * np.abs(want).max())
 
 
 class TestDressing:
-    def test_identity_acts_trivially(self):
-        g = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
+    def test_identity_acts_trivially(self, rng):
+        g = group.exp(SL2, SL2.project(rng.standard_normal(6), "plus"))
         out = group.identity(SL2).mul(g).factors()[0]
         np.testing.assert_allclose(out.matrix, g.matrix, atol=1e-12)
 
-    def test_semidirect_closed_form(self):
+    def test_semidirect_closed_form(self, rng):
         # translations dress rotations trivially: (I,v)(R,0) = (R,0)(I,R^-1 v)
-        h = group.exp(SO3, SO3.project(RNG.standard_normal(6), "minus"))
-        g = group.exp(SO3, SO3.project(RNG.standard_normal(6), "plus"))
+        h = group.exp(SO3, SO3.project(rng.standard_normal(6), "minus"))
+        g = group.exp(SO3, SO3.project(rng.standard_normal(6), "plus"))
         out = h.mul(g).factors()[0]
         np.testing.assert_allclose(out.matrix, g.matrix, atol=1e-12)
 
-    def test_infinitesimal(self):
+    def test_infinitesimal(self, rng):
         # d/dt Pi_{G+}(exp(t X-) g+)|_0 = g+ (Pi_{g+} Ad_{g+^{-1}} X-)
-        gp = group.exp(SL2, SL2.project(RNG.standard_normal(6), "plus"))
-        xm = SL2.project(RNG.standard_normal(6), "minus")
+        gp = group.exp(SL2, SL2.project(rng.standard_normal(6), "plus"))
+        xm = SL2.project(rng.standard_normal(6), "minus")
         h = fd_step(xm)
         dp = group.exp(SL2, xm, h).mul(gp).factors()[0].matrix
         dm = group.exp(SL2, xm, -h).mul(gp).factors()[0].matrix
@@ -242,11 +290,11 @@ class TestDressing:
         expect = gp.matrix @ SL2.vec_to_mat(inner)
         np.testing.assert_allclose(fd, expect, atol=1e-6)
 
-    def test_infinitesimal_antihomomorphism(self):
+    def test_infinitesimal_antihomomorphism(self, rng):
         # [g+^{X-}, g+^{Y-}] = -g+^{[X-,Y-]} as vector fields on G+
-        gp = group.exp(SL2, SL2.project(0.4 * RNG.standard_normal(6), "plus"))
-        xm = SL2.project(RNG.standard_normal(6), "minus")
-        ym = SL2.project(RNG.standard_normal(6), "minus")
+        gp = group.exp(SL2, SL2.project(0.4 * rng.standard_normal(6), "plus"))
+        xm = SL2.project(rng.standard_normal(6), "minus")
+        ym = SL2.project(rng.standard_normal(6), "minus")
 
         def field(x, g):
             # left-trivialized dressing generator at g in G+
@@ -268,38 +316,38 @@ class TestDressing:
 
 
 class TestGroupCocycle:
-    def test_identity_value(self):
-        c = GroupCocycle.coboundary(SL2, RNG.standard_normal(6))
+    def test_identity_value(self, rng):
+        c = GroupCocycle.coboundary(SL2, rng.standard_normal(6))
         np.testing.assert_allclose(c.value(group.identity(SL2)), 0, atol=1e-14)
 
-    def test_cocycle_property(self):
-        c = GroupCocycle.coboundary(SL2, RNG.standard_normal(6))
+    def test_cocycle_property(self, rng):
+        c = GroupCocycle.coboundary(SL2, rng.standard_normal(6))
         for _ in range(10):
-            g = group.random_point(SL2, RNG)
-            h = group.random_point(SL2, RNG)
+            g = group.random_point(SL2, rng)
+            h = group.random_point(SL2, rng)
             lhs = c.value(g.mul(h))
             rhs = group.coadjoint_star(g.inv(), c.value(h)) + c.value(g)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
-    def test_fd_consistency_with_hat(self):
+    def test_fd_consistency_with_hat(self, rng):
         # -dC|_e = c_hat, central differences along exp(tX)
-        mu0 = RNG.standard_normal(6)
+        mu0 = rng.standard_normal(6)
         c = GroupCocycle.coboundary(SO3, mu0)
         chat = c.infinitesimal()
-        x = RNG.standard_normal(6)
+        x = rng.standard_normal(6)
         h = fd_step(x)
         fd = (c.value(group.exp(SO3, x, h))
               - c.value(group.exp(SO3, x, -h))) / (2 * h)
         np.testing.assert_allclose(-fd, chat.hat(x), atol=1e-6)
 
-    def test_compatibility_identity(self):
+    def test_compatibility_identity(self, rng):
         # c(Ad_g X, Ad_g Y) = c(X,Y) + <C(g^{-1}), [X,Y]>
-        mu0 = RNG.standard_normal(6)
+        mu0 = rng.standard_normal(6)
         c = GroupCocycle.coboundary(SL2, mu0)
         chat = c.infinitesimal()
         for _ in range(10):
-            g = group.random_point(SL2, RNG)
-            x, y = RNG.standard_normal((2, 6))
+            g = group.random_point(SL2, rng)
+            x, y = rng.standard_normal((2, 6))
             lhs = chat.eval(group.adjoint(g, x), group.adjoint(g, y))
             rhs = chat.eval(x, y) + c.value(g.inv()) @ SL2.bracket(x, y)
             assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -329,11 +377,11 @@ class TestGroupCocycle:
 
 
 class TestKernelCheck:
-    def test_identity_and_zero(self):
+    def test_identity_and_zero(self, rng):
         c0 = GroupCocycle.zero(SL2)
-        g = group.exp(SL2, SL2.project(RNG.standard_normal(6), "minus"))
+        g = group.exp(SL2, SL2.project(rng.standard_normal(6), "minus"))
         assert group.kernel_check(c0, g)
-        cb = GroupCocycle.coboundary(SL2, RNG.standard_normal(6))
+        cb = GroupCocycle.coboundary(SL2, rng.standard_normal(6))
         assert group.kernel_check(cb, group.identity(SL2))
 
     def test_stabilizer(self):

@@ -10,7 +10,6 @@ from liedouble.phase import PhasePoint, PhaseSpace
 from oracles import (dense, fiber_generator_direct, loop_differential_inv,
                      restricted_field_at_point)
 
-RNG = np.random.default_rng(9173)
 
 BASE = get_algebra("sl2c-iwasawa")
 N = 8
@@ -55,36 +54,36 @@ class TestBuild:
         report = validate_manin(ALG)
         assert report["passed"], report["failures"]
 
-    def test_bracket_matches_per_site_base_bracket(self):
+    def test_bracket_matches_per_site_base_bracket(self, rng):
         # oracle: the base bracket applied site by site to non-constant loops
-        x = smooth_vec(ALG, RNG)
-        y = smooth_vec(ALG, RNG)
+        x = smooth_vec(ALG, rng)
+        y = smooth_vec(ALG, rng)
         xs, ys = x.reshape(N, -1), y.reshape(N, -1)
         assert np.ptp(xs, axis=0).max() > 0.1
         sitewise = [BASE.bracket(xs[j], ys[j]) for j in range(N)]
         np.testing.assert_allclose(ALG.bracket(x, y).reshape(N, -1),
                                    sitewise, atol=1e-12)
 
-    def test_constant_loops_embed_base_bracket(self):
-        x = RNG.standard_normal(BASE.dim)
-        y = RNG.standard_normal(BASE.dim)
+    def test_constant_loops_embed_base_bracket(self, rng):
+        x = rng.standard_normal(BASE.dim)
+        y = rng.standard_normal(BASE.dim)
         br = ALG.bracket(loop.constant_loop(ALG, x), loop.constant_loop(ALG, y))
         np.testing.assert_allclose(
             br, loop.constant_loop(ALG, BASE.bracket(x, y)), atol=1e-12)
 
-    def test_pairing_is_site_average(self):
-        x = smooth_vec(ALG, RNG)
-        y = smooth_vec(ALG, RNG)
+    def test_pairing_is_site_average(self, rng):
+        x = smooth_vec(ALG, rng)
+        y = smooth_vec(ALG, rng)
         xs, ys = x.reshape(N, -1), y.reshape(N, -1)
         sitewise = sum(BASE.pair(xs[j], ys[j]) for j in range(N)) / N
         assert ALG.pair(x, y) == pytest.approx(sitewise, abs=1e-12)
 
-    def test_site_blocked_adjoint_matches_generic(self):
+    def test_site_blocked_adjoint_matches_generic(self, rng):
         # oracle: probe every basis direction with a full conjugation
         rng = np.random.default_rng(9174)
         points = [group.random_point(a, rng)
                   for a in (BASE, get_algebra("so3-cotangent"))]
-        points.append(group.exp(ALG, smooth_vec(ALG, RNG)))
+        points.append(group.exp(ALG, smooth_vec(ALG, rng)))
         for g in points:
             a = g.algebra
             generic = np.column_stack([
@@ -116,8 +115,8 @@ class TestBuild:
             assert is_character(ALG, eta) == oracle
         assert is_character(ALG, char) and not is_character(ALG, generic)
 
-    def test_d_s_kills_constants_and_is_exact_order_two(self):
-        const = loop.constant_loop(ALG, RNG.standard_normal(BASE.dim))
+    def test_d_s_kills_constants_and_is_exact_order_two(self, rng):
+        const = loop.constant_loop(ALG, rng.standard_normal(BASE.dim))
         np.testing.assert_allclose(loop.d_s(ALG.lattice, const), 0,
                                    atol=1e-14)
         # central difference of sin(s) has the sin(ds)/ds factor exactly
@@ -162,49 +161,49 @@ class TestSiteOperators:
 
 
 class TestTwoCocycle:
-    def test_site_sum_oracle(self):
+    def test_site_sum_oracle(self, rng):
         # independent oracle: (k/N) sum_j (X_j, (d_s Y)_j)_h by explicit loop
-        x = smooth_vec(ALG, RNG)
-        y = smooth_vec(ALG, RNG)
+        x = smooth_vec(ALG, rng)
+        y = smooth_vec(ALG, rng)
         dy = loop.d_s(ALG.lattice, y).reshape(N, -1)
         xs = x.reshape(N, -1)
         oracle = K / N * sum(BASE.pair(xs[j], dy[j]) for j in range(N))
         assert C2.eval(x, y) == pytest.approx(oracle, abs=1e-12)
 
-    def test_antisymmetry_exact(self):
+    def test_antisymmetry_exact(self, rng):
         for _ in range(5):
-            x = smooth_vec(ALG, RNG)
-            y = smooth_vec(ALG, RNG)
+            x = smooth_vec(ALG, rng)
+            y = smooth_vec(ALG, rng)
             assert C2.eval(x, y) == pytest.approx(-C2.eval(y, x), abs=1e-12)
 
-    def test_isotropic_exchanging(self):
+    def test_isotropic_exchanging(self, rng):
         assert C2.is_isotropic_exchanging()
-        xp = ALG.project(smooth_vec(ALG, RNG), "plus")
-        yp = ALG.project(smooth_vec(ALG, RNG), "plus")
-        xm = ALG.project(smooth_vec(ALG, RNG), "minus")
-        ym = ALG.project(smooth_vec(ALG, RNG), "minus")
+        xp = ALG.project(smooth_vec(ALG, rng), "plus")
+        yp = ALG.project(smooth_vec(ALG, rng), "plus")
+        xm = ALG.project(smooth_vec(ALG, rng), "minus")
+        ym = ALG.project(smooth_vec(ALG, rng), "minus")
         assert abs(C2.eval(xp, yp)) < 1e-12
         assert abs(C2.eval(xm, ym)) < 1e-12
 
-    def test_vanishes_on_constant_loops(self):
-        x = loop.constant_loop(ALG, RNG.standard_normal(BASE.dim))
-        y = smooth_vec(ALG, RNG)
+    def test_vanishes_on_constant_loops(self, rng):
+        x = loop.constant_loop(ALG, rng.standard_normal(BASE.dim))
+        y = smooth_vec(ALG, rng)
         # hat of a constant loop is zero: no derivative content
         np.testing.assert_allclose(C2.hat(x), 0, atol=1e-13)
         assert abs(C2.eval(y, x)) < 1e-13
 
 
 class TestGroupCocycle:
-    def test_constant_loops_in_kernel(self):
+    def test_constant_loops_in_kernel(self, rng):
         g = group.exp(ALG, 0.7 * loop.constant_loop(
-            ALG, RNG.standard_normal(BASE.dim)))
+            ALG, rng.standard_normal(BASE.dim)))
         np.testing.assert_allclose(CG.value(g), 0, atol=1e-12)
         assert group.kernel_check(CG, g)
 
-    def test_infinitesimal_is_minus_dC(self):
+    def test_infinitesimal_is_minus_dC(self, rng):
         h = 1e-6
         worst = 0.0
-        for i in RNG.choice(ALG.dim, 8, replace=False):
+        for i in rng.choice(ALG.dim, 8, replace=False):
             e = np.zeros(ALG.dim)
             e[i] = 1.0
             fd = (CG.value(group.exp(ALG, e, h))
@@ -212,13 +211,13 @@ class TestGroupCocycle:
             worst = max(worst, np.abs(-fd - C2.hat(e)).max())
         assert worst < 1e-8
 
-    def test_exact_differential_at_inverse(self):
-        g = group.exp(ALG, smooth_vec(ALG, RNG))
+    def test_exact_differential_at_inverse(self, rng):
+        g = group.exp(ALG, smooth_vec(ALG, rng))
         # row j of M is the pullback of the unit covector e_j
         m = np.array([CG.differential_inv(g, e) for e in np.eye(ALG.dim)])
         h = 1e-6
         worst = 0.0
-        for i in RNG.choice(ALG.dim, 8, replace=False):
+        for i in rng.choice(ALG.dim, 8, replace=False):
             e = np.zeros(ALG.dim)
             e[i] = h
             fd = (CG.value(g.mul(group.exp(ALG, e)).inv())
@@ -432,6 +431,31 @@ class TestFieldFlow:
                                np.zeros(alg.dim))
         cfg = IntegratorConfig(alg.lattice.ds / (4 * k), 500)
         tr = loop.field_flow(space, h, p0, fiber, cfg, k)
+        assert np.abs(tr.energies - tr.energies[0]).max() < 1e-6
+
+    def test_long_flow_stays_on_the_group(self):
+        # 2000 steps at dt = ds/(4k) on N = 32: the closed-form inverse and
+        # products keep g g^{-1} = 1 and det g = 1 to round-off, so a
+        # determinant drift that the adjugate would hide shows here
+        n = 32
+        alg = loop.build_loop_double(BASE, n)
+        space = PhaseSpace(alg, loop.loop_group_cocycle(alg, K))
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(alg, "isotropic"))
+        fiber = space.fiber(group.identity(alg), loop.constant_loop(
+            alg, 0.02 / n * np.eye(BASE.dim)[3]))
+        rng = np.random.default_rng(2000)
+        wave = alg.project(smooth_vec(alg, rng, scale=0.01), "plus")
+        p0 = space.fiber_point(fiber, group.exp(alg, wave),
+                               smooth_vec(alg, rng, scale=0.01) / n)
+        tr = loop.field_flow(space, h, p0, fiber,
+                             IntegratorConfig(alg.lattice.ds / (4 * K), 2000),
+                             K)
+        g = np.array([p.g.matrix for p in tr.points])
+        ginv = np.array([p.g.inv().matrix for p in tr.points])
+        assert np.abs(g @ ginv - np.eye(2)).max() <= 1e-12
+        assert np.abs(np.linalg.det(g) - 1.0).max() <= 1e-12
+        assert tr.extras["drift_gminus"].max() < 1e-10
         assert np.abs(tr.energies - tr.energies[0]).max() < 1e-6
 
 

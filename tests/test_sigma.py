@@ -7,7 +7,6 @@ from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhaseSpace
 
-RNG = np.random.default_rng(5591)
 
 SL2 = get_algebra("sl2c-iwasawa")
 SO3 = get_algebra("so3-cotangent")
@@ -38,33 +37,33 @@ def make_fibers(space, rng):
 
 class TestTheta:
     @pytest.mark.parametrize("space", SPACES)
-    def test_minus_dtheta_is_omega(self, space):
-        for fiber in make_fibers(space, RNG):
-            p = space.random_fiber_point(fiber, RNG)
-            assert sigma.dtheta_check(space, fiber, p, RNG) < 1e-6
+    def test_minus_dtheta_is_omega(self, space, rng):
+        for fiber in make_fibers(space, rng):
+            p = space.random_fiber_point(fiber, rng)
+            assert sigma.dtheta_check(space, fiber, p, rng) < 1e-6
 
 
 class TestLagrangian:
     @pytest.mark.parametrize("space", SPACES)
-    def test_three_routes_agree(self, space):
+    def test_three_routes_agree(self, space, rng):
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        for fiber in make_fibers(space, RNG):
+        for fiber in make_fibers(space, rng):
             for _ in range(5):
-                gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6),
+                gp = group.exp(a, a.project(0.4 * rng.standard_normal(6),
                                             "plus"))
-                gdot = a.project(RNG.standard_normal(6), "plus")
+                gdot = a.project(rng.standard_normal(6), "plus")
                 vals = [sigma.lagrangian_N(space, e, gp, gdot, fiber, r)
                         for r in ("legendre", "blocks", "r-form")]
                 assert vals[0] == pytest.approx(vals[1], abs=1e-9)
                 assert vals[1] == pytest.approx(vals[2], abs=1e-9)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_el_residual_second_order(self, space):
+    def test_el_residual_second_order(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         h = dynamics.hamiltonian_quadratic(space, e)
-        fiber = make_fibers(space, RNG)[1]
-        p0 = space.random_fiber_point(fiber, RNG, 0.4)
+        fiber = make_fibers(space, rng)[1]
+        p0 = space.random_fiber_point(fiber, rng, 0.4)
         steps = (0.02, 0.01, 0.005)
         res = []
         for dt in steps:
@@ -75,11 +74,11 @@ class TestLagrangian:
         assert slope >= 1.8
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_el_residual_large_off_shell(self, space):
+    def test_el_residual_large_off_shell(self, space, rng):
         # negative control: a non-solution path has O(1) residual
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        fiber = make_fibers(space, RNG)[0]
+        fiber = make_fibers(space, rng)[0]
         times = np.arange(0, 0.2, 0.01)
         x = a.project(np.ones(6), "plus")
         pts = []
@@ -93,25 +92,25 @@ class TestLagrangian:
 
 class TestBivector:
     @pytest.mark.parametrize("space", SPACES)
-    def test_defining_relation(self, space):
+    def test_defining_relation(self, space, rng):
         a = space.algebra
-        gp = group.exp(a, a.project(0.5 * RNG.standard_normal(6), "plus"))
+        gp = group.exp(a, a.project(0.5 * rng.standard_normal(6), "plus"))
         pi_r = sigma.bivector_pi(a, gp)
         for _ in range(10):
-            xm = a.project(RNG.standard_normal(6), "minus")
-            ym = a.project(RNG.standard_normal(6), "minus")
+            xm = a.project(rng.standard_normal(6), "minus")
+            ym = a.project(rng.standard_normal(6), "minus")
             lhs = a.pair(pi_r @ xm, ym)
             rhs = a.pair(a.project(group.adjoint(gp.inv(), xm), "minus"),
                          a.project(group.adjoint(gp.inv(), ym), "plus"))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @pytest.mark.parametrize("space", SPACES)
-    def test_antisymmetric_and_vanishes_at_identity(self, space):
+    def test_antisymmetric_and_vanishes_at_identity(self, space, rng):
         a = space.algebra
-        gp = group.exp(a, a.project(0.5 * RNG.standard_normal(6), "plus"))
+        gp = group.exp(a, a.project(0.5 * rng.standard_normal(6), "plus"))
         pi_r = sigma.bivector_pi(a, gp)
-        xm = a.project(RNG.standard_normal(6), "minus")
-        ym = a.project(RNG.standard_normal(6), "minus")
+        xm = a.project(rng.standard_normal(6), "minus")
+        ym = a.project(rng.standard_normal(6), "minus")
         assert a.pair(pi_r @ xm, ym) == pytest.approx(
             -a.pair(pi_r @ ym, xm), abs=1e-10)
         pi_e = sigma.bivector_pi(a, group.identity(a))
@@ -119,40 +118,40 @@ class TestBivector:
 
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_operator_identity(self, space, sign):
+    def test_operator_identity(self, space, sign, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
         for _ in range(5):
             gp = group.exp(space.algebra,
                            space.algebra.project(
-                               0.5 * RNG.standard_normal(6), "plus"))
+                               0.5 * rng.standard_normal(6), "plus"))
             assert sigma.operator_identity_check(space, e, gp, sign) < 1e-9
 
 
 class TestDensity:
-    def test_k_zero_collapse_without_cocycle(self):
+    def test_k_zero_collapse_without_cocycle(self, rng):
         # zero cocycle: the static density is the mechanical Lagrangian
         space = PhaseSpace(SO3)
         a = space.algebra
         e = EnergyOperator.preset(a, "skewed")
-        em = a.project(RNG.standard_normal(6) * 0.5, "minus")
+        em = a.project(rng.standard_normal(6) * 0.5, "minus")
         fiber = space.fiber(group.identity(a), em)
-        gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6), "plus"))
-        gdot = a.project(RNG.standard_normal(6), "plus")
+        gp = group.exp(a, a.project(0.4 * rng.standard_normal(6), "plus"))
+        gdot = a.project(rng.standard_normal(6), "plus")
         ld = sigma.lagrangian_density(space, e, gp, gdot, np.zeros(6),
                                       fiber, 0.0)
         lm = sigma.lagrangian_N(space, e, gp, gdot, fiber, "r-form")
         assert ld == pytest.approx(lm, abs=1e-10)
 
-    def test_lightcone_combination(self):
+    def test_lightcone_combination(self, rng):
         # the k-dependence enters only through gdot +- k gprime
         space = PhaseSpace(SO3)
         a = space.algebra
         e = EnergyOperator.preset(a, "isotropic")
-        em = a.project(RNG.standard_normal(6) * 0.5, "minus")
+        em = a.project(rng.standard_normal(6) * 0.5, "minus")
         fiber = space.fiber(group.identity(a), em)
-        gp = group.exp(a, a.project(0.4 * RNG.standard_normal(6), "plus"))
-        gdot = a.project(RNG.standard_normal(6), "plus")
-        gprime = a.project(RNG.standard_normal(6), "plus")
+        gp = group.exp(a, a.project(0.4 * rng.standard_normal(6), "plus"))
+        gdot = a.project(rng.standard_normal(6), "plus")
+        gprime = a.project(rng.standard_normal(6), "plus")
         k = 0.7
         v1 = sigma.lagrangian_density(space, e, gp, gdot, gprime, fiber, k)
         v2 = sigma.lagrangian_density(space, e, gp, gdot, -gprime, fiber, -k)
