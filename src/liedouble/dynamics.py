@@ -116,24 +116,24 @@ def hamiltonian_quadratic(space, e_op):
     With v = Ad_g u, H = (1/2) v.(P E) v and E_g u = psi_bar(Ad_g^T (P E) v),
     so the Hamiltonian applies operators to vectors and solves nothing;
     P E is one site's block on every site, a single 2-D product.
-    The carrier (psi(u), u, v, P E v) is kept for the last point, which a
-    flow step's end-point energy and the next step's first stage share.
+    The carrier (w, v, P E v), w = eta - C(g^{-1}) = psi(u), is kept for
+    the last point, which a flow step's end-point energy and the next
+    step's first stage share.
     """
     a = space.algebra
 
     @grouplib._memo_last
     def carrier(p):
         w = p.eta - space.C.value(p.g.inv())
-        u = a.psi_bar(w)
-        v = p.g.ad_matrix() @ u
-        return w, u, v, e_op.pe @ v
+        v = p.g.ad_matrix() @ a.psi_bar(w)
+        return w, v, e_op.pe @ v
 
     def fn(p):
-        *_, v, pe_v = carrier(p)
+        _, v, pe_v = carrier(p)
         return 0.5 * float(v @ pe_v)
 
     def diff(p):
-        w, _, _, pe_v = carrier(p)
+        w, _, pe_v = carrier(p)
         delta = a.psi_bar(pe_v @ p.g.ad_matrix())
         # group slot: the E_g variation gives psi([u, delta]), which is
         # coad(delta, psi(u)) by ad-invariance; the C(g^{-1}) variation is

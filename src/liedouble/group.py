@@ -7,8 +7,8 @@ inverse-point derivative.
 The exponential, the inverse and the factorization are the algebra's
 hooks on (N, m, m) stacks, and Ad_g is a block-diagonal ``BlockOperator``.
 Products of (N, 2, 2) stacks, the SL(2,C) loops, use the explicit
-two-term column form (``matmul``), which numpy's complex matmul loop is
-several times slower than at these sizes. The pairing P is
+two-term column form (``matmul``); numpy's complex matmul is several
+times slower on such small matrices. The pairing P is
 ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
 solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
 is ``g`` itself. What a cocycle's value at g^{-1} and its derivative at g
