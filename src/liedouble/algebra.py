@@ -12,13 +12,14 @@ double on N sites. Coordinates are site-major, the bracket is the per-site
 structure-constant tensor applied at every site, and ``ad``,
 ``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s;
 the pairing, its inverse and the g+/g- selectors repeat one site's block
-(uniform bands). The built-in doubles carry closed-form group kernels on
+(uniform stacks). The built-in doubles carry closed-form group kernels on
 (N, m, m) stacks: the exponential, whose scalars are closed forms too (a
 series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
 inverse and the factorization. No ``numpy.linalg`` call is left on their
 flow path. With a matrix representation, ``sandwich``, the kernel of the
 group adjoint, is one real matmul against a tensor built once from the
-basis matrices and their dual basis.
+basis matrices and their dual basis. A declared algebra has no matrix
+representation and stays at the algebra level.
 """
 
 import json
@@ -47,7 +48,9 @@ class BasisAlgebra:
     ``site_plus`` and ``site_minus`` are the split of one site. The group
     hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
     stacks, ``exponential`` to the matrix exponentials, ``inverse`` to the
-    inverse matrices (``numpy.linalg.inv`` when it is not given).
+    inverse matrices. The group layer calls them directly, so it needs an
+    algebra with basis matrices and all three hooks, as the built-in
+    doubles and their loops have.
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
@@ -116,11 +119,11 @@ class BasisAlgebra:
 
     def ad(self, x):
         """Operator of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
-        return BlockOperator({0: self._contract(x).swapaxes(1, 2)})
+        return BlockOperator(self._contract(x).swapaxes(1, 2))
 
     def bracket_form(self, eta):
         """K[i, j] = <eta, [e_i, e_j]> as a block-diagonal operator."""
-        return BlockOperator({0: self._contract(eta, last=True)})
+        return BlockOperator(self._contract(eta, last=True))
 
     def pair(self, x, y):
         return float(self._sites(x).ravel() @ self.psi(self._sites(y).ravel()))
@@ -201,16 +204,6 @@ class BasisAlgebra:
         w = np.asarray(w).reshape(self._site_axes + (-1,))
         return (w @ mats.T).real.reshape(self.dim)
 
-    def mat_to_vec_transpose(self, eta):
-        """The w, shaped like ``vec_to_mat``'s output, with
-        Re sum(w * m) = eta @ mat_to_vec(m): the transpose of
-        ``mat_to_vec``."""
-        self._require_representation()
-        u = np.asarray(eta, dtype=float).reshape(
-            self._site_axes + (self.site_dim,)) @ self._dual_basis.T
-        return self._entries_transpose(u).reshape(
-            self._site_axes + self.basis_matrices.shape[1:])
-
     def _entries_transpose(self, u):
         """The w with Re sum(w * v) = u . entries(v), the entries of v being
         its real parts, then its imaginary parts for a complex
@@ -242,7 +235,7 @@ class BasisAlgebra:
 
 def _uniform_operator(block, n):
     """The block-diagonal operator repeating one (d, d) block on n sites."""
-    return BlockOperator({0: np.broadcast_to(block, (n,) + block.shape)})
+    return BlockOperator(np.broadcast_to(block, (n,) + block.shape))
 
 
 def _sandwich_tensor(mats, dual_basis):
@@ -262,10 +255,12 @@ def _sandwich_tensor(mats, dual_basis):
 
 
 class TwoCocycle:
-    """Antisymmetric 2-cocycle c(X,Y) = <c_hat(X), Y>; ``matrix`` is the
-    ``BlockOperator`` of c_hat. ``zero`` and ``coboundary`` build the two
-    cocycles of any double; ``liedouble.loop.loop_two_cocycle`` the
-    lattice one."""
+    """Antisymmetric 2-cocycle c(X,Y) = <c_hat(X), Y>, with ``hat`` of a
+    vector or of a (dim, k) stack of columns. ``zero`` and ``coboundary``
+    build the two cocycles of any double, and ``matrix`` is the
+    ``BlockOperator`` of their c_hat; the lattice cocycle of
+    ``liedouble.loop.loop_two_cocycle`` applies its ``matrix`` after the
+    central difference."""
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
@@ -273,8 +268,8 @@ class TwoCocycle:
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, BlockOperator({0: np.zeros(
-            (algebra.n_sites, algebra.site_dim, algebra.site_dim))}))
+        return cls(algebra, BlockOperator(np.zeros(
+            (algebra.n_sites, algebra.site_dim, algebra.site_dim))))
 
     @classmethod
     def coboundary(cls, algebra, mu0):
@@ -292,7 +287,9 @@ class TwoCocycle:
         """True if c_hat maps g+- into the dual of the opposite factor.
 
         This is the hypothesis under which the restricted bracket carries no
-        cocycle terms; zero cocycles satisfy it trivially.
+        cocycle terms; zero cocycles satisfy it trivially. It reads
+        ``matrix``, which is exact for the lattice cocycle too: the central
+        difference acts along the sites and keeps each site's split.
         """
         sp, sm = self.algebra.site_plus, self.algebra.site_minus
         return all(self.matrix.restrict(side, side).max_abs() < tol
@@ -324,8 +321,8 @@ def validate_manin(a, tol=1e-12):
     """Run the structural invariants; returns {check: residual} plus 'passed'.
 
     The bracket axioms and the split are checked on the per-site data,
-    which the lattice repeats; ad-invariance is checked against every band
-    of the pairing operator, including any couplings between sites.
+    which the lattice repeats; ad-invariance is checked against the
+    pairing's block at every site.
     """
     c = a.structure_constants
     p = a.pairing
@@ -335,16 +332,11 @@ def validate_manin(a, tol=1e-12):
     jac = np.einsum("ijm,mkl->ijkl", c, c)
     res["jacobi"] = float(np.abs(jac + jac.transpose(1, 2, 0, 3)
                                  + jac.transpose(2, 0, 1, 3)).max())
-    # t[s, i, j, l] = <[e_i, e_j] at site s, e_l at site s + o>; invariance
-    # pairs it with the (j, l)-swapped entry on the diagonal band and asks
-    # zero on the others
-    worst = []
-    for o, blocks in p.bands.items():
-        t = np.einsum("ijm,sml->sijl", c, blocks)
-        if o == 0:
-            t = t + t.transpose(0, 1, 3, 2)
-        worst.append(np.abs(t).max())
-    res["pairing_ad_invariance"] = float(np.max(worst))
+    # t[s, i, j, l] = <[e_i, e_j], e_l> at site s, antisymmetric in (j, l)
+    # by invariance
+    t = np.einsum("ijm,sml->sijl", c, p.blocks)
+    res["pairing_ad_invariance"] = float(
+        np.abs(t + t.transpose(0, 1, 3, 2)).max())
     res["closure_plus"] = float(np.abs(c[np.ix_(sp, sp, sm)]).max(initial=0.0))
     res["closure_minus"] = float(np.abs(c[np.ix_(sm, sm, sp)]).max(initial=0.0))
     res["pairing_symmetry"] = (p - p.T).max_abs()

@@ -121,6 +121,11 @@ class Scenario:
             base = load_algebra(cfg["algebra"])
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError("algebra: %s" % exc)
+        if base.basis_matrices is None and (
+                experiment != "check" or "fiber" in cfg
+                or cfg.get("cocycle", {}).get("kind") == "lattice-derivative"):
+            raise ConfigError("algebra: %r has no matrix representation, "
+                              "which this run's group layer needs" % base.name)
         loop = cfg.get("loop", {})
         self.base, self.samples = base, loop.get("samples", 4)
         # the level of the lattice cocycle and of the CFL bound

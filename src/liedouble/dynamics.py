@@ -40,8 +40,7 @@ class EnergyOperator:
         if matrix.shape not in ((d, d), (n, d, d)):
             raise ValueError("energy operator must be one site's %dx%d "
                              "matrix (got shape %s)" % (d, d, matrix.shape))
-        e = self.matrix = BlockOperator({0: np.broadcast_to(matrix,
-                                                            (n, d, d))})
+        e = self.matrix = BlockOperator(np.broadcast_to(matrix, (n, d, d)))
         # written as "not <=" so that a NaN fails the checks
         if not np.abs((e @ e).blocks - np.eye(d)).max() <= 1e-10:
             raise ValueError("energy operator is not an involution")
@@ -107,7 +106,7 @@ class EnergyOperator:
         gg, bb = np.zeros((2, a.n_sites, a.site_dim, a.site_dim))
         gg[:, sm[:, None], sp] = ginv
         bb[:, sm[:, None], sp] = -ginv @ eg.restrict(sp, sp).blocks
-        return BlockOperator({0: gg}), BlockOperator({0: bb})
+        return BlockOperator(gg), BlockOperator(bb)
 
 
 def hamiltonian_quadratic(space, e_op):

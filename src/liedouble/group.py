@@ -54,8 +54,7 @@ class GroupPoint:
     def inv(self):
         inv = self._inv and self._inv()
         if inv is None:
-            inverse = self.algebra.inverse or np.linalg.inv
-            inv = GroupPoint(self.algebra, inverse(self.matrix))
+            inv = GroupPoint(self.algebra, self.algebra.inverse(self.matrix))
             # a weak back-reference: g.inv().inv() is g, without a cycle
             inv._inv, self._inv = weakref.ref(self), lambda: inv
         return inv
@@ -65,8 +64,8 @@ class GroupPoint:
         point conjugates only site j, so Ad_g is block diagonal."""
         if self._ad is None:
             shape = (-1,) + self.matrix.shape[-2:]
-            self._ad = BlockOperator({0: self.algebra.sandwich(
-                self.matrix.reshape(shape), self.inv().matrix.reshape(shape))})
+            self._ad = BlockOperator(self.algebra.sandwich(
+                self.matrix.reshape(shape), self.inv().matrix.reshape(shape)))
         return self._ad
 
     def factors(self):

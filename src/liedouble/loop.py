@@ -8,23 +8,24 @@ structures on the lattice, while identities relying on the Leibniz rule for
 d_s (cocycle identity, the 1-cocycle property of C_k) hold up to O(ds^2)
 and converge at second order under refinement.
 
-Every lattice operator is a ``BlockOperator``: the algebra's are block
-diagonal, and the cocycle hat adds the periodic +-1 bands of the central
-difference. The exact differential of C_k is never built as an operator:
-a Hamiltonian needs only its transpose applied to one vector, which pulls
-a matrix functional back through the same stencil site by site. The
-cocycle's value and that pullback meet the basis through one per-site
-matrix, k psi o mat_to_vec and its transpose, and their (N, m, m) stack
-products go through ``group.matmul``. A loop double inherits its base's
-group kernels (exponential, inverse, factorizer), so one field-flow step
-costs O(N) in the number of sites and calls no ``numpy.linalg`` routine.
+Every lattice operator is a block-diagonal ``BlockOperator``, and the
+central difference is written once, in ``d_s``: the cocycle's hat
+-k psi(d_s X) applies the block-diagonal -k P after it, and the value and
+pullback of C_k read it too. The exact differential of C_k is never built
+as an operator: a Hamiltonian needs only its transpose applied to one
+vector, which pulls a matrix functional back through the same stencil
+site by site. The cocycle's value and that pullback meet the basis
+through one per-site matrix, k psi o mat_to_vec and its transpose, and
+their (N, m, m) stack products go through ``group.matmul``. A loop double
+inherits its base's group kernels (exponential, inverse, factorizer), so
+one field-flow step costs O(N) in the number of sites and calls no
+``numpy.linalg`` routine.
 """
 
 import numpy as np
 
 from . import group as grouplib
 from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
-from .blocks import BlockOperator
 from .dynamics import flow_fiber
 
 __all__ = ["LoopLattice", "build_loop_double", "d_s", "loop_two_cocycle",
@@ -64,13 +65,18 @@ def build_loop_double(base, n_sites):
         exponential=base.exponential, inverse=base.inverse)
 
 
+class _LatticeTwoCocycle(TwoCocycle):
+    """A two-cocycle whose hat applies ``matrix`` after ``d_s``."""
+
+    def hat(self, x):
+        return self.matrix @ d_s(self.algebra.lattice,
+                                 np.asarray(x, dtype=float))
+
+
 def loop_two_cocycle(loop_algebra, k):
-    """c_k(X, Y) = (k / N) sum_j (X_j, (d_s Y)_j)_h, with hat -k psi(d_s X)."""
-    lattice = loop_algebra.lattice
-    eye = np.broadcast_to(np.eye(lattice.base.dim) / (2.0 * lattice.ds),
-                          (lattice.n_sites,) + (lattice.base.dim,) * 2)
-    d_op = BlockOperator({1: eye, -1: -eye})  # the operator of d_s
-    return TwoCocycle(loop_algebra, -k * (loop_algebra.pairing @ d_op))
+    """c_k(X, Y) = (k / N) sum_j (X_j, (d_s Y)_j)_h, with hat -k psi(d_s X):
+    ``matrix`` is the block-diagonal -k P."""
+    return _LatticeTwoCocycle(loop_algebra, -k * loop_algebra.pairing)
 
 
 def loop_group_cocycle(loop_algebra, k):

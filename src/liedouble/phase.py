@@ -228,10 +228,10 @@ class PhaseSpace:
         """[[0, I], [-I, Omega_c]] in the normalized constraint frame."""
         n = self.frame.n
         tm = self.frame.T_minus
-        # Omega[i, j] = -<C(g^{-1}) + eta, [T^i, T^j]> - c(T^i, T^j)
-        form = (self.algebra.bracket_form(self.C.value(p.g.inv()) + p.eta)
-                + self.c2.matrix.T)
-        omega = -tm @ form @ tm.T
+        # Omega[i, j] = -<C(g^{-1}) + eta, [T^i, T^j]> - c(T^i, T^j), and
+        # -c(T^i, T^j) = T^i . c_hat(T^j) by antisymmetry
+        form = self.algebra.bracket_form(self.C.value(p.g.inv()) + p.eta)
+        omega = -tm @ form @ tm.T + tm @ self.c2.hat(tm.T)
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 

@@ -159,7 +159,7 @@ def operator_identity_check(space, e_op, g_plus, sign=1):
         r = r_operator(e_op, g, sign).restrict(sm, sp).blocks
         out = np.zeros((a.n_sites, a.site_dim, a.site_dim))
         out[:, sp[:, None], sm] = np.linalg.inv(r)
-        return BlockOperator({0: out})
+        return BlockOperator(out)
 
     lhs = adg @ r_inv(g_plus) @ sel_m @ g_plus.inv().ad_matrix() @ sel_m
     rhs = (r_inv(grouplib.identity(a)) - bivector_pi(a, g_plus)) @ sel_m

@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from liedouble import dynamics, group, loop
-from liedouble.blocks import BlockOperator
 from liedouble.phase import Differential, Observable, PhasePoint
 
 
@@ -38,13 +37,8 @@ def _block_diag(blocks, shift=0):
 
 
 def dense(op):
-    """The dense matrix of a BlockOperator.
-
-    Band o holds the block of row site j and column site j + o at index j;
-    _block_diag indexes by the column site, hence the roll.
-    """
-    return sum(_block_diag(np.roll(b, o, axis=0), -o)
-               for o, b in op.bands.items())
+    """The dense matrix of a BlockOperator."""
+    return _block_diag(op.blocks)
 
 
 def is_identity(g, tol=1e-12):
@@ -108,7 +102,7 @@ def sandwich_kron(algebra, left, right):
 
 def loop_differential_inv(loop_algebra, k, g):
     """The exact inverse-point derivative M of the level-k lattice cocycle
-    as a 3-band operator: M X = d/dt C_k((g exp(tX))^{-1}) at t = 0.
+    as a dense 3-band matrix: M X = d/dt C_k((g exp(tX))^{-1}) at t = 0.
 
     With h = g^{-1} site-wise, d/dt [(d_s h) h^{-1}] at site j is
     q_j X_j - (X_{j+1} h_{j+1} - X_{j-1} h_{j-1}) h_j^{-1} / (2 ds),
@@ -121,13 +115,14 @@ def loop_differential_inv(loop_algebra, k, g):
     q = loop.d_s(lattice, h) @ hinv
 
     def side(o):
-        # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j
-        return -o / (2.0 * lattice.ds) * base.sandwich(
+        # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j, as the
+        # block of row site j and column site j + o
+        blocks = -o / (2.0 * lattice.ds) * base.sandwich(
             eye, np.roll(h, -o, axis=0) @ hinv)
+        return _block_diag(np.roll(blocks, o, axis=0), -o)
 
-    coords = BlockOperator({0: base.sandwich(q, eye), 1: side(1),
-                            -1: side(-1)})
-    return k * (loop_algebra.pairing @ coords)
+    coords = _block_diag(base.sandwich(q, eye)) + side(1) + side(-1)
+    return k * dense(loop_algebra.pairing) @ coords
 
 
 def coboundary_differential_inv(algebra, mu0, g):

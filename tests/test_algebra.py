@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedouble.algebra import (TwoCocycle, algebra_from_declaration,
+from liedouble.algebra import (BasisAlgebra, TwoCocycle,
+                               algebra_from_declaration,
                                cocycle_identity_residual, get_algebra,
                                is_character, validate_manin)
 from liedouble.loop import build_loop_double
@@ -217,6 +218,15 @@ class TestValidate:
             assert not report["passed"]
             assert "jacobi" in report["failures"]
 
+    def test_non_invariant_pairing_fails(self):
+        # symmetric, with isotropic factors, but the cross block
+        # diag(1, 2, 3) is not invariant under so(3)
+        p = np.kron([[0, 1], [1, 0]], np.diag([1.0, 2.0, 3.0]))
+        a = BasisAlgebra("so3-skewed", SO3.labels, p, SO3.site_plus,
+                         SO3.site_minus, SO3.structure_constants)
+        for alg in (a, build_loop_double(a, 8)):
+            assert validate_manin(alg)["failures"] == [
+                "pairing_ad_invariance"]
 
     def test_nan_residual_fails(self):
         # a NaN constant makes the residuals NaN, which must not pass

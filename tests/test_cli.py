@@ -366,6 +366,63 @@ class TestFailureModes:
         assert "Traceback" not in err
 
 
+def sl2c_declared(config, **changes):
+    """A shipped config with sl2c-iwasawa declared inline: the same
+    structure constants and pairing, no matrix representation."""
+    a = get_algebra("sl2c-iwasawa")
+    decl = {"name": "sl2c-declared", "dim": a.dim, "labels": list(a.labels),
+            "structure_constants": [
+                [i, j, k, float(v)]
+                for (i, j, k), v in np.ndenumerate(a.structure_constants)
+                if v != 0.0],
+            "pairing": a.pairing.blocks[0].tolist(),
+            "plus_indices": [int(i) for i in a.site_plus],
+            "minus_indices": [int(i) for i in a.site_minus]}
+    cfg = json.loads(open(cfg_path(config)).read())
+    cfg.update(changes, algebra=decl)
+    return {k: v for k, v in cfg.items() if v is not None}
+
+
+class TestDeclaredAlgebra:
+    """A declared algebra has no matrix representation: a run that needs
+    the group layer is a config error, and check stays at the algebra
+    level."""
+
+    LOOP_COCYCLE = {"loop": {"sites": 8, "level": 0.6},
+                    "cocycle": {"kind": "lattice-derivative"}}
+
+    @pytest.mark.parametrize("experiment,config,changes", [
+        ("check", "so3_check.json",
+         {"fiber": {"eta_minus": [0.0] * 6}}),
+        ("check", "so3_check.json", dict(LOOP_COCYCLE, fiber=None)),
+        ("check", "so3_check.json", {}),  # fiber.g_minus coordinates
+        ("flow", "sl2_flow.json", {}),
+        ("brackets", "sl2_brackets.json", {}),
+        ("legendre", "sl2_legendre.json", {}),
+        ("collective", "sl2_collective.json", {}),
+        ("sigma", "sl2_sigma.json", {}),
+        ("loop", "loop_flow.json", {}),
+        ("converge", "loop_converge.json", {}),
+    ], ids=["check-fiber", "check-lattice-cocycle", "check-g-minus", "flow",
+            "brackets", "legendre", "collective", "sigma", "loop",
+            "converge"])
+    def test_group_runs_exit_2(self, experiment, config, changes, tmp_path,
+                               capsys):
+        cfg = write_cfg(tmp_path, sl2c_declared(config, **changes))
+        assert run(experiment, cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: algebra:")
+        assert "no matrix representation" in err
+
+    @pytest.mark.parametrize("changes", [
+        {"fiber": None}, {"fiber": None, "loop": {"sites": 8}}],
+        ids=["plain", "loop"])
+    def test_check_runs(self, changes, tmp_path):
+        cfg = write_cfg(tmp_path, sl2c_declared("so3_check.json", **changes))
+        assert run("check", cfg, tmp_path) == 0
+
+
 class TestExchangingHypothesis:
     """Experiments that follow the restricted field need c_hat to exchange
     the isotropic factors; a generic coboundary is a config error there."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from liedouble import dynamics, group, loop
-from liedouble.algebra import get_algebra, is_character, validate_manin
+from liedouble.algebra import (TwoCocycle, get_algebra, is_character,
+                               validate_manin)
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import PhasePoint, PhaseSpace
 from oracles import (dense, fiber_generator_direct, loop_differential_inv,
@@ -151,13 +152,13 @@ class TestSiteOperators:
         with pytest.raises(ValueError, match="one site's 6x6 matrix"):
             EnergyOperator(ALG, np.eye(ALG.dim))
 
-    def test_cocycle_hat_is_three_banded(self):
-        # the hat matrix of c_k against the dense central difference
+    def test_cocycle_hat_is_central_difference(self):
+        # the hat of c_k on every basis vector against the dense central
+        # difference
         dn = (np.roll(np.eye(N), 1, axis=1) - np.roll(np.eye(N), -1, axis=1))
         dmat = np.kron(dn / (2.0 * ALG.lattice.ds), np.eye(BASE.dim))
-        np.testing.assert_allclose(dense(C2.matrix),
+        np.testing.assert_allclose(C2.hat(np.eye(ALG.dim)),
                                    -K * dense(ALG.pairing) @ dmat, atol=1e-13)
-        assert sorted(C2.matrix.bands) == [1, N - 1]
 
 
 class TestTwoCocycle:
@@ -176,8 +177,23 @@ class TestTwoCocycle:
             y = smooth_vec(ALG, rng)
             assert C2.eval(x, y) == pytest.approx(-C2.eval(y, x), abs=1e-12)
 
+    @pytest.mark.parametrize("kind,n", [
+        ("zero", 1), ("coboundary", 1), ("zero", N), ("coboundary", N),
+        ("lattice", N)])
+    def test_hat_of_columns_is_columnwise_hat(self, kind, n, rng):
+        a = BASE if n == 1 else ALG
+        c2 = (C2 if kind == "lattice" else TwoCocycle.zero(a) if kind == "zero"
+              else TwoCocycle.coboundary(a, rng.standard_normal(a.dim)))
+        cols = rng.standard_normal((a.dim, 3))
+        want = np.stack([c2.hat(col) for col in cols.T], axis=1)
+        np.testing.assert_allclose(c2.hat(cols), want, rtol=0, atol=1e-13)
+
     def test_isotropic_exchanging(self, rng):
         assert C2.is_isotropic_exchanging()
+        # the check reads the block-diagonal matrix of any cocycle: a
+        # constant coboundary on the same loop does not exchange
+        mu0 = loop.constant_loop(ALG, np.ones(BASE.dim))
+        assert not TwoCocycle.coboundary(ALG, mu0).is_isotropic_exchanging()
         xp = ALG.project(smooth_vec(ALG, rng), "plus")
         yp = ALG.project(smooth_vec(ALG, rng), "plus")
         xm = ALG.project(smooth_vec(ALG, rng), "minus")
@@ -230,7 +246,7 @@ class TestGroupCocycle:
         for _ in range(3):
             g = group.exp(ALG, smooth_vec(ALG, rng))
             delta = rng.standard_normal(ALG.dim)
-            want = dense(loop_differential_inv(ALG, K, g)).T @ delta
+            want = loop_differential_inv(ALG, K, g).T @ delta
             got = CG.differential_inv(g, delta)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

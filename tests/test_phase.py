@@ -148,7 +148,8 @@ class TestConstraints:
         np.testing.assert_allclose(d[:n, n:], np.eye(n), atol=1e-12)
         np.testing.assert_allclose(d + d.T, 0, atol=1e-12)
 
-    @pytest.mark.parametrize("space", SPACES)
+    # SPACE_GENERIC's cocycle does not exchange, so c(T^i, T^j) enters Omega
+    @pytest.mark.parametrize("space", SPACES + [SPACE_GENERIC])
     def test_dirac_matrix_equals_constraint_brackets(self, space, rng):
         # independent evaluation: pairwise poisson_c of the frame 1-forms
         p = rand_point(space, rng)
