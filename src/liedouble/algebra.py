@@ -12,14 +12,16 @@ double on N sites. Coordinates are site-major, the bracket is the per-site
 structure-constant tensor applied at every site, and ``ad``,
 ``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s;
 the pairing, its inverse and the g+/g- selectors repeat one site's block
-(uniform stacks). The built-in doubles carry closed-form group kernels on
-(N, m, m) stacks: the exponential, whose scalars are closed forms too (a
+(uniform stacks). Matrices are (N, m, m) site stacks, N = 1 on a base
+double, and the built-in doubles carry closed-form group kernels on them:
+the exponential, whose scalars are closed forms too (a
 series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
 inverse and the factorization. No ``numpy.linalg`` call is left on their
 flow path. With a matrix representation, ``sandwich``, the kernel of the
 group adjoint, is one real matmul against a tensor built once from the
-basis matrices and their dual basis. A declared algebra has no matrix
-representation and stays at the algebra level.
+basis matrices and their dual basis, complex entries read as (Re, Im)
+pairs. A declared algebra has no matrix representation and stays at the
+algebra level.
 """
 
 import json
@@ -48,9 +50,10 @@ class BasisAlgebra:
     ``site_plus`` and ``site_minus`` are the split of one site. The group
     hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
     stacks, ``exponential`` to the matrix exponentials, ``inverse`` to the
-    inverse matrices. The group layer calls them directly, so it needs an
-    algebra with basis matrices and all three hooks, as the built-in
-    doubles and their loops have.
+    inverse matrices, ``group_memberships`` to one verdict. The group
+    layer calls them directly, so it needs basis matrices and all three
+    hooks, as the built-in doubles and their loops have; a missing hook
+    raises a ``ValueError`` when called.
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
@@ -79,23 +82,20 @@ class BasisAlgebra:
         offsets = d * np.arange(n)[:, None]
         self.plus_indices = (offsets + self.site_plus).reshape(-1)
         self.minus_indices = (offsets + self.site_minus).reshape(-1)
-        # leading axes of a group point or algebra field: none, or sites
-        self._site_axes = () if lattice is None else (n,)
         self.basis_matrices = mats = (None if basis_matrices is None
                                       else np.asarray(basis_matrices))
         if mats is not None:
-            flat = mats.reshape(d, -1)
-            if np.iscomplexobj(mats):
-                flat = np.hstack([flat.real, flat.imag])
-            self._dual_basis = np.linalg.pinv(flat.T).T
-            self._sandwich_tensor = _sandwich_tensor(mats, self._dual_basis)
+            self._complex = np.iscomplexobj(mats)
+            self._dual_basis = np.linalg.pinv(
+                self._entries(mats.reshape(d, -1)))
+            self._sandwich_tensor = _sandwich_tensor(self)
             self.identity_matrix = np.broadcast_to(
                 np.eye(mats.shape[1], dtype=mats.dtype),
-                self._site_axes + mats.shape[1:]).copy()
+                (n,) + mats.shape[1:]).copy()
         self.group_memberships = group_memberships or {}
-        self.factorizer = factorizer
-        self.exponential = exponential
-        self.inverse = inverse
+        self.factorizer = factorizer or _missing_hook(name, "factorizer")
+        self.exponential = exponential or _missing_hook(name, "exponential")
+        self.inverse = inverse or _missing_hook(name, "inverse")
 
     # --- core bilinear operations -------------------------------------
 
@@ -178,58 +178,51 @@ class BasisAlgebra:
                              % self.name)
 
     def vec_to_mat(self, x):
-        """The (m, m) matrix of x; an (N, m, m) stack on a lattice."""
+        """The (N, m, m) site stack of x."""
         self._require_representation()
-        mats = self.basis_matrices
         x = np.asarray(x, dtype=float).reshape(-1, self.site_dim)
-        return (x @ mats.reshape(self.site_dim, -1)).reshape(
-            self._site_axes + mats.shape[1:])
+        return (x @ self.basis_matrices.reshape(self.site_dim, -1)).reshape(
+            self.identity_matrix.shape)
 
     def mat_to_vec(self, m):
-        """Coordinates of the element m (shaped like ``vec_to_mat``'s output).
-
-        Extra leading axes are a batch of elements and map to rows of
-        coordinates.
-        """
+        """Coordinates of m, shaped like ``vec_to_mat``'s output; axes
+        before the site axis are a batch and map to rows of coordinates."""
         m = np.asarray(m)
-        batch = m.shape[:m.ndim - 2 - len(self._site_axes)]
         return self._coords(m.reshape(m.shape[:-2] + (-1,))).reshape(
-            batch + (self.dim,))
+            m.shape[:-3] + (self.dim,))
 
     def vec_to_mat_transpose(self, w):
         """The covector of x -> Re sum(w * vec_to_mat(x)), for w shaped
         like ``vec_to_mat``'s output: the transpose of ``vec_to_mat``."""
         self._require_representation()
         mats = self.basis_matrices.reshape(self.site_dim, -1)
-        w = np.asarray(w).reshape(self._site_axes + (-1,))
+        w = np.asarray(w).reshape(self.n_sites, -1)
         return (w @ mats.T).real.reshape(self.dim)
 
+    def _entries(self, v):
+        """Real parts, or (Re, Im) pairs for a complex representation."""
+        if self._complex:
+            return np.ascontiguousarray(v, dtype=complex).view(float)
+        return v.real
+
     def _entries_transpose(self, u):
-        """The w with Re sum(w * v) = u . entries(v), the entries of v being
-        its real parts, then its imaginary parts for a complex
-        representation, as ``_coords`` reads them."""
-        if np.iscomplexobj(self.basis_matrices):
-            half = u.shape[-1] // 2
-            return u[..., :half] - 1j * u[..., half:]
+        """The w with Re sum(w * v) = u . _entries(v)."""
+        if self._complex:
+            return np.ascontiguousarray(u).view(complex).conj()
         return u
 
     def _coords(self, v):
         # coordinates of flattened (..., m*m) matrices
         self._require_representation()
-        if np.iscomplexobj(self.basis_matrices):
-            return np.concatenate([v.real, v.imag], axis=-1) @ self._dual_basis
-        return v.real @ self._dual_basis
+        return self._entries(v) @ self._dual_basis
 
     def sandwich(self, left, right):
         """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks:
         the products left_ab right_cd, the entries of kron(left, right^T),
-        contracted with the algebra's one real tensor (real and imaginary
-        parts side by side for a complex representation)."""
+        contracted with the algebra's one real tensor."""
         kron = (left[:, :, :, None, None] * right[:, None, None]).reshape(
             len(left), -1)
-        if np.iscomplexobj(self.basis_matrices):
-            kron = kron.astype(complex, copy=False).view(float)
-        return (kron @ self._sandwich_tensor).reshape(
+        return (self._entries(kron) @ self._sandwich_tensor).reshape(
             -1, self.site_dim, self.site_dim)
 
 
@@ -238,20 +231,23 @@ def _uniform_operator(block, n):
     return BlockOperator(np.broadcast_to(block, (n,) + block.shape))
 
 
-def _sandwich_tensor(mats, dual_basis):
+def _missing_hook(name, hook):
+    def missing(*args):
+        raise ValueError("algebra %r has no %s hook" % (name, hook))
+    return missing
+
+
+def _sandwich_tensor(a):
     """The (m^4, d^2) tensor, (2 m^4, d^2) for complex basis matrices, of
     ``BasisAlgebra.sandwich``: coordinate k of A E_i B is
-    Re sum_abcd A_ab B_cd (E_i)_bc conj(D_k)_ad, with D the dual basis
-    (its real rows, then its imaginary rows, for a complex basis)."""
+    Re sum_abcd A_ab B_cd (E_i)_bc D_k,ad = Re sum(kron(A, B^T) * w) for
+    the complex dual basis D, which is entries(kron) . entries(conj w)."""
+    mats = a.basis_matrices
     d, m = mats.shape[0], mats.shape[-1]
-    if np.iscomplexobj(mats):
-        dual_basis = dual_basis[:m * m] - 1j * dual_basis[m * m:]
+    dual = a._entries_transpose(a._dual_basis.T).T
     w = np.einsum("ibc,adk->abcdki", mats,
-                  dual_basis.reshape(m, m, d)).reshape(m ** 4, d * d)
-    if not np.iscomplexobj(mats):
-        return w
-    # the interleaved (Re, Im) of a complex kron pairs with (Re w, -Im w)
-    return np.stack([w.real, -w.imag], axis=1).reshape(2 * m ** 4, d * d)
+                  dual.reshape(m, m, d)).reshape(m ** 4, d * d)
+    return a._entries(w.conj().T).T
 
 
 class TwoCocycle:
@@ -346,9 +342,13 @@ def validate_manin(a, tol=1e-12):
     res["isotropy_minus"] = p.restrict(sm, sm).max_abs()
     res["index_partition"] = float(sorted([*sp, *sm]) != [*range(a.site_dim)])
     # written as "not <=" so that a NaN residual fails
-    failures = [k for k, v in res.items()
-                if not v <= (1e12 if k == "pairing_condition" else tol)]
+    failures = [k for k, v in res.items() if not v <= _manin_bound(k, tol)]
     return {"checks": res, "failures": failures, "passed": not failures}
+
+
+def _manin_bound(check, tol=1e-12):
+    # the pairing's condition number is a well-posedness bound, not a residual
+    return 1e12 if check == "pairing_condition" else tol
 
 
 # --- constructors --------------------------------------------------------
@@ -367,7 +367,7 @@ def algebra_from_matrices(name, labels, basis_matrices, pairing,
     # the commutator coordinates need the representation's dual basis,
     # which the algebra derives from its basis matrices
     comm = mats[:, None] @ mats[None, :] - mats[None, :] @ mats[:, None]
-    a.structure_constants[...] = a.mat_to_vec(comm)
+    a.structure_constants[...] = a.mat_to_vec(comm[:, :, None])
     return a
 
 
@@ -436,16 +436,16 @@ def _so3_exp(m):
 
 
 def _so3_member_plus(m, tol):
-    r = m[:3, :3]
-    return (np.abs(m[:3, 3]).max() < tol
-            and np.abs(r.T @ r - np.eye(3)).max() < tol
-            and abs(np.linalg.det(r) - 1.0) < tol
-            and np.abs(m[3] - [0, 0, 0, 1]).max() < tol)
+    r = m[..., :3, :3]
+    return (np.abs(m[..., :3, 3]).max() < tol
+            and np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max() < tol
+            and np.abs(np.linalg.det(r) - 1.0).max() < tol
+            and np.abs(m[..., 3, :] - [0, 0, 0, 1]).max() < tol)
 
 
 def _so3_member_minus(m, tol):
-    return (np.abs(m[:3, :3] - np.eye(3)).max() < tol
-            and np.abs(m[3] - [0, 0, 0, 1]).max() < tol)
+    return (np.abs(m[..., :3, :3] - np.eye(3)).max() < tol
+            and np.abs(m[..., 3, :] - [0, 0, 0, 1]).max() < tol)
 
 
 _CYCLE = np.array([[1], [2], [0]])
@@ -501,14 +501,15 @@ def _sl2c_iwasawa():
 
 
 def _su2_member(m, tol):
-    return (np.abs(m @ m.conj().T - np.eye(2)).max() < tol
-            and abs(np.linalg.det(m) - 1.0) < tol)
+    return (np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max() < tol
+            and np.abs(np.linalg.det(m) - 1.0).max() < tol)
 
 
 def _sb2_member(m, tol):
-    return (abs(m[1, 0]) < tol
-            and abs(np.linalg.det(m) - 1.0) < tol
-            and abs(m[0, 0].imag) < tol and m[0, 0].real > 0)
+    return (np.abs(m[..., 1, 0]).max() < tol
+            and np.abs(np.linalg.det(m) - 1.0).max() < tol
+            and np.abs(m[..., 0, 0].imag).max() < tol
+            and (m[..., 0, 0].real > 0).all())
 
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -5,7 +5,7 @@ blocks, (A x)_j = A[j] x_j: every algebra and group operator acts site by
 site, and a base double is N = 1. A stack built by ``np.broadcast_to``
 from one (d, d) block (stride 0 along the sites, like the pairing), or the
 stack of a single site, is uniform: it applies to a vector as one 2-D
-product, and the product of two uniform operators stays uniform.
+product; products and scalar multiples of uniform operators stay uniform.
 Products and transposes cost O(N d^3).
 """
 
@@ -57,7 +57,9 @@ class BlockOperator:
         return BlockOperator(self.blocks + other.blocks)
 
     def __mul__(self, scalar):
-        return BlockOperator(scalar * self.blocks)
+        b = self.blocks
+        return BlockOperator(np.broadcast_to(scalar * b[0], b.shape)
+                             if _uniform(b) else scalar * b)
 
     __rmul__ = __mul__
 

@@ -169,10 +169,9 @@ class Trajectory:
         self.extras = extras or {}
 
     def to_csv(self, path):
-        """t, g (the leading site on a lattice), eta, energy and extras."""
-        shape = self.points[0].g.matrix.shape[-2:]
-        ij = ["%d_%d" % (i, j) for i in range(shape[0])
-              for j in range(shape[1])]
+        """t, g (its first site), eta, energy and extras."""
+        ij = ["%d_%d" % ij
+              for ij in np.ndindex(self.points[0].g.matrix.shape[1:])]
         keys = sorted(self.extras)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -181,7 +180,7 @@ class Trajectory:
                        + ["eta_%d" % i for i in range(self.points[0].eta.size)]
                        + ["energy"] + keys)
             for k, (t, p) in enumerate(zip(self.times, self.points)):
-                m = p.g.matrix.reshape((-1,) + shape)[0]
+                m = p.g.matrix[0]
                 w.writerow([repr(float(x)) for x in (
                     [t, *m.real.ravel(), *m.imag.ravel(), *p.eta,
                      self.energies[k]] + [self.extras[c][k] for c in keys])])

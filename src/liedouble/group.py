@@ -4,11 +4,11 @@ actions are read off), and coadjoint group 1-cocycles, each given by its
 2-cocycle, its value and the pullback of a vector through its exact
 inverse-point derivative.
 
-The exponential, the inverse and the factorization are the algebra's
-hooks on (N, m, m) stacks, and Ad_g is a block-diagonal ``BlockOperator``.
-Products of (N, 2, 2) stacks, the SL(2,C) loops, use the explicit
-two-term column form (``matmul``); numpy's complex matmul is several
-times slower on such small matrices. The pairing P is
+A point is an (N, m, m) site stack, N = 1 on a base double; the
+exponential, the inverse and the factorization are the algebra's hooks on
+it, and Ad_g is a block-diagonal ``BlockOperator``. Products of (N, 2, 2)
+stacks use the explicit two-term column form (``matmul``); numpy's
+complex matmul is several times slower on such small matrices. The pairing P is
 ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
 solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
 is ``g`` itself. What a cocycle's value at g^{-1} and its derivative at g
@@ -37,8 +37,9 @@ class FactorizationError(RuntimeError):
 class GroupPoint:
     """Immutable group element in the registered faithful representation.
 
-    ``matrix`` may be a single (m, m) array or an (N, m, m) stack for lattice
-    loop groups; all operations broadcast over the leading axis.
+    ``matrix`` has ``algebra.identity_matrix.shape``: an (N, m, m) stack,
+    one matrix per site, N = 1 on a base double; all operations act site
+    by site.
     """
 
     def __init__(self, algebra, matrix):
@@ -63,9 +64,8 @@ class GroupPoint:
         """Adjoint operator on coordinates, cached; site j of a lattice
         point conjugates only site j, so Ad_g is block diagonal."""
         if self._ad is None:
-            shape = (-1,) + self.matrix.shape[-2:]
             self._ad = BlockOperator(self.algebra.sandwich(
-                self.matrix.reshape(shape), self.inv().matrix.reshape(shape)))
+                self.matrix, self.inv().matrix))
         return self._ad
 
     def factors(self):
@@ -82,16 +82,13 @@ class GroupPoint:
 
     def member(self, side, tol=MEMBER_TOL):
         pred = self.algebra.group_memberships.get(side)
-        if pred is None:
-            return True
-        sites = self.matrix.reshape((-1,) + self.matrix.shape[-2:])
-        return all(pred(mj, tol) for mj in sites)
+        return pred is None or bool(pred(self.matrix, tol))
 
 
 def matmul(a, b):
-    """a @ b for matrices or stacks of them; (N, 2, 2) stacks as the sum of
-    two column-times-row products."""
-    if a.ndim == 3 and a.shape[-1] == 2:
+    """a @ b for (N, m, m) stacks; 2 x 2 matrices as the sum of two
+    column-times-row products."""
+    if a.shape[-1] == 2:
         return a[:, :, :1] * b[:, :1] + a[:, :, 1:] * b[:, 1:]
     return a @ b
 

@@ -16,7 +16,7 @@ as an operator: a Hamiltonian needs only its transpose applied to one
 vector, which pulls a matrix functional back through the same stencil
 site by site. The cocycle's value and that pullback meet the basis
 through one per-site matrix, k psi o mat_to_vec and its transpose, and
-their (N, m, m) stack products go through ``group.matmul``. A loop double
+their (N, m, m) site-stack products go through ``group.matmul``. A loop double
 inherits its base's group kernels (exponential, inverse, factorizer), so
 one field-flow step costs O(N) in the number of sites and calls no
 ``numpy.linalg`` routine.

@@ -50,7 +50,7 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
         du, dw = duw[:n], duw[n:]
         q1 = chart(u + du, w + dw)
         q0 = chart(u - du, w - dw)
-        xi = a.mat_to_vec(np.linalg.inv(chart(u, w).g.matrix)
+        xi = a.mat_to_vec(chart(u, w).g.inv().matrix
                           @ (q1.g.matrix - q0.g.matrix)) / (2 * step)
         rho = (q1.eta - q0.eta) / (2 * step)
         return xi, rho

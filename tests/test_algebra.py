@@ -200,6 +200,32 @@ class TestCharacter:
             is_character(SL2, np.ones(6))
 
 
+LAYOUT_DOUBLES = [SO3, SL2, build_loop_double(SL2, 8)]
+
+
+class TestLayout:
+    """Site stacks and the one real layout of complex entries."""
+
+    @pytest.mark.parametrize("a", LAYOUT_DOUBLES, ids=lambda a: a.name)
+    def test_mat_to_vec_maps_a_batch_of_stacks_to_rows(self, a, rng):
+        xs = rng.standard_normal((3, a.dim))
+        mats = np.stack([a.vec_to_mat(x) for x in xs])
+        assert mats.shape == (3,) + a.identity_matrix.shape
+        got = a.mat_to_vec(mats)
+        assert got.shape == (3, a.dim)
+        np.testing.assert_allclose(got, xs, atol=1e-13)
+
+    @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)
+    def test_entries_transpose_is_the_transpose(self, a, rng):
+        size = a.basis_matrices[0].size
+        v = rng.standard_normal((4, size)) + 1j * rng.standard_normal(
+            (4, size))
+        u = rng.standard_normal(a._entries(v).shape)
+        lhs = np.real(np.sum(a._entries_transpose(u) * v, axis=-1))
+        rhs = np.sum(u * a._entries(v), axis=-1)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
 class TestValidate:
     def test_builtins_pass(self):
         for a in (SO3, SL2):

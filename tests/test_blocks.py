@@ -79,6 +79,12 @@ class TestUniform:
                           (per_site @ a, dense(per_site) @ dense(a))):
             np.testing.assert_allclose(dense(got), want, atol=1e-12)
 
+    def test_scalar_multiple_stays_uniform(self, n):
+        a = uniform_op(np.random.default_rng(4113), n)
+        for got, want in ((2.5 * a, 2.5 * dense(a)), (-a, -dense(a))):
+            assert got.blocks.strides[0] == 0
+            np.testing.assert_array_equal(dense(got), want)
+
 
 def test_restrict_takes_sub_blocks_of_every_site():
     op = random_op(np.random.default_rng(4107), 8)

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from liedouble import cli
-from liedouble.algebra import get_algebra
+from liedouble import cli, group
+from liedouble.algebra import get_algebra, load_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -282,6 +282,92 @@ class TestLoopEnergy:
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) in (0, 1)
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["checks"]) == 5
+
+
+class TestLoopFiberMatrix:
+    """On a loop, fiber.g_minus.matrix is one site's matrix on every site."""
+
+    C = [0.0, 0.0, 0.0, 0.3, 0.0, 0.0]
+
+    @staticmethod
+    def entries(m):
+        return [[[z.real, z.imag] for z in row] for row in m]
+
+    def run_loop(self, g_minus, tmp_path, name):
+        cfg = TestLoopEnergy.loop_cfg({"preset": "isotropic"})
+        cfg["fiber"]["g_minus"] = g_minus
+        out = tmp_path / name
+        return run("loop", write_cfg(tmp_path, cfg, name + ".json"), out), out
+
+    def test_matrix_runs_like_constant(self, tmp_path):
+        m = group.exp(get_algebra("sl2c-iwasawa"), self.C).matrix[0]
+        names = []
+        for name, spec in (("constant", {"constant": self.C}),
+                           ("matrix", {"matrix": self.entries(m)})):
+            rc, out = self.run_loop(spec, tmp_path, name)
+            assert rc == 0
+            report = json.loads((out / "report.json").read_text())
+            names.append([c["name"] for c in report["checks"]])
+        assert names[0] == names[1]
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.0], [0.1, 1.0]],  # off SB(2,C) on every site
+        [[1.0]],                   # not one site's 2 x 2 matrix
+    ], ids=["off-minus", "wrong-size"])
+    def test_bad_matrix_exits_2(self, matrix, tmp_path, capsys):
+        rc, _ = self.run_loop({"matrix": matrix}, tmp_path, "bad")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: fiber")
+
+
+def corrupted_so3(**changes):
+    """so3-cotangent declared inline, with some of its entries replaced."""
+    a = get_algebra("so3-cotangent")
+    entries = [[i, j, k, float(v)]
+               for (i, j, k), v in np.ndenumerate(a.structure_constants)
+               if v != 0.0]
+    decl = {
+        "name": "corrupted",
+        "dim": a.dim,
+        "labels": list(a.labels),
+        "structure_constants": entries,
+        "pairing": a.pairing.blocks[0].tolist(),
+        "plus_indices": [int(i) for i in a.plus_indices],
+        "minus_indices": [int(i) for i in a.minus_indices],
+    }
+    decl.update(changes)
+    return decl
+
+
+class TestManinChecks:
+    """A check report's algebra/* verdicts are validate_manin's."""
+
+    SOURCES = {
+        "so3-cotangent": "so3-cotangent",
+        "sl2c-iwasawa": "sl2c-iwasawa",
+        "jacobi": corrupted_so3(structure_constants=corrupted_so3()[
+            "structure_constants"] + [[0, 1, 2, 1.3], [1, 0, 2, -1.3]]),
+        "pairing": corrupted_so3(pairing=np.kron(
+            [[0, 1], [1, 0]], np.diag([1.0, 1.0, 1e-13])).tolist()),
+        "invariance": corrupted_so3(pairing=np.kron(
+            [[0, 1], [1, 0]], np.diag([1.0, 2.0, 3.0])).tolist()),
+    }
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_check_fails_iff_validate_manin_fails(self, name, tmp_path):
+        source = self.SOURCES[name]
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, algebra=source))
+        run("check", cfg, tmp_path, ["--seed", "1"])
+        report = json.loads((tmp_path / "report.json").read_text())
+        failures = validate_manin(load_algebra(source))["failures"]
+        assert bool(failures) == (name not in ("so3-cotangent",
+                                               "sl2c-iwasawa"))
+        checks = [c for c in report["checks"]
+                  if c["name"].startswith("algebra/")]
+        assert len(checks) >= 10
+        for c in checks:
+            assert (not c["passed"]) == (c["name"][8:] in failures), c
 
 
 def test_readme_schema_names_every_key_and_word():

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from liedouble import group, loop
-from liedouble.algebra import TwoCocycle, _cosh_sinhc, get_algebra
+from liedouble.algebra import (TwoCocycle, _cosh_sinhc, algebra_from_matrices,
+                               get_algebra)
 from liedouble.group import GroupCocycle, GroupPoint
 from oracles import (coboundary_differential_inv, cosh_sinhc_series,
                      dense, is_identity, qr_factorize, sandwich_kron,
@@ -39,12 +40,12 @@ class TestExp:
         # exp(theta * e3) = cos(theta/2) I - i sin(theta/2) sigma3
         theta = 2.0 * np.pi
         g = group.exp(SL2, theta * basis(SL2, 2))
-        np.testing.assert_allclose(g.matrix, -np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(g.matrix[0], -np.eye(2), atol=1e-12)
         theta = 1.234
         g = group.exp(SL2, theta * basis(SL2, 2))
         expect = (np.cos(theta / 2) * np.eye(2)
                   - 1j * np.sin(theta / 2) * np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(g.matrix, expect, atol=1e-12)
+        np.testing.assert_allclose(g.matrix[0], expect, atol=1e-12)
 
 
 class TestClosedFormExp:
@@ -86,7 +87,7 @@ class TestClosedFormExp:
         # |det X| just below and above 1, where the series hands over
         rng = np.random.default_rng(5104)
         coords = rng.standard_normal((40, 6))
-        dets = np.array([abs(np.linalg.det(SL2.vec_to_mat(c)))
+        dets = np.array([abs(np.linalg.det(SL2.vec_to_mat(c)[0]))
                          for c in coords])
         for target in (0.999, 1.001):
             self.check(SL2, coords * np.sqrt(target / dets)[:, None])
@@ -130,7 +131,7 @@ class TestClosedFormExp:
         for j in range(8):
             np.testing.assert_allclose(
                 g.matrix[j], scipy.linalg.expm(SL2.vec_to_mat(
-                    x[6 * j:6 * j + 6])), atol=1e-14)
+                    x[6 * j:6 * j + 6])[0]), atol=1e-14)
 
 
 class TestAdjoint:
@@ -263,6 +264,62 @@ class TestKernels:
             want = left @ right
             assert np.abs(group.matmul(left, right) - want).max() <= (
                 1e-14 * np.abs(want).max())
+
+
+class TestLayout:
+    """Every group point is an (N, m, m) site stack, N = 1 on a base
+    double."""
+
+    @pytest.mark.parametrize("a", [SO3, SL2, loop.build_loop_double(SL2, 8)],
+                             ids=lambda a: a.name)
+    def test_points_have_the_identity_shape(self, a, rng):
+        assert a.identity_matrix.shape == (
+            (a.n_sites,) + a.basis_matrices.shape[1:])
+        g = group.random_point(a, rng)
+        h = group.exp(a, 0.5 * rng.standard_normal(a.dim))
+        for p in (group.identity(a), h, g, g.mul(h), g.inv(), *g.factors()):
+            assert p.matrix.shape == a.identity_matrix.shape
+
+    @staticmethod
+    def sb2_oracle(m, tol=group.MEMBER_TOL):
+        # SB(2,C) at one site: upper triangular, det 1, positive real m00
+        return bool(abs(m[1, 0]) < tol and abs(np.linalg.det(m) - 1) < tol
+                    and abs(m[0, 0].imag) < tol and m[0, 0].real > 0)
+
+    @pytest.mark.parametrize("defect", ["lower", "phase"])
+    def test_loop_member_agrees_with_per_site_oracle(self, defect, rng):
+        alg = loop.build_loop_double(SL2, 8)
+        gm = group.exp(alg, alg.project(rng.standard_normal(alg.dim),
+                                        "minus"))
+        assert gm.member("minus")
+        assert all(self.sb2_oracle(m) for m in gm.matrix)
+        for j in range(8):
+            off = gm.matrix.copy()
+            if defect == "lower":
+                off[j, 1, 0] = 1e-3
+            else:  # det 1 kept, the diagonal leaves the reals
+                off[j] = np.diag([np.exp(0.1j), np.exp(-0.1j)]) @ off[j]
+            oracle = [self.sb2_oracle(m) for m in off]
+            assert oracle.count(False) == 1 and not oracle[j]
+            assert GroupPoint(alg, off).member("minus") == all(oracle)
+
+
+class TestMissingHooks:
+    """An algebra built without a group hook names it on first use."""
+
+    BARE = algebra_from_matrices(
+        "sl2c-bare", SL2.labels, SL2.basis_matrices, SL2.pairing.blocks[0],
+        SL2.site_plus, SL2.site_minus)
+
+    @pytest.mark.parametrize("hook,call", [
+        ("exponential", lambda a: group.exp(a, np.ones(a.dim))),
+        ("inverse", lambda a: GroupPoint(a, a.identity_matrix).inv()),
+        ("factorizer", lambda a: GroupPoint(a, a.identity_matrix).factors()),
+    ])
+    def test_error_names_hook_and_algebra(self, hook, call):
+        with pytest.raises(ValueError,
+                           match="'sl2c-bare' has no %s hook" % hook):
+            call(self.BARE)
 
 
 class TestDressing:

@@ -98,9 +98,9 @@ class TestBuild:
         g = group.exp(ALG, smooth_vec(ALG, np.random.default_rng(9175)))
         gp, gm = g.factors()
         for j in range(N):
-            bp, bm = group.GroupPoint(BASE, g.matrix[j]).factors()
-            np.testing.assert_array_equal(gp.matrix[j], bp.matrix)
-            np.testing.assert_array_equal(gm.matrix[j], bm.matrix)
+            bp, bm = group.GroupPoint(BASE, g.matrix[j:j + 1]).factors()
+            np.testing.assert_array_equal(gp.matrix[j:j + 1], bp.matrix)
+            np.testing.assert_array_equal(gm.matrix[j:j + 1], bm.matrix)
 
     def test_is_character_matches_pairwise_oracle(self):
         # oracle: <eta-, [e_i, e_j]> for every pair of minus basis vectors
@@ -200,6 +200,10 @@ class TestTwoCocycle:
         ym = ALG.project(smooth_vec(ALG, rng), "minus")
         assert abs(C2.eval(xp, yp)) < 1e-12
         assert abs(C2.eval(xm, ym)) < 1e-12
+
+    def test_matrix_stays_uniform(self):
+        # -k P keeps the pairing's stride 0, so hat applies one 2-D product
+        assert loop.loop_two_cocycle(ALG, K).matrix.blocks.strides[0] == 0
 
     def test_vanishes_on_constant_loops(self, rng):
         x = loop.constant_loop(ALG, rng.standard_normal(BASE.dim))
