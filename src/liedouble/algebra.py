@@ -313,7 +313,15 @@ def is_character(algebra, eta_minus, tol=1e-12):
 
 # --- validation ---------------------------------------------------------
 
-def validate_manin(a, tol=1e-12):
+_MANIN_TOL = 1e-12
+
+
+def _manin_bound(check, tol=_MANIN_TOL):
+    # the pairing's condition number is a well-posedness bound, not a residual
+    return 1e12 if check == "pairing_condition" else tol
+
+
+def validate_manin(a, tol=_MANIN_TOL):
     """Run the structural invariants; returns {check: residual} plus 'passed'.
 
     The bracket axioms and the split are checked on the per-site data,
@@ -344,11 +352,6 @@ def validate_manin(a, tol=1e-12):
     # written as "not <=" so that a NaN residual fails
     failures = [k for k, v in res.items() if not v <= _manin_bound(k, tol)]
     return {"checks": res, "failures": failures, "passed": not failures}
-
-
-def _manin_bound(check, tol=1e-12):
-    # the pairing's condition number is a well-posedness bound, not a residual
-    return 1e12 if check == "pairing_condition" else tol
 
 
 # --- constructors --------------------------------------------------------
@@ -388,8 +391,7 @@ def _so3_cotangent():
         [0, 1, 2], [3, 4, 5],
         group_memberships={
             "plus": _so3_member_plus, "minus": _so3_member_minus},
-        factorizer=_so3_factorize, exponential=_so3_exp,
-        inverse=_so3_inv)
+        factorizer=_so3_factorize, exponential=_so3_exp, inverse=_so3_inv)
 
 
 # the Taylor coefficients of (sinh(s)/s - 1)/s^2 in s^2, highest first
@@ -494,10 +496,8 @@ def _sl2c_iwasawa():
     labels = ["e1", "e2", "e3", "b1", "b2", "b3"]
     return algebra_from_matrices(
         "sl2c-iwasawa", labels, mats, pairing, [0, 1, 2], [3, 4, 5],
-        group_memberships={
-            "plus": _su2_member, "minus": _sb2_member},
-        factorizer=_sl2c_factorize, exponential=_sl2c_exp,
-        inverse=_sl2c_inv)
+        group_memberships={"plus": _su2_member, "minus": _sb2_member},
+        factorizer=_sl2c_factorize, exponential=_sl2c_exp, inverse=_sl2c_inv)
 
 
 def _su2_member(m, tol):

@@ -1,12 +1,12 @@
 """Compare two source trees on the shipped configs: exit codes, verdicts,
 residuals and artifacts.
 
-    python3 tools/verdict_sweep.py --base TREE --change TREE [--jobs 2]
+    python3 tools/verdict_sweep.py --base TREE --change TREE
 
 Each TREE is a checkout of this repository. Every config in its
 ``configs/`` runs through ``python -m liedouble.cli`` with that tree's
 ``src`` on the path and one BLAS thread, once per seed 0-39 and the
-hold-out seed 1009. The sweep prints
+hold-out seed 1009, ``JOBS`` runs at a time. The sweep prints
 
 - every run whose exit code or check verdicts differ between the trees;
 - each check's worst residual move, |change - base| / tolerance, over the
@@ -28,6 +28,7 @@ import sys
 import tempfile
 
 SEEDS = list(range(40)) + [1009]
+JOBS = 2
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
@@ -62,10 +63,10 @@ def run_one(tree, config, seed, out):
     return rc, checks, hashes
 
 
-def sweep(tree, workdir, jobs):
+def sweep(tree, workdir):
     """{(config name, seed): run_one result} over every config and seed."""
     tasks = {}
-    with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         for config in configs(tree):
             name = os.path.basename(config)
             for seed in SEEDS:
@@ -120,14 +121,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="reference tree")
     parser.add_argument("--change", required=True, help="tree under test")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="concurrent CLI processes (default 2)")
     args = parser.parse_args(argv)
     results = []
     for tree in (args.base, args.change):
         with tempfile.TemporaryDirectory(prefix="verdict-sweep-") as work:
-            results.append(sweep(os.path.abspath(tree), work,
-                                 max(1, args.jobs)))
+            results.append(sweep(os.path.abspath(tree), work))
     return 0 if compare(*results) else 1
 
 
