@@ -195,6 +195,11 @@ class Scenario:
                 m = _parse_matrix(spec["matrix"])
                 if m.shape != a.identity_matrix.shape[1:]:
                     raise ConfigError("fiber.%s.matrix: wrong size" % what)
+                real = a.identity_matrix.dtype.kind != "c"
+                if real and m.imag.any():
+                    raise ConfigError("fiber.%s.matrix: imaginary entries on "
+                                      "a real representation" % what)
+                m = (m.real if real else m).astype(a.identity_matrix.dtype)
                 return grouplib.GroupPoint(a, np.repeat(m[None], a.n_sites, 0))
             v = np.asarray(spec["constant"], dtype=float)
             if v.shape != (a.lattice.base.dim,):
@@ -331,12 +336,12 @@ def cmd_check(sc):
         omega = sc.space.omega_c(p, sc.space.ham_vf_from_diff(df, p), vg)
         sc.check("phase/omega_reproduces_bracket", abs(omega - pb),
                  1e-9 * (1 + abs(pb)))
+        # the Dirac matrix against the constraint brackets it stands for
         dmat = sc.space.dirac_matrix(p)
         n = dmat.shape[0] // 2
-        sc.check("phase/dirac_block_shape",
-                 float(max(np.abs(dmat[:n, :n]).max(),
-                           np.abs(dmat[:n, n:] - np.eye(n)).max(),
-                           np.abs(dmat[n:, :n] + np.eye(n)).max())), 1e-12)
+        cons = sc.space.constraint_differentials(p)
+        sc.check("phase/dirac_block_shape", float(np.abs(
+            dmat - sc.space.poisson_from_diff(cons, cons, p)).max()), 1e-12)
         sc.check("phase/dirac_omega_antisymmetry",
                  float(np.abs(dmat[n:, n:] + dmat[n:, n:].T).max()), 1e-12)
 

@@ -25,19 +25,18 @@ class EnergyOperator:
     """Involution E of the double, symmetric for the pairing.
 
     E acts site by site: ``matrix`` is one site's (d, d) matrix, repeated
-    on every site, or an (N, d, d) stack. In the normalized frame (T_a in
-    g+, T^a in g- dual to them under the base double's pairing) a site
-    block is assembled from a symmetric invertible S and an antisymmetric
-    A, both of the size of one site's g+, as the usual generalized-metric
-    involution; on a loop every site carries the base double's involution,
-    whatever N.
+    on every site. In the normalized frame (T_a in g+, T^a in g- dual to
+    them under the base double's pairing) a site block is assembled from a
+    symmetric invertible S and an antisymmetric A, both of the size of one
+    site's g+, as the usual generalized-metric involution; on a loop every
+    site carries the base double's involution, whatever N.
     """
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
         n, d = algebra.n_sites, algebra.site_dim
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape not in ((d, d), (n, d, d)):
+        if matrix.shape != (d, d):
             raise ValueError("energy operator must be one site's %dx%d "
                              "matrix (got shape %s)" % (d, d, matrix.shape))
         e = self.matrix = BlockOperator(np.broadcast_to(matrix, (n, d, d)))
@@ -66,8 +65,10 @@ class EnergyOperator:
         # the lattice Hamiltonian is a Riemann sum of one density
         site_pairing = algebra.n_sites * algebra.pairing.blocks[0]
         cross = site_pairing[sp[:, None], sm]
-        # convert frame blocks to coordinate blocks: T^b carries cross^{-1}
-        to_minus = np.linalg.inv(cross)
+        # convert frame blocks to coordinate blocks: T^b = psi_bar(e^b)
+        # carries cross^{-1}, the (minus, plus) block of the inverse pairing
+        to_minus = (algebra.pairing_inv.blocks[0] / algebra.n_sites)[
+            sm[:, None], sp]
         e = np.zeros((algebra.site_dim, algebra.site_dim))
         e[sp[:, None], sp] = -sinv @ a
         e[sp[:, None], sm] = sinv @ cross
@@ -255,9 +256,10 @@ def flow_fiber(space, obs, p0, fiber, cfg):
 
 
 def _carrier(space, g_plus, eta_minus):
-    """v = psi_bar(C(g+^{-1}) - eta-), the g+ vector sourcing the twist
-    terms of the Legendre map and of the Lagrangian."""
-    return space.algebra.psi_bar(space.C.value(g_plus.inv()) - eta_minus)
+    """v = psi_bar(eta- - C(g+^{-1})), the g+ vector sourcing the twist
+    terms of the Legendre map and of the Lagrangian: the Hamiltonian's
+    psi_bar(eta - C(g^{-1})) read at (g+, eta-)."""
+    return space.algebra.psi_bar(eta_minus - space.C.value(g_plus.inv()))
 
 
 def legendre_map(space, e_op, p, fiber):
@@ -283,7 +285,7 @@ def legendre_inverse(space, e_op, g_plus, gdot, fiber):
     a = space.algebra
     gm = fiber.g_minus
     gg, bb = e_op.blocks_at(g_plus)
-    val = (gg @ gdot - bb @ _carrier(space, g_plus, fiber.eta_minus)
+    val = (gg @ gdot + bb @ _carrier(space, g_plus, fiber.eta_minus)
            - a.project(gm.ad_matrix() @ a.psi_bar(fiber.eta_minus), "minus"))
     eta_plus = grouplib.coadjoint_star(gm, a.psi(val))
     return space.fiber_point(fiber, g_plus, eta_plus)

@@ -12,15 +12,13 @@ momentum maps whose closure witnesses the restored left-translation
 symmetry on admissible fibers.
 """
 
-import functools
-
 import numpy as np
 
 from . import group as grouplib
 from .algebra import is_character
 
 __all__ = ["PhasePoint", "FiberSpec", "Observable", "Differential",
-           "ConstraintFrame", "PhaseSpace"]
+           "PhaseSpace"]
 
 ON_FIBER_TOL = 1e-9
 
@@ -56,6 +54,9 @@ class FiberSpec:
 
 
 class Differential:
+    """The pair (dF, deltaF) of one differential, or of a stack of them as
+    (k, dim) rows."""
+
     def __init__(self, dF, deltaF):
         self.dF = np.asarray(dF, dtype=float)
         self.deltaF = np.asarray(deltaF, dtype=float)
@@ -84,34 +85,6 @@ class Observable:
         return self._diff(p)
 
 
-class ConstraintFrame:
-    """Bases {T_a} of g+ and the pairing-dual frame {T^a} of g-.
-
-    The frames are normalized so that (T_a, T^b)_g = delta_a^b, which makes
-    the mixed block of the constraint Gram matrix exactly the identity. The
-    (n, dim) frame arrays are built on first use; flows never need them.
-    """
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        if len(algebra.site_plus) != len(algebra.site_minus):
-            raise ValueError("constraint frame needs dim g+ = dim g-")
-        self.n = len(algebra.plus_indices)
-
-    @functools.cached_property
-    def T_plus(self):
-        a = self.algebra
-        return (a.plus_indices[:, None] == np.arange(a.dim)).astype(float)
-
-    @functools.cached_property
-    def T_minus(self):
-        mi = self.algebra.minus_indices
-        cross = (self.T_plus @ self.algebra.pairing)[:, mi]
-        out = np.zeros((self.n, self.algebra.dim))
-        out[:, mi] = np.linalg.inv(cross).T
-        return out
-
-
 class PhaseSpace:
     """Bundles the algebra with a group 1-cocycle and its 2-cocycle."""
 
@@ -121,7 +94,8 @@ class PhaseSpace:
         self.c2 = self.C.infinitesimal()
         # the paper's hypothesis: the restricted bracket keeps no cocycle
         self.exchanging = self.c2.is_isotropic_exchanging()
-        self.frame = ConstraintFrame(algebra)
+        if len(algebra.site_plus) != len(algebra.site_minus):
+            raise ValueError("constraint frame needs dim g+ = dim g-")
 
     # --- basic geometry -------------------------------------------------
 
@@ -172,18 +146,20 @@ class PhaseSpace:
         return F.analytic_differential(p)
 
     def ham_vf_from_diff(self, d, p):
-        """(delta F, coad_{delta F} eta - dF + Ad*_g c_hat(Ad_g delta F))."""
-        a = self.algebra
+        """(delta F, coad_{delta F} eta - dF + Ad*_g c_hat(Ad_g delta F)),
+        as rows for a stack of differentials."""
         adg = p.g.ad_matrix()
-        rho = (a.coad(d.deltaF, p.eta) - d.dF
-               + adg.T @ self.c2.hat(adg @ d.deltaF))
-        return d.deltaF.copy(), rho
+        x = d.deltaF
+        rho = (x @ self.algebra.bracket_form(p.eta) - d.dF
+               + (adg.T @ self.c2.hat(adg @ x.T)).T)
+        return x.copy(), rho
 
     @staticmethod
     def pair(dF, field):
-        """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G."""
+        """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G; for
+        stacks, the (k, l) matrix of the brackets {F_i, G_j}."""
         xi, rho = field
-        return float(dF.dF @ xi + rho @ dF.deltaF)
+        return dF.dF @ xi.T + dF.deltaF @ rho.T
 
     def poisson_c(self, F, G, p):
         dF = self.differential(F, p)
@@ -207,31 +183,40 @@ class PhaseSpace:
         adm = g_minus.ad_matrix()
         return a.pairing_inv @ adm.T @ a.pairing @ a.selector("plus") @ adm
 
-    def constraint_differentials(self, p):
-        """Differentials of the 2n constraint functions at p.
+    def frame(self):
+        """(T_a, T^a) as (n, dim) rows: the plus coordinate axes and the
+        pairing-dual frame psi_bar(e^a) of g-, (T_a, T^b)_g = delta_a^b.
+        Isotropy makes the inverse pairing block-antidiagonal, so T^a
+        lies in g-."""
+        a = self.algebra
+        axes = (a.plus_indices[:, None] == np.arange(a.dim)).astype(float)
+        return axes, a.psi_bar(axes.T).T
 
-        First n: left-log coordinates of g- paired with psi(T_a); last n:
-        <eta, T^a>. These are exactly the pulled-back frame 1-forms.
+    def constraint_differentials(self, p):
+        """The differentials of the 2n constraint functions at p, stacked.
+
+        First n rows: left-log coordinates of g- paired with psi(T_a); last
+        n: <eta, T^a>. These are exactly the pulled-back frame 1-forms.
         """
         a = self.algebra
+        axes, tm = self.frame()
+        mu = a.psi(axes.T).T
+        zero = np.zeros_like(mu)
+        # through Ad_{g-^{-1}} Pi_{g-} Ad_{g-} = 1 - proj
         proj = self.dressed_projector(p.g_minus())
-        out = []
-        for ta in self.frame.T_plus:
-            # through Ad_{g-^{-1}} Pi_{g-} Ad_{g-} = 1 - proj
-            mu = a.psi(ta)
-            out.append(Differential(mu - proj.T @ mu, np.zeros(a.dim)))
-        for tb in self.frame.T_minus:
-            out.append(Differential(np.zeros(a.dim), tb))
-        return out
+        return Differential(np.vstack([mu - mu @ proj, zero]),
+                            np.vstack([zero, tm]))
 
     def dirac_matrix(self, p):
-        """[[0, I], [-I, Omega_c]] in the normalized constraint frame."""
-        n = self.frame.n
-        tm = self.frame.T_minus
-        # Omega[i, j] = -<C(g^{-1}) + eta, [T^i, T^j]> - c(T^i, T^j), and
-        # -c(T^i, T^j) = T^i . c_hat(T^j) by antisymmetry
-        form = self.algebra.bracket_form(self.C.value(p.g.inv()) + p.eta)
-        omega = -tm @ form @ tm.T + tm @ self.c2.hat(tm.T)
+        """The brackets of the constraints, [[0, I], [-I, Omega]] in the
+        normalized frame, with Omega[i, j] = {<eta, T^i>, <eta, T^j>} =
+        -<eta, [T^i, T^j]> + Ad_g T^i . c_hat(Ad_g T^j), the cocycle term
+        of omega_c."""
+        _, tm = self.frame()
+        n = len(tm)
+        at = p.g.ad_matrix() @ tm.T
+        omega = (-tm @ self.algebra.bracket_form(p.eta) @ tm.T
+                 + at.T @ self.c2.hat(at))
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 
@@ -271,20 +256,16 @@ class PhaseSpace:
             self.differential(G, p), p, fiber))
 
     def dirac_oracle(self, F, G, p):
-        """Generic second-class formula {F,G} - {F,phi} K^{-1} {phi,G}."""
+        """Generic second-class formula {F,G} - {F,phi} K^{-1} {phi,G},
+        read off one bracket matrix of the rows (F, G, phi_1, ...)."""
         dF = self.differential(F, p)
         dG = self.differential(G, p)
         cons = self.constraint_differentials(p)
-        m = len(cons)
-        kmat = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                kmat[i, j] = self.poisson_from_diff(cons[i], cons[j], p)
-                kmat[j, i] = -kmat[i, j]
-        f_phi = np.array([self.poisson_from_diff(dF, c, p) for c in cons])
-        phi_g = np.array([self.poisson_from_diff(c, dG, p) for c in cons])
-        base = self.poisson_from_diff(dF, dG, p)
-        return float(base - f_phi @ np.linalg.solve(kmat, phi_g))
+        rows = Differential(np.vstack([dF.dF, dG.dF, cons.dF]),
+                            np.vstack([dF.deltaF, dG.deltaF, cons.deltaF]))
+        m = self.poisson_from_diff(rows, rows, p)
+        return float(m[0, 1] - m[0, 2:] @ np.linalg.solve(m[2:, 2:],
+                                                           m[2:, 1]))
 
     # --- momentum maps ----------------------------------------------------
 

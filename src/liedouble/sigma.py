@@ -35,10 +35,11 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
     space._require_on_fiber(p, fiber)
     gp0 = p.g_plus()
     eta_p0 = p.eta - fiber.eta_minus
-    n = space.frame.n
+    axes, _ = space.frame()
+    n = len(axes)
 
     def chart(u, w):
-        gp = gp0.mul(grouplib.exp(a, space.frame.T_plus.T @ u))
+        gp = gp0.mul(grouplib.exp(a, axes.T @ u))
         eta_plus = eta_p0.copy()
         eta_plus[a.plus_indices] += w
         return space.fiber_point(fiber, gp, eta_plus)
@@ -97,18 +98,18 @@ def lagrangian_N(space, e_op, g_plus, gdot, fiber, route="r-form"):
     gg, bb = e_op.blocks_at(g_plus)
     v = _carrier(space, g_plus, fiber.eta_minus)
     if route == "blocks":
-        return float(0.5 * a.pair(gg @ gdot, gdot) - a.pair(gdot, bb @ v)
+        return float(0.5 * a.pair(gg @ gdot, gdot) + a.pair(gdot, bb @ v)
                      - 0.5 * a.pair(v, gg @ v))
     if route == "r-form":
         rp = r_operator(e_op, g_plus, +1)
-        return float(0.5 * a.pair(rp @ (gdot - v), gdot + v))
+        return float(0.5 * a.pair(rp @ (gdot + v), gdot - v))
     raise ValueError("unknown route %r" % route)
 
 
 def el_residual(space, e_op, traj, fiber):
     """Euler-Lagrange residual along a fiber trajectory (interior points).
 
-    The momentum-like quantity G gdot - B psi_bar(C(g+^{-1}) - eta-) is
+    The momentum-like quantity G gdot + B psi_bar(eta- - C(g+^{-1})) is
     differentiated with centered stencils; the force side is evaluated
     exactly, so the residual decays at the order of the stencil.
     """
@@ -120,8 +121,8 @@ def el_residual(space, e_op, traj, fiber):
         gg, bb = e_op.blocks_at(gp)
         gdot = legendre_map(space, e_op, p, fiber)
         v = _carrier(space, gp, fiber.eta_minus)
-        mom = gg @ gdot - bb @ v  # also the first force term
-        force_b = bb @ gdot - gg @ v
+        mom = gg @ gdot + bb @ v  # also the first force term
+        force_b = bb @ gdot + gg @ v
         em = a.psi_bar(fiber.eta_minus)
         rhs = (-a.project(a.bracket(mom, force_b), "minus")
                - a.project(a.bracket(em, force_b), "minus")

@@ -271,12 +271,13 @@ def constraint_observables(space, p):
     """
     a = space.algebra
     gm0_inv = p.g_minus().inv()
+    t_plus, t_minus = space.frame()
     obs = []
-    for ta in space.frame.T_plus:
+    for ta in t_plus:
         mu = a.psi(ta)
         obs.append(fd_observable(
             lambda q, mu=mu: mu @ log_coords(gm0_inv.mul(q.g_minus()))))
-    for tb in space.frame.T_minus:
+    for tb in t_minus:
         obs.append(fd_observable(lambda q, tb=tb: q.eta @ tb))
     return obs
 

@@ -9,6 +9,7 @@ import pytest
 from liedouble import cli, group
 from liedouble.algebra import get_algebra, load_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator
+from liedouble.phase import PhaseSpace
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -319,6 +320,66 @@ class TestLoopFiberMatrix:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: fiber")
+
+
+class TestRealFiberMatrix:
+    """A real representation takes real g_minus entries only."""
+
+    @staticmethod
+    def so3_cfg(corner):
+        cfg = json.loads(open(cfg_path("so3_check.json")).read())
+        cfg["fiber"]["g_minus"] = {"matrix": [
+            [1, 0, 0, corner], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+        return cfg
+
+    def test_imaginary_entry_exits_2(self, tmp_path, capsys):
+        cfg = self.so3_cfg([0.3, 0.5])
+        assert run("check", write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "imaginary" in err
+
+    def test_real_entries_run_without_warnings(self, tmp_path):
+        # a subprocess, because pytest collects warnings in-process
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "liedouble.cli", "check", "--config",
+             str(write_cfg(tmp_path, self.so3_cfg([0.3, 0.0]))), "--output",
+             str(tmp_path), "--quiet"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+
+
+class TestLoopCheck:
+    @staticmethod
+    def dirac_check(tmp_path):
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["experiment"] = "check"
+        rc = run("check", write_cfg(tmp_path, cfg), tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        [shape] = [c for c in report["checks"]
+                   if c["name"] == "phase/dirac_block_shape"]
+        return rc, shape
+
+    def test_dirac_matrix_is_the_constraint_brackets(self, tmp_path):
+        rc, shape = self.dirac_check(tmp_path)
+        assert rc == 0 and shape["residual"] <= 1e-12
+
+    def test_check_sees_an_omega_off_the_brackets(self, tmp_path,
+                                                   monkeypatch):
+        # a Dirac matrix of the right block shape and antisymmetric, whose
+        # Omega is not the constraint brackets
+        exact = PhaseSpace.dirac_matrix
+
+        def shifted(space, p):
+            d = exact(space, p)
+            n = d.shape[0] // 2
+            d[n, n + 1] += 1e-6
+            d[n + 1, n] -= 1e-6
+            return d
+
+        monkeypatch.setattr(PhaseSpace, "dirac_matrix", shifted)
+        rc, shape = self.dirac_check(tmp_path)
+        assert rc == 1 and not shape["passed"]
 
 
 def corrupted_so3(**changes):

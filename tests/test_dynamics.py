@@ -98,6 +98,12 @@ class TestEnergyOperator:
         with pytest.raises(ValueError):
             EnergyOperator(SL2, 2.0 * np.eye(6))
 
+    def test_rejects_site_stack(self):
+        # one site's (d, d) matrix is the one layout, even on one site
+        m = EnergyOperator.preset(SL2, "skewed").matrix.blocks
+        with pytest.raises(ValueError, match="one site's 6x6 matrix"):
+            EnergyOperator(SL2, m)
+
     def test_rejects_non_finite_matrix(self):
         m = EnergyOperator.preset(SL2, "skewed").matrix.blocks[0].copy()
         m[0, 0] = np.nan

@@ -7,7 +7,7 @@ from liedouble import dynamics, group, loop
 from liedouble.algebra import (TwoCocycle, get_algebra, is_character,
                                validate_manin)
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
-from liedouble.phase import PhasePoint, PhaseSpace
+from liedouble.phase import Differential, PhasePoint, PhaseSpace
 from oracles import (dense, fiber_generator_direct, loop_differential_inv,
                      restricted_field_at_point)
 
@@ -334,17 +334,33 @@ class TestLatticeDirac:
                             <= 1e-13 * np.abs(want).max())
 
     def test_dirac_omega_matches_pairwise_brackets(self):
-        # explicit formula, one bracket per pair of frame covectors
+        # one Poisson bracket per pair of frame covectors (0, T^i), (0, T^j)
         space = lattice_space()
         rng = np.random.default_rng(517)
         p = space.random_fiber_point(make_fiber(space), rng, 0.3)
-        tm, n = space.frame.T_minus, space.frame.n
-        cginv = space.C.value(p.g.inv())
-        omega = np.array([[-(cginv + p.eta) @ ALG.bracket(ti, tj)
-                           - space.c2.eval(ti, tj) for tj in tm]
-                          for ti in tm])
+        tm = space.frame()[1]
+        n = len(tm)
+        zero = np.zeros(ALG.dim)
+        omega = np.array([[space.poisson_from_diff(Differential(zero, ti),
+                                                   Differential(zero, tj), p)
+                           for tj in tm] for ti in tm])
         np.testing.assert_allclose(space.dirac_matrix(p)[n:, n:], omega,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_dirac_matrix_is_constraint_brackets(self, n):
+        # the same continuum data at every N: the lattice cocycle's
+        # compatibility identity holds only for smooth loops, and Omega
+        # must not lean on it
+        alg = loop.build_loop_double(BASE, n)
+        space = PhaseSpace(alg, loop.loop_group_cocycle(alg, K))
+        rng = np.random.default_rng(521)
+        cg, ce = (loop._smooth_coeffs(BASE, rng, scale=0.3) for _ in "ge")
+        p = PhasePoint(group.exp(alg, loop.sampled_loop(alg, cg)),
+                       loop.sampled_loop(alg, ce) / n)
+        cons = space.constraint_differentials(p)
+        assert np.abs(space.dirac_matrix(p)
+                      - space.poisson_from_diff(cons, cons, p)).max() <= 1e-12
 
     def test_closed_form_matches_generic_oracle(self):
         # the identity-free Poisson form makes the generic second-class

@@ -11,7 +11,9 @@ hold-out seed 1009, ``JOBS`` runs at a time. The sweep prints
 - every run whose exit code or check verdicts differ between the trees;
 - each check's worst residual move, |change - base| / tolerance, over the
   runs where both trees report it;
-- how many artifacts are byte-identical between the trees.
+- how many artifacts are byte-identical between the trees, and each
+  (config, artifact) that differs, with the number of seeds at which it
+  differs.
 
 It exits 1 on any exit-code or verdict difference, else 0. With the same
 tree as base and change it checks that the artifacts are reproducible.
@@ -19,6 +21,7 @@ Standard library only.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -81,7 +84,8 @@ def compare(base, change):
     differs."""
     same = True
     worst = {}
-    n_art = n_same = 0
+    n_art = 0
+    differs = collections.Counter()
     for key in sorted(set(base) | set(change)):
         if key not in base or key not in change:
             print("only in %s: %s seed %d"
@@ -106,14 +110,18 @@ def compare(base, change):
                 worst[n] = (move, key)
         for name in set(h0) | set(h1):
             n_art += 1
-            n_same += name in h0 and h0[name] == h1.get(name)
+            if name not in h0 or h0[name] != h1.get(name):
+                differs[key[0][:-len(".json")], name] += 1
     print("\nexit codes and verdicts: %s over %d runs"
           % ("identical" if same else "DIFFERENT", len(base)))
     print("\nworst residual move / tolerance, per check:")
     for n, (move, (config, seed)) in sorted(worst.items(),
                                             key=lambda kv: -kv[1][0]):
         print("  %-42s %.3e  (%s seed %d)" % (n, move, config, seed))
-    print("\nartifacts byte-identical: %d of %d" % (n_same, n_art))
+    print("\nartifacts byte-identical: %d of %d"
+          % (n_art - sum(differs.values()), n_art))
+    for (config, name), seeds in sorted(differs.items()):
+        print("  differs: %s/%s at %d seeds" % (config, name, seeds))
     return same
 
 
