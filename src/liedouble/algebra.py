@@ -7,29 +7,30 @@ basis / dual basis; the pairing of a covector with a vector is the Euclidean
 dot of coordinates, so all metric content lives in the ``pairing`` matrix.
 
 Every algebra is a lattice of identical sites: a base double is one site,
-and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the base
-double on N sites. Coordinates are site-major, the bracket is the per-site
-structure-constant tensor applied at every site, and ``ad``,
-``bracket_form`` and the pairing are block-diagonal ``BlockOperator``s;
-the pairing, its inverse and the g+/g- selectors repeat one site's block
-(uniform stacks). Matrices are (N, m, m) site stacks, N = 1 on a base
-double, and the built-in doubles carry closed-form group kernels on them:
-the exponential, whose scalars are closed forms too (a
-series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
+and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the
+base double on N sites. Coordinates are (N, d) arrays, ``shape``, with
+optional leading batch axes; the algebra operations act on the last axis, so
+a base double also takes a flat (d,) vector, and a flat (N d,) vector of a
+loop is refused with a ``ValueError``. Operators are plain arrays: one
+(d, d) block when every site carries the same one (the pairing, its inverse,
+the g+/g- selectors), applied as ``np.dot(x, A)`` since these blocks are
+symmetric; otherwise an (N, d, d) stack of site blocks (``ad``,
+``bracket_form``), applied with ``np.matvec``. Matrices are (N, m, m) site
+stacks, N = 1 on a base double, and the built-in doubles carry closed-form
+group kernels on them: the exponential, whose scalars are closed forms too
+(a series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
 inverse and the factorization. No ``numpy.linalg`` call is left on their
 flow path. With a matrix representation, ``sandwich``, the kernel of the
-group adjoint, is one real matmul against a tensor built once from the
-basis matrices and their dual basis, complex entries read as (Re, Im)
-pairs. A declared algebra has no matrix representation and stays at the
-algebra level.
+group adjoint, is one real matmul against a tensor built once from the basis
+matrices and their dual basis, complex entries read as (Re, Im) pairs. A
+declared algebra has no matrix representation and stays at the algebra
+level.
 """
 
 import json
 import math
 
 import numpy as np
-
-from .blocks import BlockOperator
 
 __all__ = ["BasisAlgebra", "TwoCocycle", "algebra_from_matrices",
            "algebra_from_declaration", "get_algebra", "load_algebra",
@@ -43,11 +44,11 @@ class BasisAlgebra:
     plus/minus index split, the (d, d, d) structure constants with
     [e_i, e_j] = sum_k c[i, j, k] e_k and optionally a faithful matrix
     representation as a (d, m, m) stack of basis matrices. With a
-    ``lattice`` the algebra is the sum of ``lattice.n_sites`` copies in
-    site-major coordinates, paired by the site average; without one it is
-    the single site. ``plus_indices`` and ``minus_indices`` select the g+
-    and g- basis vectors of the whole algebra and together exhaust it;
-    ``site_plus`` and ``site_minus`` are the split of one site. The group
+    ``lattice`` the algebra is the sum of ``lattice.n_sites`` copies,
+    paired by the site average; without one it is the single site.
+    ``site_plus`` and ``site_minus`` select the g+ and g- coordinates of a
+    site and together exhaust it; ``plus_indices`` and ``minus_indices``
+    are the same split of the flattened (N d,) coordinates. The group
     hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
     stacks, ``exponential`` to the matrix exponentials, ``inverse`` to the
     inverse matrices, ``group_memberships`` to one verdict. The group
@@ -64,6 +65,7 @@ class BasisAlgebra:
         self.lattice = lattice
         self.n_sites = n = 1 if lattice is None else lattice.n_sites
         self.site_dim = d = len(labels)
+        self.shape = (n, d)
         self.dim = n * d
         self.labels = (list(labels) if lattice is None else
                        ["%s@%d" % (lab, j) for j in range(n)
@@ -71,23 +73,26 @@ class BasisAlgebra:
         pairing = np.asarray(pairing, dtype=float)
         if pairing.shape != (d, d):
             raise ValueError("pairing shape does not match dim")
-        self.structure_constants = np.asarray(structure_constants,
-                                              dtype=float)
-        if self.structure_constants.shape != (d, d, d):
+        c = self.structure_constants = np.asarray(structure_constants,
+                                                  dtype=float)
+        if c.shape != (d, d, d):
             raise ValueError("structure constants shape does not match dim")
-        self.pairing = _uniform_operator(pairing / n, n)
-        self.pairing_inv = _uniform_operator(np.linalg.inv(pairing / n), n)
+        self.pairing = pairing / n
+        self.pairing_inv = np.linalg.inv(self.pairing)
         self.site_plus = np.asarray(plus_indices, dtype=int)
         self.site_minus = np.asarray(minus_indices, dtype=int)
         offsets = d * np.arange(n)[:, None]
         self.plus_indices = (offsets + self.site_plus).reshape(-1)
         self.minus_indices = (offsets + self.site_minus).reshape(-1)
+        self._masks = {side: np.isin(np.arange(d), idx) for side, idx in
+                       (("plus", self.site_plus), ("minus", self.site_minus))}
+        self._contractions()
         self.basis_matrices = mats = (None if basis_matrices is None
                                       else np.asarray(basis_matrices))
         if mats is not None:
             self._complex = np.iscomplexobj(mats)
-            self._dual_basis = np.linalg.pinv(
-                self._entries(mats.reshape(d, -1)))
+            self._basis_rows = mats.reshape(d, -1)
+            self._dual_basis = np.linalg.pinv(self._entries(self._basis_rows))
             self._sandwich_tensor = _sandwich_tensor(self)
             self.identity_matrix = np.broadcast_to(
                 np.eye(mats.shape[1], dtype=mats.dtype),
@@ -97,67 +102,60 @@ class BasisAlgebra:
         self.exponential = exponential or _missing_hook(name, "exponential")
         self.inverse = inverse or _missing_hook(name, "inverse")
 
+    def _contractions(self):
+        """The structure constants as three (d, d*d) matrices, so that one
+        contraction with a vector is one product and one reshape. Products
+        of (..., d) coordinates with a 2-D matrix use ``np.dot``, which on
+        small arrays costs about half of ``@``."""
+        d, c = self.site_dim, self.structure_constants
+        # t[j, k] = sum_i x_i c[i, j, k]
+        self._c_left = c.reshape(d, d * d)
+        # ad(x)[k, j] = sum_i x_i c[i, j, k]
+        self._c_ad = c.transpose(0, 2, 1).reshape(d, d * d)
+        # K[i, j] = sum_k c[i, j, k] eta_k
+        self._c_form = np.ascontiguousarray(c.reshape(d * d, d).T)
+        self._blocks = (d, d)
+
     # --- core bilinear operations -------------------------------------
 
-    def _sites(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError("vector length does not match algebra dim")
-        return x.reshape(self.n_sites, self.site_dim)
-
-    def _contract(self, v, last=False):
-        """The structure constants contracted with v at every site, as
-        (N, d, d) blocks: t[s, j, k] = sum_i v_si c[i, j, k], or with
-        ``last`` t[s, i, j] = sum_k c[i, j, k] v_sk; one matmul each."""
-        d, c = self.site_dim, self.structure_constants
-        flat = c.reshape(d * d, d).T if last else c.reshape(d, d * d)
-        return (self._sites(v) @ flat).reshape(self.n_sites, d, d)
-
     def bracket(self, x, y):
-        return (self._sites(y)[:, None, :] @ self._contract(x)).reshape(
-            self.dim)
+        return np.matvec(self.ad(x), y)
 
     def ad(self, x):
-        """Operator of ad_X on coordinates: ad(x) @ y == bracket(x, y)."""
-        return BlockOperator(self._contract(x).swapaxes(1, 2))
+        """The (..., d, d) site blocks of ad_X: np.matvec(ad(x), y) is
+        bracket(x, y)."""
+        t = np.dot(x, self._c_ad)
+        return t.reshape(t.shape[:-1] + self._blocks)
 
     def bracket_form(self, eta):
-        """K[i, j] = <eta, [e_i, e_j]> as a block-diagonal operator."""
-        return BlockOperator(self._contract(eta, last=True))
+        """K[i, j] = <eta, [e_i, e_j]> as (..., d, d) site blocks."""
+        t = np.dot(eta, self._c_form)
+        return t.reshape(t.shape[:-1] + self._blocks)
 
     def pair(self, x, y):
-        return float(self._sites(x).ravel() @ self.psi(self._sites(y).ravel()))
+        return float(np.vdot(x, self.psi(y)))
 
     # --- identifications and projections ------------------------------
 
     def psi(self, x):
         """g -> g* via the pairing: <psi(x), y> = (x, y)_g."""
-        return self.pairing @ x
+        return np.dot(x, self.pairing)
 
     def psi_bar(self, eta):
         """Inverse of psi."""
-        return self.pairing_inv @ eta
-
-    def _side_indices(self, side):
-        if side == "plus":
-            return self.plus_indices
-        if side == "minus":
-            return self.minus_indices
-        raise ValueError("side must be 'plus' or 'minus'")
+        return np.dot(eta, self.pairing_inv)
 
     def project(self, x, side):
         """The g+- part of a vector, or the g+-* part of a covector."""
-        out = np.zeros(self.dim)
-        idx = self._side_indices(side)
-        out[idx] = np.asarray(x, dtype=float)[idx]
-        return out
+        try:
+            mask = self._masks[side]
+        except KeyError:
+            raise ValueError("side must be 'plus' or 'minus'") from None
+        return np.where(mask, x, 0.0)
 
     def selector(self, side):
-        """The coordinate projection onto g+ or g- as an operator."""
-        sel = np.zeros((self.site_dim, self.site_dim))
-        idx = {"plus": self.site_plus, "minus": self.site_minus}[side]
-        sel[idx, idx] = 1.0
-        return _uniform_operator(sel, self.n_sites)
+        """The coordinate projection onto g+ or g- as a (d, d) block."""
+        return np.diag(self.project(np.ones(self.site_dim), side))
 
     # --- coadjoint action ----------------------------------------------
 
@@ -167,37 +165,35 @@ class BasisAlgebra:
         This is d/dt|_0 of eta ∘ Ad_{exp(tx)}, the one coadjoint convention
         of the library; the infinitesimal coadjoint action is its negative.
         """
-        return (self._contract(x) @ self._sites(eta)[:, :, None]).reshape(
-            self.dim)
+        t = np.dot(x, self._c_left)
+        return np.matvec(t.reshape(t.shape[:-1] + self._blocks), eta)
 
     # --- matrix representation -----------------------------------------
 
-    def _require_representation(self):
-        if self.basis_matrices is None:
-            raise ValueError("algebra %r has no matrix representation"
-                             % self.name)
+    def _no_representation(self):
+        return ValueError("algebra %r has no matrix representation"
+                          % self.name)
 
     def vec_to_mat(self, x):
-        """The (N, m, m) site stack of x."""
-        self._require_representation()
-        x = np.asarray(x, dtype=float).reshape(-1, self.site_dim)
-        return (x @ self.basis_matrices.reshape(self.site_dim, -1)).reshape(
-            self.identity_matrix.shape)
+        """The (..., m, m) matrices of (..., d) coordinates."""
+        if self.basis_matrices is None:
+            raise self._no_representation()
+        m = np.dot(x, self._basis_rows)
+        return m.reshape(m.shape[:-1] + self.basis_matrices.shape[1:])
 
     def mat_to_vec(self, m):
-        """Coordinates of m, shaped like ``vec_to_mat``'s output; axes
-        before the site axis are a batch and map to rows of coordinates."""
+        """Coordinates of (..., m, m) matrices, shaped (..., d): the site
+        stack of a point maps to (N, d) coordinates."""
         m = np.asarray(m)
-        return self._coords(m.reshape(m.shape[:-2] + (-1,))).reshape(
-            m.shape[:-3] + (self.dim,))
+        return self._coords(m.reshape(m.shape[:-2] + (-1,)))
 
     def vec_to_mat_transpose(self, w):
         """The covector of x -> Re sum(w * vec_to_mat(x)), for w shaped
         like ``vec_to_mat``'s output: the transpose of ``vec_to_mat``."""
-        self._require_representation()
-        mats = self.basis_matrices.reshape(self.site_dim, -1)
-        w = np.asarray(w).reshape(self.n_sites, -1)
-        return (w @ mats.T).real.reshape(self.dim)
+        if self.basis_matrices is None:
+            raise self._no_representation()
+        w = w.reshape(w.shape[:-2] + (-1,))
+        return (w @ self._basis_rows.T).real
 
     def _entries(self, v):
         """Real parts, or (Re, Im) pairs for a complex representation."""
@@ -213,22 +209,18 @@ class BasisAlgebra:
 
     def _coords(self, v):
         # coordinates of flattened (..., m*m) matrices
-        self._require_representation()
+        if self.basis_matrices is None:
+            raise self._no_representation()
         return self._entries(v) @ self._dual_basis
 
     def sandwich(self, left, right):
         """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks:
         the products left_ab right_cd, the entries of kron(left, right^T),
         contracted with the algebra's one real tensor."""
-        kron = (left[:, :, :, None, None] * right[:, None, None]).reshape(
-            len(left), -1)
-        return (self._entries(kron) @ self._sandwich_tensor).reshape(
-            -1, self.site_dim, self.site_dim)
-
-
-def _uniform_operator(block, n):
-    """The block-diagonal operator repeating one (d, d) block on n sites."""
-    return BlockOperator(np.broadcast_to(block, (n,) + block.shape))
+        kron = left[:, :, :, None, None] * right[:, None, None]
+        # a fresh product is contiguous, so its entries are a float view
+        t = kron.reshape(left.shape[0], -1).view(float) @ self._sandwich_tensor
+        return t.reshape(t.shape[:-1] + self._blocks)
 
 
 def _missing_hook(name, hook):
@@ -252,11 +244,11 @@ def _sandwich_tensor(a):
 
 class TwoCocycle:
     """Antisymmetric 2-cocycle c(X,Y) = <c_hat(X), Y>, with ``hat`` of a
-    vector or of a (dim, k) stack of columns. ``zero`` and ``coboundary``
-    build the two cocycles of any double, and ``matrix`` is the
-    ``BlockOperator`` of their c_hat; the lattice cocycle of
-    ``liedouble.loop.loop_two_cocycle`` applies its ``matrix`` after the
-    central difference."""
+    vector or of a (k, N, d) stack of rows. ``zero`` and ``coboundary``
+    build the two cocycles of any double, and ``matrix`` holds the site
+    blocks of their c_hat, applied with ``np.matvec``; the lattice cocycle
+    of ``liedouble.loop.loop_two_cocycle`` applies its uniform ``matrix``
+    after the central difference."""
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
@@ -264,20 +256,19 @@ class TwoCocycle:
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, BlockOperator(np.zeros(
-            (algebra.n_sites, algebra.site_dim, algebra.site_dim))))
+        return cls(algebra, np.zeros((algebra.site_dim, algebra.site_dim)))
 
     @classmethod
     def coboundary(cls, algebra, mu0):
-        # column i is -coad(e_i, mu0)
-        return cls(algebra,
-                   -algebra.bracket_form(np.asarray(mu0, dtype=float)).T)
+        # row i is -coad(e_i, mu0) at every site
+        mu0 = np.reshape(np.asarray(mu0, dtype=float), algebra.shape)
+        return cls(algebra, -algebra.bracket_form(mu0).mT)
 
     def hat(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
+        return np.matvec(self.matrix, x)
 
     def eval(self, x, y):
-        return float(self.hat(x) @ np.asarray(y, dtype=float))
+        return float(np.vdot(self.hat(x), y))
 
     def is_isotropic_exchanging(self, tol=1e-12):
         """True if c_hat maps g+- into the dual of the opposite factor.
@@ -287,9 +278,20 @@ class TwoCocycle:
         ``matrix``, which is exact for the lattice cocycle too: the central
         difference acts along the sites and keeps each site's split.
         """
-        sp, sm = self.algebra.site_plus, self.algebra.site_minus
-        return all(self.matrix.restrict(side, side).max_abs() < tol
-                   for side in (sp, sm))
+        return all(_max_abs(_sub_blocks(self.matrix, side, side)) < tol
+                   for side in (self.algebra.site_plus,
+                                self.algebra.site_minus))
+
+
+def _sub_blocks(op, rows, cols):
+    """The (rows, cols) sub-blocks of a (d, d) block or a block stack."""
+    return op[..., np.asarray(rows)[:, None], cols]
+
+
+def _max_abs(a):
+    """The largest absolute entry, 0 for no entry; NaN if any entry is
+    NaN. It calls the reduction that ``ndarray.max`` wraps directly."""
+    return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
 
 
 def cocycle_identity_residual(cocycle, x, y, z):
@@ -304,11 +306,13 @@ def is_character(algebra, eta_minus, tol=1e-12):
     """True iff eta_minus vanishes on [g-, g-].
 
     eta_minus must be supported on the dual of g- (its g+* projection zero).
+    Both tests are written as "<=", so that a NaN entry fails them.
     """
-    if np.abs(algebra.project(eta_minus, "plus")).max(initial=0.0) > tol:
+    if not _max_abs(algebra.project(eta_minus, "plus")) <= tol:
         raise ValueError("eta_minus has support outside the dual of g-")
     sm = algebra.site_minus
-    return not algebra.bracket_form(eta_minus).restrict(sm, sm).max_abs() > tol
+    return _max_abs(_sub_blocks(algebra.bracket_form(eta_minus), sm, sm)) \
+        <= tol
 
 
 # --- validation ---------------------------------------------------------
@@ -326,7 +330,7 @@ def validate_manin(a, tol=_MANIN_TOL):
 
     The bracket axioms and the split are checked on the per-site data,
     which the lattice repeats; ad-invariance is checked against the
-    pairing's block at every site.
+    pairing's block, which every site shares.
     """
     c = a.structure_constants
     p = a.pairing
@@ -336,18 +340,17 @@ def validate_manin(a, tol=_MANIN_TOL):
     jac = np.einsum("ijm,mkl->ijkl", c, c)
     res["jacobi"] = float(np.abs(jac + jac.transpose(1, 2, 0, 3)
                                  + jac.transpose(2, 0, 1, 3)).max())
-    # t[s, i, j, l] = <[e_i, e_j], e_l> at site s, antisymmetric in (j, l)
-    # by invariance
-    t = np.einsum("ijm,sml->sijl", c, p.blocks)
+    # t[i, j, l] = <[e_i, e_j], e_l>, antisymmetric in (j, l) by invariance
+    t = np.einsum("ijm,ml->ijl", c, p)
     res["pairing_ad_invariance"] = float(
-        np.abs(t + t.transpose(0, 1, 3, 2)).max())
+        np.abs(t + t.transpose(0, 2, 1)).max())
     res["closure_plus"] = float(np.abs(c[np.ix_(sp, sp, sm)]).max(initial=0.0))
     res["closure_minus"] = float(np.abs(c[np.ix_(sm, sm, sp)]).max(initial=0.0))
-    res["pairing_symmetry"] = (p - p.T).max_abs()
-    sv = np.linalg.svd(p.blocks, compute_uv=False)
+    res["pairing_symmetry"] = _max_abs(p - p.T)
+    sv = np.linalg.svd(p, compute_uv=False)
     res["pairing_condition"] = float(sv.max() / sv.min())
-    res["isotropy_plus"] = p.restrict(sp, sp).max_abs()
-    res["isotropy_minus"] = p.restrict(sm, sm).max_abs()
+    res["isotropy_plus"] = _max_abs(_sub_blocks(p, sp, sp))
+    res["isotropy_minus"] = _max_abs(_sub_blocks(p, sm, sm))
     res["index_partition"] = float(sorted([*sp, *sm]) != [*range(a.site_dim)])
     # written as "not <=" so that a NaN residual fails
     failures = [k for k, v in res.items() if not v <= _manin_bound(k, tol)]
@@ -370,7 +373,8 @@ def algebra_from_matrices(name, labels, basis_matrices, pairing,
     # the commutator coordinates need the representation's dual basis,
     # which the algebra derives from its basis matrices
     comm = mats[:, None] @ mats[None, :] - mats[None, :] @ mats[:, None]
-    a.structure_constants[...] = a.mat_to_vec(comm[:, :, None])
+    a.structure_constants[...] = a.mat_to_vec(comm)
+    a._contractions()
     return a
 
 
@@ -405,19 +409,19 @@ def _cosh_sinhc(s2, remainders=False):
     matter. The first three are closed forms: sinh(s)/s is 1 exactly at
     s = 0, and (cosh s - 1)/s^2 = sinhc(s/2)^2 / 2 does not cancel. The
     last cancels near zero, where |s^2| < 1 sums its Taylor series."""
-    s = np.sqrt(np.asarray(s2, dtype=complex))
-
-    def sinhc(z):
-        return np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
-
-    out = [np.cosh(s), sinhc(s)]
+    real = s2.dtype.kind != "c"
+    s = np.sqrt(s2 + 0j if real else s2)
+    # adding the zero mask turns 0/0 into 1/1 and leaves s != 0 exact
+    zero = np.logical_not(s)
+    out = [np.cosh(s), (np.sinh(s) + zero) / (s + zero)]
     if remainders:
         near = np.abs(s2) < 1.0
-        out += [0.5 * sinhc(0.5 * s) ** 2,
+        half = 0.5 * s
+        out += [0.5 * ((np.sinh(half) + zero) / (half + zero)) ** 2,
                 np.where(near, np.polyval(_SINHC_REMAINDER,
                                           np.where(near, s2, 0.0)),
                          (out[1] - 1.0) / np.where(near, 1.0, s2))]
-    if not np.iscomplexobj(s2):
+    if real:
         out = [f.real for f in out]  # s^2 < 0 is a real angle, s = i t
     return out
 
@@ -513,6 +517,7 @@ def _sb2_member(m, tol):
 
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE2 = np.eye(2)
 
 
 def _sl2c_exp(m):
@@ -520,17 +525,14 @@ def _sl2c_exp(m):
     with s^2 = -det X; the b2/b3 directions are nilpotent (s = 0)."""
     s2 = m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]
     cosh, sinhc = _cosh_sinhc(s2)
-    out = sinhc[..., None, None] * m
-    out.reshape(-1, 4)[:, ::3] += cosh.reshape(-1, 1)  # the diagonal
-    return out
+    return sinhc[..., None, None] * m + cosh[..., None, None] * _EYE2
 
 
 def _sl2c_inv(m):
     """The adjugate [[d, -b], [-c, a]] over the determinant, which is 1 on
     the group; dividing keeps a declared matrix's inverse exact too."""
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return m[..., ::-1, ::-1].swapaxes(-1, -2) * (
-        _ADJUGATE_SIGNS / det[..., None, None])
+    return m[..., ::-1, ::-1].mT * (_ADJUGATE_SIGNS / det[..., None, None])
 
 
 def _sl2c_factorize(m):
@@ -540,11 +542,12 @@ def _sl2c_factorize(m):
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     n = np.hypot(np.abs(a), np.abs(c))
     q0, q1 = a / n, c / n
-    q, r = np.empty_like(m), np.zeros_like(m)
+    c0, c1 = np.conj(q0), np.conj(q1)
+    q, r = np.empty(m.shape, m.dtype), np.zeros(m.shape, m.dtype)
     q[..., 0, 0], q[..., 1, 0] = q0, q1
-    q[..., 0, 1], q[..., 1, 1] = -q1.conj(), q0.conj()
+    q[..., 0, 1], q[..., 1, 1] = -c1, c0
     r[..., 0, 0] = n
-    r[..., 0, 1] = q0.conj() * b + q1.conj() * d
+    r[..., 0, 1] = c0 * b + c1 * d
     r[..., 1, 1] = q0 * d - q1 * b
     return q, r
 

@@ -6,6 +6,9 @@ the extended momentum map. Fiber flows follow PhaseSpace.restricted_field,
 so they need its hypothesis, and so does the Legendre map, which is that
 field's g+ velocity. Flows are integrated with a 4th-order
 Runge-Kutta-Munthe-Kaas scheme that keeps the group slot on the group.
+Points, fields and differentials hold (N, d) coordinate arrays; E and
+P E are one (d, d) block each, and E_g and the Legendre map's metric and
+two-form blocks are (N, d, d) site stacks.
 """
 
 import csv
@@ -13,7 +16,7 @@ import csv
 import numpy as np
 
 from . import group as grouplib
-from .blocks import BlockOperator
+from .algebra import _max_abs
 from .phase import Differential, Observable, PhasePoint
 
 __all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
@@ -24,7 +27,7 @@ __all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
 class EnergyOperator:
     """Involution E of the double, symmetric for the pairing.
 
-    E acts site by site: ``matrix`` is one site's (d, d) matrix, repeated
+    E acts site by site: ``matrix`` is one site's (d, d) matrix, the same
     on every site. In the normalized frame (T_a in g+, T^a in g- dual to
     them under the base double's pairing) a site block is assembled from a
     symmetric invertible S and an antisymmetric A, both of the size of one
@@ -34,18 +37,17 @@ class EnergyOperator:
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
-        n, d = algebra.n_sites, algebra.site_dim
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (d, d):
+        d = algebra.site_dim
+        e = self.matrix = np.asarray(matrix, dtype=float)
+        if e.shape != (d, d):
             raise ValueError("energy operator must be one site's %dx%d "
-                             "matrix (got shape %s)" % (d, d, matrix.shape))
-        e = self.matrix = BlockOperator(np.broadcast_to(matrix, (n, d, d)))
+                             "matrix (got shape %s)" % (d, d, e.shape))
         # written as "not <=" so that a NaN fails the checks
-        if not np.abs((e @ e).blocks - np.eye(d)).max() <= 1e-10:
+        if not np.abs(e @ e - np.eye(d)).max() <= 1e-10:
             raise ValueError("energy operator is not an involution")
-        # P E, the symmetric form of the energy
+        # P E, the symmetric form of the energy, one (d, d) block
         pe = self.pe = algebra.pairing @ e
-        if not (pe - pe.T).max_abs() <= 1e-10:
+        if not np.abs(pe - pe.T).max() <= 1e-10:
             raise ValueError("energy operator is not pairing-symmetric")
 
     @classmethod
@@ -63,12 +65,11 @@ class EnergyOperator:
         # the base double's cross pairing on every site, undoing the 1/N
         # of a loop's pairing: each site carries the base's involution, so
         # the lattice Hamiltonian is a Riemann sum of one density
-        site_pairing = algebra.n_sites * algebra.pairing.blocks[0]
+        site_pairing = algebra.n_sites * algebra.pairing
         cross = site_pairing[sp[:, None], sm]
         # convert frame blocks to coordinate blocks: T^b = psi_bar(e^b)
         # carries cross^{-1}, the (minus, plus) block of the inverse pairing
-        to_minus = (algebra.pairing_inv.blocks[0] / algebra.n_sites)[
-            sm[:, None], sp]
+        to_minus = (algebra.pairing_inv / algebra.n_sites)[sm[:, None], sp]
         e = np.zeros((algebra.site_dim, algebra.site_dim))
         e[sp[:, None], sp] = -sinv @ a
         e[sp[:, None], sm] = sinv @ cross
@@ -88,26 +89,26 @@ class EnergyOperator:
         raise ValueError("unknown preset %r" % name)
 
     def at(self, g):
-        """E_g = Ad_{g^{-1}} E Ad_g = P^{-1} Ad_g^T (P E) Ad_g as an
-        operator, by the ad-invariance of the pairing P."""
+        """E_g = Ad_{g^{-1}} E Ad_g = P^{-1} Ad_g^T (P E) Ad_g as (N, d, d)
+        site blocks, by the ad-invariance of the pairing P."""
         adg = g.ad_matrix()
-        return self.algebra.pairing_inv @ adg.T @ self.pe @ adg
+        return self.algebra.pairing_inv @ adg.mT @ self.pe @ adg
 
     def blocks_at(self, g):
         """The metric/two-form blocks (G_g, B_g): g+ -> g- at the point g.
 
-        Returned as operators supported on the (minus, plus) block, so they
-        can be applied directly to plus-supported vectors.
+        Returned as (N, d, d) site blocks supported on the (minus, plus)
+        block, so they apply directly to plus-supported vectors.
         """
         a = self.algebra
         sp, sm = a.site_plus, a.site_minus
         eg = self.at(g)
         # G_g inverts the g- -> g+ component of E_g, site by site
-        ginv = np.linalg.inv(eg.restrict(sp, sm).blocks)
+        ginv = np.linalg.inv(eg[:, sp[:, None], sm])
         gg, bb = np.zeros((2, a.n_sites, a.site_dim, a.site_dim))
         gg[:, sm[:, None], sp] = ginv
-        bb[:, sm[:, None], sp] = -ginv @ eg.restrict(sp, sp).blocks
-        return BlockOperator(gg), BlockOperator(bb)
+        bb[:, sm[:, None], sp] = -ginv @ eg[:, sp[:, None], sp]
+        return gg, bb
 
 
 def hamiltonian_quadratic(space, e_op):
@@ -115,26 +116,29 @@ def hamiltonian_quadratic(space, e_op):
 
     With v = Ad_g u, H = (1/2) v.(P E) v and E_g u = psi_bar(Ad_g^T (P E) v),
     so the Hamiltonian applies operators to vectors and solves nothing;
-    P E is one site's block on every site, a single 2-D product.
-    The carrier (w, v, P E v), w = eta - C(g^{-1}) = psi(u), is kept for
-    the last point, which a flow step's end-point energy and the next
-    step's first stage share.
+    P E is one (d, d) block, a single 2-D product on every site.
+    The carrier (w, v, P E v), w = eta - C(g^{-1}) = psi(u), and the
+    fiber slot delta = E_g u of the differential are kept for the last
+    point, which a flow step's end-point energy and the next step's first
+    stage share.
     """
     a = space.algebra
+    pe_t = e_op.pe.T
 
     @grouplib._memo_last
     def carrier(p):
         w = p.eta - space.C.value(p.g.inv())
-        v = p.g.ad_matrix() @ a.psi_bar(w)
-        return w, v, e_op.pe @ v
+        adg = p.g.ad_matrix()
+        v = np.matvec(adg, a.psi_bar(w))
+        pe_v = np.dot(v, pe_t)
+        return w, v, pe_v, a.psi_bar(np.vecmat(pe_v, adg))
 
     def fn(p):
-        _, v, pe_v = carrier(p)
-        return 0.5 * float(v @ pe_v)
+        _, v, pe_v, _ = carrier(p)
+        return 0.5 * np.vdot(v, pe_v)
 
     def diff(p):
-        w, _, pe_v = carrier(p)
-        delta = a.psi_bar(pe_v @ p.g.ad_matrix())
+        w, _, _, delta = carrier(p)
         # group slot: the E_g variation gives psi([u, delta]), which is
         # coad(delta, psi(u)) by ad-invariance; the C(g^{-1}) variation is
         # the exact cocycle derivative, so the differential is exact even
@@ -170,7 +174,7 @@ class Trajectory:
         self.extras = extras or {}
 
     def to_csv(self, path):
-        """t, g (its first site), eta, energy and extras."""
+        """t, g (its first site), eta (flat), energy and extras."""
         ij = ["%d_%d" % ij
               for ij in np.ndindex(self.points[0].g.matrix.shape[1:])]
         keys = sorted(self.extras)
@@ -183,7 +187,7 @@ class Trajectory:
             for k, (t, p) in enumerate(zip(self.times, self.points)):
                 m = p.g.matrix[0]
                 w.writerow([repr(float(x)) for x in (
-                    [t, *m.real.ravel(), *m.imag.ravel(), *p.eta,
+                    [t, *m.real.ravel(), *m.imag.ravel(), *p.eta.ravel(),
                      self.energies[k]] + [self.extras[c][k] for c in keys])])
 
 
@@ -193,16 +197,23 @@ def _dexpinv(a, u, k):
     # the omitted terms are O(|u|^4 |k|), below the local error of a
     # 4th-order step
     ad_u = a.ad(u)
-    c1 = ad_u @ k
-    return k + 0.5 * c1 + (ad_u @ c1) / 12.0
+    c1 = np.matvec(ad_u, k)
+    return k + 0.5 * c1 + np.matvec(ad_u, c1) / 12.0
 
 
 def _rkmk4_step(space, field, p, dt):
     a = space.algebra
+    g = p.g
+
+    def moved(v, eta):
+        # the point (g exp(v), eta), built from the matrices: what
+        # g.mul(grouplib.exp(a, v)) computes, without its intermediate
+        # point, scaling and reshape, four times a step
+        return PhasePoint(grouplib.GroupPoint(a, grouplib.matmul(
+            g.matrix, a.exponential(a.vec_to_mat(v)))), eta)
 
     def rate(v, eta):
-        q = PhasePoint(p.g.mul(grouplib.exp(a, v)), eta)
-        xi, rho = field(q)
+        xi, rho = field(moved(v, eta))
         return _dexpinv(a, v, xi), rho
 
     # the first stage sits at p itself, whose adjoint the energy
@@ -211,27 +222,26 @@ def _rkmk4_step(space, field, p, dt):
     k2v, k2e = rate(0.5 * dt * k1v, p.eta + 0.5 * dt * k1e)
     k3v, k3e = rate(0.5 * dt * k2v, p.eta + 0.5 * dt * k2e)
     k4v, k4e = rate(dt * k3v, p.eta + dt * k3e)
-    v = dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-    eta = p.eta + dt * (k1e + 2 * k2e + 2 * k3e + k4e) / 6.0
-    return PhasePoint(p.g.mul(grouplib.exp(a, v)), eta)
+    return moved(dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0,
+                 p.eta + dt * (k1e + 2 * k2e + 2 * k3e + k4e) / 6.0)
 
 
 def _integrate(space, field, obs, p0, cfg, fiber=None, step=_rkmk4_step):
-    times, points, energies = [0.0], [p0], [obs.value(p0)]
-    drifts = [(0.0, 0.0)]  # of g- and eta- from the fiber
+    points = [p0]
+    energies = np.empty(cfg.steps + 1)
+    energies[0] = obs.value(p0)
+    drifts = np.zeros((cfg.steps + 1, 2))  # of g- and eta- from the fiber
     p = p0
-    for k in range(cfg.steps):
+    for k in range(1, cfg.steps + 1):
         p = step(space, field, p, cfg.dt)
-        times.append((k + 1) * cfg.dt)
         points.append(p)
-        energies.append(obs.value(p))
+        energies[k] = obs.value(p)
         if fiber is not None:
             # a step's one factorization; the field reads only the fiber's g-
             gm, em = space.fibration(p)
-            drifts.append((np.abs(gm.matrix - fiber.g_minus.matrix).max(),
-                           np.abs(em - fiber.eta_minus).max()))
-    drifts = np.array(drifts if fiber is not None else drifts * len(times))
-    return Trajectory(times, points, energies,
+            drifts[k] = (_max_abs(gm.matrix - fiber.g_minus.matrix),
+                         _max_abs(em - fiber.eta_minus))
+    return Trajectory(cfg.dt * np.arange(cfg.steps + 1), points, energies,
                       extras={"drift_gminus": drifts[:, 0],
                               "drift_etaminus": drifts[:, 1]})
 
@@ -246,7 +256,9 @@ def flow_full(space, obs, p0, cfg):
 
 
 def flow_fiber(space, obs, p0, fiber, cfg):
-    """Integrate the restricted (Dirac) flow; (g-, eta-) stay frozen."""
+    """Integrate the restricted (Dirac) flow; (g-, eta-) stay frozen. The
+    start on the fiber is checked once; each stage is a ``dirac_field``,
+    which checks the field's hypothesis."""
     space._require_on_fiber(p0, fiber)
 
     def field(p):
@@ -273,7 +285,8 @@ def legendre_map(space, e_op, p, fiber):
     space.require_exchanging()
     space._require_on_fiber(p, fiber)
     delta = space.differential(hamiltonian_quadratic(space, e_op), p).deltaF
-    return space.algebra.project(fiber.g_minus.ad_matrix() @ delta, "plus")
+    return space.algebra.project(np.matvec(fiber.g_minus.ad_matrix(), delta),
+                                 "plus")
 
 
 def legendre_inverse(space, e_op, g_plus, gdot, fiber):
@@ -285,8 +298,10 @@ def legendre_inverse(space, e_op, g_plus, gdot, fiber):
     a = space.algebra
     gm = fiber.g_minus
     gg, bb = e_op.blocks_at(g_plus)
-    val = (gg @ gdot + bb @ _carrier(space, g_plus, fiber.eta_minus)
-           - a.project(gm.ad_matrix() @ a.psi_bar(fiber.eta_minus), "minus"))
+    val = (np.matvec(gg, gdot)
+           + np.matvec(bb, _carrier(space, g_plus, fiber.eta_minus))
+           - a.project(np.matvec(gm.ad_matrix(), a.psi_bar(fiber.eta_minus)),
+                       "minus"))
     eta_plus = grouplib.coadjoint_star(gm, a.psi(val))
     return space.fiber_point(fiber, g_plus, eta_plus)
 
@@ -309,7 +324,7 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     for i in idx:
         p = traj.points[i]
         # the generator direction: first slot of L_h(J) for quadratic h
-        x = p.g.ad_matrix() @ space.differential(obs, p).deltaF
+        x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
         xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
         xi, rho = dirac_field(space, obs, p, fiber)
         res_field = max(res_field, np.abs(xi - xi_gen).max(),

@@ -6,22 +6,23 @@ inverse-point derivative.
 
 A point is an (N, m, m) site stack, N = 1 on a base double; the
 exponential, the inverse and the factorization are the algebra's hooks on
-it, and Ad_g is a block-diagonal ``BlockOperator``. Products of (N, 2, 2)
-stacks use the explicit two-term column form (``matmul``); numpy's
-complex matmul is several times slower on such small matrices. The pairing P is
-ad-invariant, Ad_g^T P Ad_g = P, so Ad_g^{-1} = P^{-1} Ad_g^T P needs no
-solve. A point caches its inverse, adjoint and factors; ``g.inv().inv()``
-is ``g`` itself. What a cocycle's value at g^{-1} and its derivative at g
-share (the coboundary's C(g^{-1}), the lattice log-derivative) is kept
-for the last point that asked, so an RKMK4 stage point computes it once.
+it, and Ad_g is the (N, d, d) stack of its site blocks, applied with
+``np.matvec`` (and its transpose with ``np.vecmat``). Products of
+(N, 2, 2) stacks use the explicit two-term column form (``matmul``);
+numpy's complex matmul is several times slower on such small matrices.
+The pairing P is ad-invariant, Ad_g^T P Ad_g = P, so
+Ad_g^{-1} = P^{-1} Ad_g^T P needs no solve. A point caches its inverse,
+adjoint and factors; ``g.inv().inv()`` is ``g`` itself while ``g`` lives.
+What a cocycle's value at g^{-1} and its derivative at g share (the
+coboundary's C(g^{-1}), the lattice log-derivative) is kept for the last
+point that asked, so an RKMK4 stage point computes it once.
 """
 
 import weakref
 
 import numpy as np
 
-from .algebra import TwoCocycle
-from .blocks import BlockOperator
+from .algebra import TwoCocycle, _max_abs
 
 __all__ = ["GroupPoint", "GroupCocycle", "identity", "exp", "adjoint",
            "coadjoint_star", "kernel_check", "random_point"]
@@ -37,42 +38,48 @@ class FactorizationError(RuntimeError):
 class GroupPoint:
     """Immutable group element in the registered faithful representation.
 
-    ``matrix`` has ``algebra.identity_matrix.shape``: an (N, m, m) stack,
-    one matrix per site, N = 1 on a base double; all operations act site
-    by site.
+    ``matrix`` is an ndarray of ``algebra.identity_matrix.shape``: an
+    (N, m, m) stack, one matrix per site, N = 1 on a base double; all
+    operations act site by site. It is stored as given, not converted, as
+    a flow step builds several points: pass ``np.asarray`` of a list.
     """
+
+    __slots__ = ("algebra", "matrix", "_factors", "_ad", "_inv", "_inverts",
+                 "__weakref__")
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
-        self.matrix = np.asarray(matrix)
-        self._factors = None
-        self._ad = None
-        self._inv = None  # a callable returning the cached inverse
+        self.matrix = matrix
+        self._factors = self._ad = self._inv = None
+        self._inverts = None  # a weak reference to the point this inverts
 
     def mul(self, other):
         return GroupPoint(self.algebra, matmul(self.matrix, other.matrix))
 
     def inv(self):
-        inv = self._inv and self._inv()
+        inv = self._inv
         if inv is None:
-            inv = GroupPoint(self.algebra, self.algebra.inverse(self.matrix))
-            # a weak back-reference: g.inv().inv() is g, without a cycle
-            inv._inv, self._inv = weakref.ref(self), lambda: inv
+            inv = self._inverts and self._inverts()
+            if inv is None:
+                inv = self._inv = GroupPoint(
+                    self.algebra, self.algebra.inverse(self.matrix))
+                # a weak back-reference: g.inv().inv() is g, without a cycle
+                inv._inverts = weakref.ref(self)
         return inv
 
     def ad_matrix(self):
-        """Adjoint operator on coordinates, cached; site j of a lattice
-        point conjugates only site j, so Ad_g is block diagonal."""
+        """The (N, d, d) site blocks of the adjoint operator, cached; site
+        j of a lattice point conjugates only site j."""
         if self._ad is None:
-            self._ad = BlockOperator(self.algebra.sandwich(
-                self.matrix, self.inv().matrix))
+            self._ad = self.algebra.sandwich(self.matrix, self.inv().matrix)
         return self._ad
 
     def factors(self):
         if self._factors is None:
             gp, gm = self.algebra.factorizer(self.matrix)
-            resid = np.abs(matmul(gp, gm) - self.matrix).max()
-            if not np.isfinite(resid) or resid > FACTOR_TOL:
+            resid = _max_abs(matmul(gp, gm) - self.matrix)
+            # written as "not <=" so that a NaN residual fails
+            if not resid <= FACTOR_TOL:
                 raise FactorizationError(
                     "factorization residual %.3e exceeds %.1e"
                     % (resid, FACTOR_TOL))
@@ -102,7 +109,7 @@ def _memo_last(fn):
     def memo(point):
         if last[0] is not point:
             out = fn(point)
-            for arr in out if isinstance(out, tuple) else (out,):
+            for arr in out if type(out) is tuple else (out,):
                 arr.flags.writeable = False
             last[:] = point, out
         return last[1]
@@ -114,16 +121,18 @@ def identity(algebra):
 
 
 def exp(algebra, x, t=1.0):
-    return GroupPoint(algebra, algebra.exponential(t * algebra.vec_to_mat(x)))
+    """exp(t x) of (N, d) coordinates; a base double also takes (d,)."""
+    m = algebra.exponential(t * algebra.vec_to_mat(x))
+    return GroupPoint(algebra, m.reshape(algebra.identity_matrix.shape))
 
 
 def adjoint(g, x):
-    return g.ad_matrix() @ np.asarray(x, dtype=float)
+    return np.matvec(g.ad_matrix(), x)
 
 
 def coadjoint_star(g, eta):
     """Transpose convention: <Ad*_g eta, X> = <eta, Ad_g X>."""
-    return np.asarray(eta, dtype=float) @ g.ad_matrix()
+    return np.vecmat(eta, g.ad_matrix())
 
 
 class GroupCocycle:
@@ -144,12 +153,12 @@ class GroupCocycle:
     @classmethod
     def zero(cls, algebra):
         def zero(*args):
-            return np.zeros(algebra.dim)
+            return np.zeros(algebra.shape)
         return cls(TwoCocycle.zero(algebra), zero, zero)
 
     @classmethod
     def coboundary(cls, algebra, mu0):
-        mu0 = np.asarray(mu0, dtype=float)
+        mu0 = np.reshape(np.asarray(mu0, dtype=float), algebra.shape)
         c2 = TwoCocycle.coboundary(algebra, mu0)
 
         @_memo_last
@@ -161,8 +170,10 @@ class GroupCocycle:
         def differential_inv(g, delta):
             # the exact 1-cocycle property gives the derivative
             # X -> coad(X, C(g^{-1})) + hat(X), whose transpose takes delta
-            # to -coad(delta, C(g^{-1})) - hat(delta), hat being antisymmetric
-            return -algebra.coad(delta, value(g.inv())) - c2.hat(delta)
+            # to -coad(delta, C(g^{-1})) - hat(delta), hat being
+            # antisymmetric; the coboundary's hat is -coad(., mu0), so this
+            # is one coadjoint term
+            return algebra.coad(delta, mu0 - value(g.inv()))
 
         return cls(c2, value, differential_inv)
 
@@ -177,15 +188,15 @@ class GroupCocycle:
         """The covector M^T delta, where M is the exact derivative of C at
         the inverse point, M X = d/dt C((g exp(tX))^{-1}) at t = 0: the
         pullback of delta, which is all a differential needs of M."""
-        return self._differential_inv(g, np.asarray(delta, dtype=float))
+        return self._differential_inv(g, delta)
 
 
 def kernel_check(cocycle, g_minus, tol=1e-10):
-    return bool(np.abs(cocycle.value(g_minus)).max(initial=0.0) < tol)
+    return _max_abs(cocycle.value(g_minus)) < tol
 
 
 def random_point(algebra, rng, scale=0.6):
     """A generic factorizable point: exp(X+) exp(X-) with bounded coords."""
-    xp = algebra.project(scale * rng.standard_normal(algebra.dim), "plus")
-    xm = algebra.project(scale * rng.standard_normal(algebra.dim), "minus")
+    xp = algebra.project(scale * rng.standard_normal(algebra.shape), "plus")
+    xm = algebra.project(scale * rng.standard_normal(algebra.shape), "minus")
     return exp(algebra, xp).mul(exp(algebra, xm))

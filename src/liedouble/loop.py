@@ -8,18 +8,18 @@ structures on the lattice, while identities relying on the Leibniz rule for
 d_s (cocycle identity, the 1-cocycle property of C_k) hold up to O(ds^2)
 and converge at second order under refinement.
 
-Every lattice operator is a block-diagonal ``BlockOperator``, and the
-central difference is written once, in ``d_s``: the cocycle's hat
--k psi(d_s X) applies the block-diagonal -k P after it, and the value and
-pullback of C_k read it too. The exact differential of C_k is never built
-as an operator: a Hamiltonian needs only its transpose applied to one
-vector, which pulls a matrix functional back through the same stencil
-site by site. The cocycle's value and that pullback meet the basis
-through one per-site matrix, k psi o mat_to_vec and its transpose, and
-their (N, m, m) site-stack products go through ``group.matmul``. A loop double
-inherits its base's group kernels (exponential, inverse, factorizer), so
-one field-flow step costs O(N) in the number of sites and calls no
-``numpy.linalg`` routine.
+Coordinates are (N, d) arrays and matrices (N, m, m) site stacks, so the
+central difference is written once, in ``d_s``, along the site axis of
+either: the cocycle's hat -k psi(d_s X) applies the uniform (d, d) block
+-k P after it, and the value and pullback of C_k read it too. The exact
+differential of C_k is never built as an operator: a Hamiltonian needs only
+its transpose applied to one vector, which pulls a matrix functional back
+through the same stencil site by site. The cocycle's value and that pullback
+meet the basis through one per-site matrix, k psi o mat_to_vec and its
+transpose, and their (N, m, m) site-stack products go through
+``group.matmul``. A loop double inherits its base's group kernels
+(exponential, inverse, factorizer), so one field-flow step costs O(N) in the
+number of sites and calls no ``numpy.linalg`` routine.
 """
 
 import numpy as np
@@ -43,22 +43,24 @@ class LoopLattice:
         self.n_sites = n_sites
         self.ds = 2.0 * np.pi / n_sites
         self.s = self.ds * np.arange(n_sites)
+        # the neighbours of each site
+        self.next = np.roll(np.arange(n_sites), -1)
+        self.prev = np.roll(np.arange(n_sites), 1)
 
 
-def d_s(lattice, x):
-    """Periodic central difference of site-major coordinates or of an
-    (N, m, m) matrix stack."""
-    blocks = np.asarray(x).reshape(lattice.n_sites, -1)
-    padded = np.concatenate((blocks[-1:], blocks, blocks[:1]))
-    return ((padded[2:] - padded[:-2]) / (2.0 * lattice.ds)).reshape(
-        np.shape(x))
+def d_s(lattice, x, axis=-2):
+    """Periodic central difference along the site axis: axis -2 of
+    (..., N, d) coordinates, axis -3 of an (N, m, m) matrix stack."""
+    tail = (slice(None),) * (-1 - axis)
+    return ((x[(..., lattice.next) + tail] - x[(..., lattice.prev) + tail])
+            / (2.0 * lattice.ds))
 
 
 def build_loop_double(base, n_sites):
-    """The lattice loop algebra of a base double, site-major coordinates."""
+    """The lattice loop algebra of a base double, with (N, d) coordinates."""
     return BasisAlgebra(
         "loop-%s-N%d" % (base.name, int(n_sites)), base.labels,
-        base.pairing.blocks[0], base.site_plus, base.site_minus,
+        base.pairing, base.site_plus, base.site_minus,
         base.structure_constants, basis_matrices=base.basis_matrices,
         lattice=LoopLattice(base, n_sites),
         group_memberships=base.group_memberships, factorizer=base.factorizer,
@@ -66,16 +68,16 @@ def build_loop_double(base, n_sites):
 
 
 class _LatticeTwoCocycle(TwoCocycle):
-    """A two-cocycle whose hat applies ``matrix`` after ``d_s``."""
+    """A two-cocycle whose hat applies its uniform, symmetric (d, d)
+    ``matrix`` after ``d_s``."""
 
     def hat(self, x):
-        return self.matrix @ d_s(self.algebra.lattice,
-                                 np.asarray(x, dtype=float))
+        return d_s(self.algebra.lattice, x) @ self.matrix
 
 
 def loop_two_cocycle(loop_algebra, k):
     """c_k(X, Y) = (k / N) sum_j (X_j, (d_s Y)_j)_h, with hat -k psi(d_s X):
-    ``matrix`` is the block-diagonal -k P."""
+    ``matrix`` is the uniform -k P."""
     return _LatticeTwoCocycle(loop_algebra, -k * loop_algebra.pairing)
 
 
@@ -88,16 +90,16 @@ def loop_group_cocycle(loop_algebra, k):
     # k psi(mat_to_vec(q)) = Re(q K^T) per site; its transpose takes delta
     # to the matrix functional delta K of k psi(delta)
     kpsi = loop_algebra._entries_transpose(
-        (k * loop_algebra.pairing.blocks[0]) @ loop_algebra._dual_basis.T)
+        (k * loop_algebra.pairing) @ loop_algebra._dual_basis.T)
 
     @grouplib._memo_last
     def log_derivative(h):
         # q = (d_s h) h^{-1}, which the value at h and the derivative at
         # h^{-1} share
-        return matmul(d_s(lattice, h.matrix), h.inv().matrix)
+        return matmul(d_s(lattice, h.matrix, -3), h.inv().matrix)
 
     def value(g):
-        return (log_derivative(g).reshape(n, -1) @ kpsi.T).real.reshape(-1)
+        return (log_derivative(g).reshape(n, -1) @ kpsi.T).real
 
     def differential_inv(g, delta):
         # Pullback of delta through the exact d/dt C_k((g exp(tX))^{-1}) of
@@ -111,10 +113,10 @@ def loop_group_cocycle(loop_algebra, k):
         # basis matrices.
         q = log_derivative(g.inv())
         h, hinv = g.inv().matrix, g.matrix
-        w = (delta.reshape(n, -1) @ kpsi).reshape(shape)
-        pulled = (matmul(q.swapaxes(1, 2), w)
-                  + matmul(d_s(lattice, matmul(w, hinv.swapaxes(1, 2))),
-                           h.swapaxes(1, 2)))
+        w = (delta @ kpsi).reshape(shape)
+        pulled = (matmul(q.mT, w)
+                  + matmul(d_s(lattice, matmul(w, hinv.mT), -3),
+                           h.mT))
         return loop_algebra.vec_to_mat_transpose(pulled)
 
     return grouplib.GroupCocycle(loop_two_cocycle(loop_algebra, k), value,
@@ -123,7 +125,8 @@ def loop_group_cocycle(loop_algebra, k):
 
 def constant_loop(loop_algebra, base_vector):
     """Embed a base algebra vector as a spatially constant loop."""
-    return np.tile(np.asarray(base_vector, dtype=float), loop_algebra.n_sites)
+    return np.tile(np.asarray(base_vector, dtype=float),
+                   (loop_algebra.n_sites, 1))
 
 
 def sampled_loop(loop_algebra, coeffs):
@@ -134,12 +137,11 @@ def sampled_loop(loop_algebra, coeffs):
     every lattice size, which is what refinement studies need.
     """
     lattice = loop_algebra.lattice
-    d = lattice.base.dim
-    out = np.zeros((lattice.n_sites, d))
+    out = np.zeros(loop_algebra.shape)
     for m, (a_m, b_m) in enumerate(coeffs):
         out += (np.cos(m * lattice.s)[:, None] * np.asarray(a_m)
                 + np.sin(m * lattice.s)[:, None] * np.asarray(b_m))
-    return out.reshape(-1)
+    return out
 
 
 def check_cfl(lattice, dt, k):
@@ -205,7 +207,7 @@ def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
                 float(np.abs(alg.psi_bar(lhs - rhs)).max()))
             comp = (c2.eval(grouplib.adjoint(g, yg), grouplib.adjoint(g, xg))
                     - c2.eval(yg, xg)
-                    - cg.value(g.inv()) @ alg.bracket(yg, xg))
+                    - np.vdot(cg.value(g.inv()), alg.bracket(yg, xg)))
             worst["compatibility"] = max(worst["compatibility"], abs(comp))
         for key in res:
             res[key].append(worst[key])

@@ -24,9 +24,16 @@ ON_FIBER_TOL = 1e-9
 
 
 class PhasePoint:
+    """A point (g, eta); eta is read as the (N, d) coordinates of g's
+    algebra, so a flat (N d,) covector is accepted here once."""
+
+    __slots__ = ("g", "eta")
+
     def __init__(self, g, eta):
         self.g = g
-        self.eta = np.asarray(eta, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        shape = g.algebra.shape
+        self.eta = eta if eta.shape == shape else eta.reshape(shape)
 
     @property
     def algebra(self):
@@ -44,7 +51,8 @@ class FiberSpec:
 
     def __init__(self, g_minus, eta_minus, projector, cocycle):
         self.g_minus = g_minus
-        self.eta_minus = np.asarray(eta_minus, dtype=float)
+        self.eta_minus = np.asarray(eta_minus, dtype=float).reshape(
+            g_minus.algebra.shape)
         if not g_minus.member("minus"):
             raise ValueError("g_minus is not in the minus factor")
         self.projector = projector
@@ -54,23 +62,27 @@ class FiberSpec:
 
 
 class Differential:
-    """The pair (dF, deltaF) of one differential, or of a stack of them as
-    (k, dim) rows."""
+    """The pair (dF, deltaF) of one differential, as (N, d) arrays, or of
+    a stack of them as (k, N, d) arrays. They are ndarrays, stored as
+    given: a flow stage builds one, so nothing converts them."""
+
+    __slots__ = ("dF", "deltaF")
 
     def __init__(self, dF, deltaF):
-        self.dF = np.asarray(dF, dtype=float)
-        self.deltaF = np.asarray(deltaF, dtype=float)
+        self.dF = dF
+        self.deltaF = deltaF
 
 
 class Observable:
     """A scalar function of (g, eta) with its analytic differential.
 
-    ``diff`` maps a point to its ``Differential``.
+    ``diff`` maps a point to its ``Differential`` of ndarrays; it is the
+    ``analytic_differential`` of the observable.
     """
 
     def __init__(self, fn, diff, name=None):
         self._fn = fn
-        self._diff = diff
+        self.analytic_differential = diff
         self.name = name
 
     def value(self, p):
@@ -79,10 +91,12 @@ class Observable:
     @property
     def has_analytic_differential(self):
         # perfbench/tracer.py reads it when it re-wraps a Hamiltonian
-        return self._diff is not None
+        return self.analytic_differential is not None
 
-    def analytic_differential(self, p):
-        return self._diff(p)
+
+def _flat(x):
+    """(..., N, d) coordinates as (..., N d) rows, for products of stacks."""
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 class PhaseSpace:
@@ -114,7 +128,8 @@ class PhaseSpace:
 
     def _require_on_fiber(self, p, fiber):
         d = self.on_fiber_distance(p, fiber)
-        if d > ON_FIBER_TOL:
+        # written as "not <=" so that a NaN distance fails
+        if not d <= ON_FIBER_TOL:
             raise ValueError("point is off the fiber by %.3e" % d)
 
     def fiber_point(self, fiber, g_plus, eta_plus):
@@ -125,9 +140,9 @@ class PhaseSpace:
 
     def random_fiber_point(self, fiber, rng, scale=0.5):
         a = self.algebra
-        gp = grouplib.exp(a, a.project(scale * rng.standard_normal(a.dim),
-                                       "plus"))
-        etap = a.project(scale * rng.standard_normal(a.dim), "plus")
+        gp = grouplib.exp(a, a.project(
+            scale * rng.standard_normal(a.shape), "plus"))
+        etap = a.project(scale * rng.standard_normal(a.shape), "plus")
         return self.fiber_point(fiber, gp, etap)
 
     # --- symplectic structure -------------------------------------------
@@ -137,9 +152,10 @@ class PhaseSpace:
         xi1, rho1 = t1
         xi2, rho2 = t2
         adg = p.g.ad_matrix()
-        return float(-rho1 @ xi2 + rho2 @ xi1
-                     + p.eta @ a.bracket(xi1, xi2)
-                     + self.c2.eval(adg @ xi1, adg @ xi2))
+        return float(-np.vdot(rho1, xi2) + np.vdot(rho2, xi1)
+                     + np.vdot(p.eta, a.bracket(xi1, xi2))
+                     + self.c2.eval(np.matvec(adg, xi1),
+                                    np.matvec(adg, xi2)))
 
     def differential(self, F, p):
         """The differential (dF, deltaF) of F at p, from F's own ``diff``."""
@@ -147,11 +163,11 @@ class PhaseSpace:
 
     def ham_vf_from_diff(self, d, p):
         """(delta F, coad_{delta F} eta - dF + Ad*_g c_hat(Ad_g delta F)),
-        as rows for a stack of differentials."""
+        as stacks for a stack of differentials."""
         adg = p.g.ad_matrix()
         x = d.deltaF
-        rho = (x @ self.algebra.bracket_form(p.eta) - d.dF
-               + (adg.T @ self.c2.hat(adg @ x.T)).T)
+        rho = (np.vecmat(x, self.algebra.bracket_form(p.eta)) - d.dF
+               + np.vecmat(self.c2.hat(np.matvec(adg, x)), adg))
         return x.copy(), rho
 
     @staticmethod
@@ -159,7 +175,8 @@ class PhaseSpace:
         """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G; for
         stacks, the (k, l) matrix of the brackets {F_i, G_j}."""
         xi, rho = field
-        return dF.dF @ xi.T + dF.deltaF @ rho.T
+        return (_flat(dF.dF) @ _flat(xi).T
+                + _flat(dF.deltaF) @ _flat(rho).T)
 
     def poisson_c(self, F, G, p):
         dF = self.differential(F, p)
@@ -175,22 +192,23 @@ class PhaseSpace:
 
     def dressed_projector(self, g_minus):
         """Ad_{g-^{-1}} Pi_{g+} Ad_{g-} = P^{-1} Ad_{g-}^T (P Pi_{g+}) Ad_{g-}
-        as an operator on coordinates, by the ad-invariance of the pairing.
+        as (N, d, d) site blocks, by the ad-invariance of the pairing.
 
         Its transpose is the dual-side sandwich Ad*_{g-} Pi_{g+*} Ad*_{g-^{-1}}.
         """
         a = self.algebra
         adm = g_minus.ad_matrix()
-        return a.pairing_inv @ adm.T @ a.pairing @ a.selector("plus") @ adm
+        return (a.pairing_inv @ adm.mT @ a.pairing
+                @ a.selector("plus") @ adm)
 
     def frame(self):
-        """(T_a, T^a) as (n, dim) rows: the plus coordinate axes and the
+        """(T_a, T^a) as (n, N, d) stacks: the plus coordinate axes and the
         pairing-dual frame psi_bar(e^a) of g-, (T_a, T^b)_g = delta_a^b.
         Isotropy makes the inverse pairing block-antidiagonal, so T^a
         lies in g-."""
         a = self.algebra
-        axes = (a.plus_indices[:, None] == np.arange(a.dim)).astype(float)
-        return axes, a.psi_bar(axes.T).T
+        axes = np.eye(a.dim)[a.plus_indices].reshape((-1,) + a.shape)
+        return axes, a.psi_bar(axes)
 
     def constraint_differentials(self, p):
         """The differentials of the 2n constraint functions at p, stacked.
@@ -200,12 +218,13 @@ class PhaseSpace:
         """
         a = self.algebra
         axes, tm = self.frame()
-        mu = a.psi(axes.T).T
+        mu = a.psi(axes)
         zero = np.zeros_like(mu)
         # through Ad_{g-^{-1}} Pi_{g-} Ad_{g-} = 1 - proj
         proj = self.dressed_projector(p.g_minus())
-        return Differential(np.vstack([mu - mu @ proj, zero]),
-                            np.vstack([zero, tm]))
+        return Differential(
+            np.concatenate([mu - np.vecmat(mu, proj), zero]),
+            np.concatenate([zero, tm]))
 
     def dirac_matrix(self, p):
         """The brackets of the constraints, [[0, I], [-I, Omega]] in the
@@ -214,9 +233,9 @@ class PhaseSpace:
         of omega_c."""
         _, tm = self.frame()
         n = len(tm)
-        at = p.g.ad_matrix() @ tm.T
-        omega = (-tm @ self.algebra.bracket_form(p.eta) @ tm.T
-                 + at.T @ self.c2.hat(at))
+        at = np.matvec(p.g.ad_matrix(), tm)
+        omega = (-_flat(np.vecmat(tm, self.algebra.bracket_form(p.eta)))
+                 @ _flat(tm).T + _flat(at) @ _flat(self.c2.hat(at)).T)
         eye = np.eye(n)
         return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
 
@@ -228,17 +247,17 @@ class PhaseSpace:
         """The restricted bracket's field, no cocycle term: xi = Q deltaF,
         rho = Q^T (coad_xi eta - dF), Q the fiber's dressed projector."""
         q = fiber.projector
-        xi = q @ d.deltaF
-        return xi, (self.algebra.coad(xi, p.eta) - d.dF) @ q
+        xi = np.matvec(q, d.deltaF)
+        return xi, np.vecmat(self.algebra.coad(xi, p.eta) - d.dF, q)
 
     def cocycle_traces(self, dF, dG, p, fiber):
         """<C(g+^{-1}), [PF, PG]> + c(PF, PG) with P = Pi_+ Ad_{g-} of the
         fiber: what the restricted field leaves out of the bracket."""
         a = self.algebra
         adm = fiber.g_minus.ad_matrix()
-        pf = a.project(adm @ dF.deltaF, "plus")
-        pg = a.project(adm @ dG.deltaF, "plus")
-        return float(self.C.value(p.g_plus().inv()) @ a.bracket(pf, pg)
+        pf = a.project(np.matvec(adm, dF.deltaF), "plus")
+        pg = a.project(np.matvec(adm, dG.deltaF), "plus")
+        return float(np.vdot(self.C.value(p.g_plus().inv()), a.bracket(pf, pg))
                      + self.c2.eval(pf, pg))
 
     def dirac_bracket(self, F, G, p, fiber):
@@ -261,8 +280,9 @@ class PhaseSpace:
         dF = self.differential(F, p)
         dG = self.differential(G, p)
         cons = self.constraint_differentials(p)
-        rows = Differential(np.vstack([dF.dF, dG.dF, cons.dF]),
-                            np.vstack([dF.deltaF, dG.deltaF, cons.deltaF]))
+        rows = Differential(np.concatenate([[dF.dF, dG.dF], cons.dF]),
+                            np.concatenate([[dF.deltaF, dG.deltaF],
+                                            cons.deltaF]))
         m = self.poisson_from_diff(rows, rows, p)
         return float(m[0, 1] - m[0, 2:] @ np.linalg.solve(m[2:, 2:],
                                                            m[2:, 1]))
@@ -281,7 +301,7 @@ class PhaseSpace:
         alg = self.algebra
 
         def fn(p):
-            return self.momentum_ext(p)[0] @ x + a_ext
+            return np.vdot(self.momentum_ext(p)[0], x) + a_ext
 
         def diff(p):
             ax = grouplib.adjoint(p.g.inv(), x)

@@ -10,7 +10,7 @@ the field-theory Lagrangian.
 import numpy as np
 
 from . import group as grouplib
-from .blocks import BlockOperator
+from .algebra import _max_abs, _sub_blocks
 from .dynamics import (_carrier, hamiltonian_quadratic, legendre_inverse,
                        legendre_map)
 
@@ -19,7 +19,7 @@ __all__ = ["r_operator", "dtheta_check", "lagrangian_N", "el_residual",
 
 
 def r_operator(e_op, g, sign=1):
-    """R_g(+-) = B_g +- G_g as a coordinate matrix g+ -> g-."""
+    """R_g(+-) = B_g +- G_g as (N, d, d) site blocks g+ -> g-."""
     gg, bb = e_op.blocks_at(g)
     return bb + sign * gg
 
@@ -37,12 +37,15 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
     eta_p0 = p.eta - fiber.eta_minus
     axes, _ = space.frame()
     n = len(axes)
+    rows = axes.reshape(n, -1)
+
+    def along(u):
+        # the coordinates sum_a u_a T_a
+        return (u @ rows).reshape(a.shape)
 
     def chart(u, w):
-        gp = gp0.mul(grouplib.exp(a, axes.T @ u))
-        eta_plus = eta_p0.copy()
-        eta_plus[a.plus_indices] += w
-        return space.fiber_point(fiber, gp, eta_plus)
+        gp = gp0.mul(grouplib.exp(a, along(u)))
+        return space.fiber_point(fiber, gp, eta_p0 + along(w))
 
     def tangent(u, w, direction):
         # central difference of the chart along one coordinate
@@ -59,7 +62,7 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
     def theta_component(u, w, direction):
         # <Theta, t> = <eta, xi> for a fiber tangent with group slot xi
         xi, _ = tangent(u, w, direction)
-        return float(chart(u, w).eta @ xi)
+        return float(np.vdot(chart(u, w).eta, xi))
 
     worst = 0.0
     for _ in range(pairs):
@@ -93,16 +96,17 @@ def lagrangian_N(space, e_op, g_plus, gdot, fiber, route="r-form"):
     if route == "legendre":
         h = hamiltonian_quadratic(space, e_op)
         p = legendre_inverse(space, e_op, g_plus, gdot, fiber)
-        xi = fiber.g_minus.inv().ad_matrix() @ gdot
-        return float(p.eta @ xi - h.value(p))
+        xi = grouplib.adjoint(fiber.g_minus.inv(), gdot)
+        return float(np.vdot(p.eta, xi) - h.value(p))
     gg, bb = e_op.blocks_at(g_plus)
     v = _carrier(space, g_plus, fiber.eta_minus)
     if route == "blocks":
-        return float(0.5 * a.pair(gg @ gdot, gdot) + a.pair(gdot, bb @ v)
-                     - 0.5 * a.pair(v, gg @ v))
+        return float(0.5 * a.pair(np.matvec(gg, gdot), gdot)
+                     + a.pair(gdot, np.matvec(bb, v))
+                     - 0.5 * a.pair(v, np.matvec(gg, v)))
     if route == "r-form":
         rp = r_operator(e_op, g_plus, +1)
-        return float(0.5 * a.pair(rp @ (gdot + v), gdot - v))
+        return float(0.5 * a.pair(np.matvec(rp, gdot + v), gdot - v))
     raise ValueError("unknown route %r" % route)
 
 
@@ -121,8 +125,8 @@ def el_residual(space, e_op, traj, fiber):
         gg, bb = e_op.blocks_at(gp)
         gdot = legendre_map(space, e_op, p, fiber)
         v = _carrier(space, gp, fiber.eta_minus)
-        mom = gg @ gdot + bb @ v  # also the first force term
-        force_b = bb @ gdot + gg @ v
+        mom = np.matvec(gg, gdot) + np.matvec(bb, v)  # the first force term
+        force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
         em = a.psi_bar(fiber.eta_minus)
         rhs = (-a.project(a.bracket(mom, force_b), "minus")
                - a.project(a.bracket(em, force_b), "minus")
@@ -138,7 +142,8 @@ def el_residual(space, e_op, traj, fiber):
 
 
 def bivector_pi(algebra, g_plus):
-    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as an operator."""
+    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as (N, d, d) site
+    blocks."""
     sel_p = algebra.selector("plus")
     return -(sel_p @ g_plus.ad_matrix() @ sel_p
              @ g_plus.inv().ad_matrix() @ algebra.selector("minus"))
@@ -157,14 +162,14 @@ def operator_identity_check(space, e_op, g_plus, sign=1):
 
     def r_inv(g):
         # the (plus, minus) blocks invert the (minus, plus) blocks of R_g
-        r = r_operator(e_op, g, sign).restrict(sm, sp).blocks
+        r = _sub_blocks(r_operator(e_op, g, sign), sm, sp)
         out = np.zeros((a.n_sites, a.site_dim, a.site_dim))
         out[:, sp[:, None], sm] = np.linalg.inv(r)
-        return BlockOperator(out)
+        return out
 
     lhs = adg @ r_inv(g_plus) @ sel_m @ g_plus.inv().ad_matrix() @ sel_m
     rhs = (r_inv(grouplib.identity(a)) - bivector_pi(a, g_plus)) @ sel_m
-    return (lhs - rhs).max_abs()
+    return _max_abs(lhs - rhs)
 
 
 def lagrangian_density(space, e_op, g_plus, gdot, gprime, fiber, k):
@@ -180,4 +185,4 @@ def lagrangian_density(space, e_op, g_plus, gdot, gprime, fiber, k):
     aplus = gdot + k * gprime
     aminus = gdot - k * gprime
     rp = r_operator(e_op, g_plus, +1)
-    return float(0.5 * a.pair(rp @ (aplus + em), aminus - em))
+    return float(0.5 * a.pair(np.matvec(rp, aplus + em), aminus - em))

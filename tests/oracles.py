@@ -4,14 +4,15 @@ Each oracle is a slow, generic evaluation of something the library computes
 in closed form or analytically: finite-difference differentials, the scalar
 constraint functions behind the constraint frame, the explicit inverse of
 the Dirac matrix, algebra coordinates through the matrix logarithm, dense
-matrices of site-blocked operators, the cocycle derivatives at the inverse
-point as whole operators, the ambient RK4 integrator, the energy
-eigenspaces as graphs, the full Hamiltonian vector field, the restricted
-field and the symmetry generator assembled from the factors of g, the
-Legendre map solved from the energy's metric/two-form blocks, the
-exponential's scalar functions as Taylor series, the adjoint sandwich
-through the Kronecker product, and the factorizations of the built-in
-groups through QR and a linear solve. The library itself never calls them.
+matrices of site-blocked operators and flat coordinates, the cocycle
+derivatives at the inverse point as whole operators, the ambient RK4
+integrator, the energy eigenspaces as graphs, the full Hamiltonian vector
+field, the restricted field and the symmetry generator assembled from the
+factors of g, the Legendre map solved from the energy's metric/two-form
+blocks, the exponential's scalar functions as Taylor series, the adjoint
+sandwich through the Kronecker product, and the factorizations of the
+built-in groups through QR and a linear solve. The library itself never
+calls them.
 """
 
 import math
@@ -36,9 +37,19 @@ def _block_diag(blocks, shift=0):
     return out.reshape(n * d, n * d)
 
 
-def dense(op):
-    """The dense matrix of a BlockOperator."""
-    return _block_diag(op.blocks)
+def dense(op, n_sites=1):
+    """The dense (N d, N d) matrix of an operator: an (N, d, d) stack of
+    site blocks, or one (d, d) block repeated on n_sites sites."""
+    op = np.asarray(op)
+    if op.ndim == 2:
+        op = np.broadcast_to(op, (n_sites,) + op.shape)
+    return _block_diag(op)
+
+
+def flat(x):
+    """(..., N, d) coordinates as flat (..., N d) rows."""
+    x = np.asarray(x)
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def is_identity(g, tol=1e-12):
@@ -112,7 +123,7 @@ def loop_differential_inv(loop_algebra, k, g):
     base = lattice.base
     h, hinv = g.inv().matrix, g.matrix
     eye = np.broadcast_to(np.eye(h.shape[-1]), h.shape)
-    q = loop.d_s(lattice, h) @ hinv
+    q = loop.d_s(lattice, h, -3) @ hinv
 
     def side(o):
         # -+ X_{j+o} h_{j+o} h_j^{-1} / (2 ds), from d_s at site j, as the
@@ -122,14 +133,14 @@ def loop_differential_inv(loop_algebra, k, g):
         return _block_diag(np.roll(blocks, o, axis=0), -o)
 
     coords = _block_diag(base.sandwich(q, eye)) + side(1) + side(-1)
-    return k * dense(loop_algebra.pairing) @ coords
+    return k * dense(loop_algebra.pairing, lattice.n_sites) @ coords
 
 
 def coboundary_differential_inv(algebra, mu0, g):
     """The same derivative for the coboundary of mu0, as an operator:
     column i is coad(e_i, C(g^{-1})) + hat(e_i)."""
     c = group.GroupCocycle.coboundary(algebra, mu0)
-    return (algebra.bracket_form(c.value(g.inv())).T
+    return (algebra.bracket_form(c.value(g.inv())).swapaxes(-1, -2)
             + c.infinitesimal().matrix)
 
 
@@ -162,14 +173,14 @@ def ambient_flow_fiber(space, obs, p0, fiber, cfg):
 
 
 def eigenspace_basis(e_op, g, sign):
-    """Basis of the +-1 eigenspace of E_g as a (n, dim) array of graphs."""
+    """Basis of the +-1 eigenspace of E_g as an (n, N, d) array of graphs."""
     a = e_op.algebra
     gg, bb = e_op.blocks_at(g)
     rows = []
     for i in a.plus_indices:
-        x = np.zeros(a.dim)
-        x[i] = 1.0
-        rows.append(x + (bb + sign * gg) @ x)
+        x = np.zeros(a.shape)
+        x.flat[i] = 1.0
+        rows.append(x + np.matvec(bb + sign * gg, x))
     return np.array(rows)
 
 
@@ -185,9 +196,11 @@ def restricted_field_at_point(space, d, p):
     y = coad_xi eta - dF."""
     a = space.algebra
     adm = p.g_minus().ad_matrix()
-    xi = a.psi_bar(adm.T @ a.psi(a.project(adm @ d.deltaF, "plus")))
+    xi = a.psi_bar(np.vecmat(a.psi(a.project(np.matvec(adm, d.deltaF),
+                                             "plus")), adm))
     y = a.coad(xi, p.eta) - d.dF
-    rho = adm.T @ a.project(a.psi(adm @ a.psi_bar(y)), "plus")
+    rho = np.vecmat(a.project(a.psi(np.matvec(adm, a.psi_bar(y))), "plus"),
+                    adm)
     return xi, rho
 
 
@@ -200,12 +213,12 @@ def fiber_generator_direct(space, x, p):
     """
     a = space.algebra
     gp, gm = p.g.factors()
-    w = gp.inv().ad_matrix() @ x
+    w = group.adjoint(gp.inv(), x)
     adm_inv = gm.inv().ad_matrix()
-    xi = adm_inv @ a.project(w, "plus")
-    inner = (a.coad(adm_inv @ a.project(w, "minus"), p.eta)
+    xi = np.matvec(adm_inv, a.project(w, "plus"))
+    inner = (a.coad(np.matvec(adm_inv, a.project(w, "minus")), p.eta)
              + space.c2.hat(group.adjoint(p.g.inv(), x)))
-    return xi, -space.dressed_projector(gm).T @ inner
+    return xi, -np.vecmat(inner, space.dressed_projector(gm))
 
 
 def legendre_map_blocks(space, e_op, p, fiber):
@@ -218,12 +231,13 @@ def legendre_map_blocks(space, e_op, p, fiber):
     gg, bb = e_op.blocks_at(gp)
     v = a.psi_bar(space.C.value(gp.inv()) - fiber.eta_minus)
     rhs = (a.psi_bar(group.coadjoint_star(gm.inv(), p.eta - fiber.eta_minus))
-           + bb @ v
-           + a.project(gm.ad_matrix() @ a.psi_bar(fiber.eta_minus), "minus"))
-    blocks = gg.restrict(a.site_minus, a.site_plus).blocks
-    gdot = np.zeros(a.dim)
-    gdot[a.plus_indices] = np.linalg.solve(blocks, rhs[a.minus_indices]
-                                           .reshape(a.n_sites, -1, 1)).ravel()
+           + np.matvec(bb, v)
+           + a.project(group.adjoint(gm, a.psi_bar(fiber.eta_minus)),
+                       "minus"))
+    sp, sm = a.site_plus, a.site_minus
+    gdot = np.zeros(a.shape)
+    gdot[:, sp] = np.linalg.solve(gg[:, sm[:, None], sp],
+                                  rhs[:, sm, None])[..., 0]
     return gdot
 
 
@@ -234,16 +248,18 @@ def fd_differential(F, p, step=1e-5):
     the coordinate directions, with h = step (1 + |eta_i|).
     """
     a = p.algebra
-    dF = np.zeros(a.dim)
-    deltaF = np.zeros(a.dim)
-    e = np.eye(a.dim)
+    dF = np.zeros(a.shape)
+    deltaF = np.zeros(a.shape)
+    e = np.eye(a.dim).reshape((-1,) + a.shape)
     for i in range(a.dim):
-        h = step * (1.0 + abs(float(p.eta[i])))
-        dF[i] = (F.value(PhasePoint(p.g.mul(group.exp(a, e[i], h)), p.eta))
-                 - F.value(PhasePoint(p.g.mul(group.exp(a, e[i], -h)),
-                                      p.eta))) / (2 * h)
-        deltaF[i] = (F.value(PhasePoint(p.g, p.eta + h * e[i]))
-                     - F.value(PhasePoint(p.g, p.eta - h * e[i]))) / (2 * h)
+        h = step * (1.0 + abs(float(p.eta.flat[i])))
+        dF.flat[i] = (
+            F.value(PhasePoint(p.g.mul(group.exp(a, e[i], h)), p.eta))
+            - F.value(PhasePoint(p.g.mul(group.exp(a, e[i], -h)), p.eta))
+        ) / (2 * h)
+        deltaF.flat[i] = (F.value(PhasePoint(p.g, p.eta + h * e[i]))
+                          - F.value(PhasePoint(p.g, p.eta - h * e[i]))
+                          ) / (2 * h)
     if not np.all(np.isfinite(dF)) or not np.all(np.isfinite(deltaF)):
         raise ArithmeticError("non-finite differential")
     return Differential(dF, deltaF)
@@ -276,9 +292,10 @@ def constraint_observables(space, p):
     for ta in t_plus:
         mu = a.psi(ta)
         obs.append(fd_observable(
-            lambda q, mu=mu: mu @ log_coords(gm0_inv.mul(q.g_minus()))))
+            lambda q, mu=mu: np.vdot(mu, log_coords(gm0_inv.mul(
+                q.g_minus())))))
     for tb in t_minus:
-        obs.append(fd_observable(lambda q, tb=tb: q.eta @ tb))
+        obs.append(fd_observable(lambda q, tb=tb: np.vdot(q.eta, tb)))
     return obs
 
 

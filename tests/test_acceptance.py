@@ -125,8 +125,8 @@ def test_3_remark_no_cocycle_traces():
     for _ in range(2):
         p = space.random_fiber_point(fiber, rng, 0.3)
         for _ in range(5):
-            f = space.momentum_fn(rng.standard_normal(alg.dim))
-            g = space.momentum_fn(rng.standard_normal(alg.dim))
+            f = space.momentum_fn(rng.standard_normal(alg.shape))
+            g = space.momentum_fn(rng.standard_normal(alg.shape))
             full = space.dirac_bracket(f, g, p, fiber)
             red = space.dirac_bracket_reduced(f, g, p, fiber)
             worst = max(worst, abs(full - red) / (1 + abs(full)))
@@ -271,7 +271,7 @@ def test_6_dynamics():
             mu, _ = space.momentum_ext(p)
             mup, _ = space.momentum_ext(tr.points[i + 1])
             mum, _ = space.momentum_ext(tr.points[i - 1])
-            x = p.g.ad_matrix() @ space.differential(h, p).deltaF
+            x = group.adjoint(p.g, space.differential(h, p).deltaF)
             rhs = -(SL2.coad(x, mu) + space.c2.hat(x))
             worst = max(worst,
                         float(np.abs((mup - mum) / (2 * dt) - rhs).max()))

@@ -7,6 +7,7 @@ from liedouble.algebra import (BasisAlgebra, TwoCocycle,
                                algebra_from_declaration,
                                cocycle_identity_residual, get_algebra,
                                is_character, validate_manin)
+from liedouble import group
 from liedouble.loop import build_loop_double
 
 
@@ -153,12 +154,12 @@ class TestCocycle:
         c = TwoCocycle.coboundary(SL2, mu0)
         x = rng.standard_normal(6)
         assert c.eval(x, x) == pytest.approx(0, abs=1e-12)
-        assert (c.matrix + c.matrix.T).max_abs() < 1e-12
+        assert np.abs(c.matrix + c.matrix.swapaxes(-1, -2)).max() < 1e-12
 
     def test_coboundary_matches_ad_star(self, rng):
         mu0 = rng.standard_normal(6)
         c = TwoCocycle.coboundary(SO3, mu0)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal(SO3.shape)
         np.testing.assert_allclose(c.hat(x), -SO3.coad(x, mu0), atol=1e-12)
 
     def test_cocycle_identity(self, rng):
@@ -199,6 +200,22 @@ class TestCharacter:
         with pytest.raises(ValueError):
             is_character(SL2, np.ones(6))
 
+    def test_nan_is_no_character(self):
+        # a NaN weight on [g-, g-] must not read as vanishing
+        eta = np.zeros(6)
+        eta[4] = np.nan
+        assert not is_character(SL2, eta)
+        loop_alg = build_loop_double(SL2, 8)
+        eta = np.zeros(loop_alg.shape)
+        eta[5, 3] = np.nan
+        assert not is_character(loop_alg, eta)
+
+    def test_nan_plus_part_breaks_the_support_precondition(self):
+        eta = np.zeros(6)
+        eta[1] = np.nan
+        with pytest.raises(ValueError, match="support outside"):
+            is_character(SL2, eta)
+
 
 LAYOUT_DOUBLES = [SO3, SL2, build_loop_double(SL2, 8)]
 
@@ -206,13 +223,43 @@ LAYOUT_DOUBLES = [SO3, SL2, build_loop_double(SL2, 8)]
 class TestLayout:
     """Site stacks and the one real layout of complex entries."""
 
+    @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)
+    def test_base_double_takes_flat_vectors(self, a, rng):
+        # (d,) and (1, d) are the same coordinates of a one-site double
+        x, y = rng.standard_normal((2, a.dim))
+        rows = x[None], y[None]
+        assert a.shape == (1, a.dim)
+        for op in (a.bracket, a.coad):
+            np.testing.assert_array_equal(op(x, y)[None], op(*rows))
+        for side in ("plus", "minus"):
+            np.testing.assert_array_equal(a.project(x, side)[None],
+                                          a.project(rows[0], side))
+        np.testing.assert_array_equal(a.psi_bar(x)[None], a.psi_bar(rows[0]))
+        np.testing.assert_array_equal(group.exp(a, x).matrix,
+                                      group.exp(a, rows[0]).matrix)
+        assert group.exp(a, x).matrix.shape == a.identity_matrix.shape
+
+    def test_loop_refuses_flat_vectors(self, rng):
+        # a flat (N d,) vector is not misread as N sites
+        a = build_loop_double(SL2, 8)
+        flat = rng.standard_normal(a.dim)
+        sites = flat.reshape(a.shape)
+        for call in (lambda v: a.bracket(v, sites),
+                     lambda v: a.bracket(sites, v), lambda v: a.ad(v),
+                     lambda v: a.coad(v, sites), lambda v: a.coad(sites, v),
+                     a.psi, a.psi_bar, a.bracket_form, a.vec_to_mat,
+                     lambda v: a.project(v, "plus"),
+                     lambda v: group.exp(a, v)):
+            with pytest.raises(ValueError):
+                call(flat)
+
     @pytest.mark.parametrize("a", LAYOUT_DOUBLES, ids=lambda a: a.name)
     def test_mat_to_vec_maps_a_batch_of_stacks_to_rows(self, a, rng):
-        xs = rng.standard_normal((3, a.dim))
+        xs = rng.standard_normal((3,) + a.shape)
         mats = np.stack([a.vec_to_mat(x) for x in xs])
         assert mats.shape == (3,) + a.identity_matrix.shape
         got = a.mat_to_vec(mats)
-        assert got.shape == (3, a.dim)
+        assert got.shape == (3,) + a.shape
         np.testing.assert_allclose(got, xs, atol=1e-13)
 
     @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)

@@ -276,7 +276,7 @@ class TestLoopEnergy:
     @pytest.mark.parametrize("energy", [
         {"preset": "skewed"},
         {"matrix": EnergyOperator.preset(get_algebra("sl2c-iwasawa"),
-                                         "skewed").matrix.blocks[0].tolist()},
+                                         "skewed").matrix.tolist()},
     ])
     def test_site_energy_runs(self, energy, tmp_path):
         cfg = self.loop_cfg(energy)
@@ -393,7 +393,7 @@ def corrupted_so3(**changes):
         "dim": a.dim,
         "labels": list(a.labels),
         "structure_constants": entries,
-        "pairing": a.pairing.blocks[0].tolist(),
+        "pairing": a.pairing.tolist(),
         "plus_indices": [int(i) for i in a.plus_indices],
         "minus_indices": [int(i) for i in a.minus_indices],
     }
@@ -460,7 +460,7 @@ class TestFailureModes:
             "dim": a.dim,
             "labels": list(a.labels),
             "structure_constants": entries + [[0, 1, 2, 1.3], [1, 0, 2, -1.3]],
-            "pairing": a.pairing.blocks[0].tolist(),
+            "pairing": a.pairing.tolist(),
             "plus_indices": [int(i) for i in a.plus_indices],
             "minus_indices": [int(i) for i in a.minus_indices],
         }
@@ -522,7 +522,7 @@ def sl2c_declared(config, **changes):
                 [i, j, k, float(v)]
                 for (i, j, k), v in np.ndenumerate(a.structure_constants)
                 if v != 0.0],
-            "pairing": a.pairing.blocks[0].tolist(),
+            "pairing": a.pairing.tolist(),
             "plus_indices": [int(i) for i in a.site_plus],
             "minus_indices": [int(i) for i in a.site_minus]}
     cfg = json.loads(open(cfg_path(config)).read())
