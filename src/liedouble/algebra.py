@@ -9,15 +9,16 @@ dot of coordinates, so all metric content lives in the ``pairing`` matrix.
 Every algebra is a lattice of identical sites: a base double is one site,
 and a periodic lattice loop algebra (see ``liedouble.loop``) repeats the
 base double on N sites. Coordinates are (N, d) arrays, ``shape``, with
-optional leading batch axes; the algebra operations act on the last axis, so
-a base double also takes a flat (d,) vector, and a flat (N d,) vector of a
-loop is refused with a ``ValueError``. Operators are plain arrays: one
-(d, d) block when every site carries the same one (the pairing, its inverse,
-the g+/g- selectors), applied as ``np.dot(x, A)`` since these blocks are
-symmetric; otherwise an (N, d, d) stack of site blocks (``ad``,
-``bracket_form``), applied with ``np.matvec``. Matrices are (N, m, m) site
-stacks, N = 1 on a base double, and the built-in doubles carry closed-form
-group kernels on them: the exponential, whose scalars are closed forms too
+optional leading batch axes, one per point of a stack (``pair`` pairs per
+point); the algebra operations act on the last axis, so a base double also
+takes a flat (d,) vector, and a flat (N d,) vector of a loop is refused
+with a ``ValueError``. Operators are plain arrays: one (d, d) block when
+every site carries the same one (the pairing, its inverse, the g+/g-
+selectors), applied as ``np.dot(x, A)`` since these blocks are symmetric;
+otherwise an (..., N, d, d) stack of site blocks (``ad``, ``bracket_form``),
+applied with ``np.matvec``. Matrices are (..., N, m, m) site stacks, N = 1
+on a base double, and the built-in doubles carry closed-form group kernels
+on them: the exponential, whose scalars are closed forms too
 (a series remains only where (sinh(s)/s - 1)/s^2 cancels near zero), the
 inverse and the factorization. No ``numpy.linalg`` call is left on their
 flow path. With a matrix representation, ``sandwich``, the kernel of the
@@ -133,7 +134,8 @@ class BasisAlgebra:
         return t.reshape(t.shape[:-1] + self._blocks)
 
     def pair(self, x, y):
-        return float(np.vdot(x, self.psi(y)))
+        """(x, y)_g, one value per point of a batch."""
+        return _dot(x, self.psi(y))
 
     # --- identifications and projections ------------------------------
 
@@ -214,13 +216,14 @@ class BasisAlgebra:
         return self._entries(v) @ self._dual_basis
 
     def sandwich(self, left, right):
-        """(N, d, d) blocks of X -> left_j X right_j for (N, m, m) stacks:
-        the products left_ab right_cd, the entries of kron(left, right^T),
+        """(..., N, d, d) blocks of X -> left_j X right_j for (..., N, m, m)
+        stacks: the entries of kron(left, right^T), left_ab right_cd,
         contracted with the algebra's one real tensor."""
-        kron = left[:, :, :, None, None] * right[:, None, None]
+        kron = left[..., None, None] * right[..., None, None, :, :]
         # a fresh product is contiguous, so its entries are a float view
-        t = kron.reshape(left.shape[0], -1).view(float) @ self._sandwich_tensor
-        return t.reshape(t.shape[:-1] + self._blocks)
+        t = (kron.reshape(-1, left.shape[-1] ** 4).view(float)
+             @ self._sandwich_tensor)
+        return t.reshape(left.shape[:-2] + self._blocks)
 
 
 def _missing_hook(name, hook):
@@ -286,6 +289,16 @@ class TwoCocycle:
 def _sub_blocks(op, rows, cols):
     """The (rows, cols) sub-blocks of a (d, d) block or a block stack."""
     return op[..., np.asarray(rows)[:, None], cols]
+
+
+def _flat(x):
+    """(..., N, d) coordinates as (..., N d) rows; (d,) stays as it is."""
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def _dot(eta, x):
+    """<eta, x> per point: one dot over each point's (N d) coordinates."""
+    return np.vecdot(_flat(eta), _flat(x))
 
 
 def _max_abs(a):

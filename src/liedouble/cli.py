@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import dynamics, group as grouplib, loop as looplib, sigma
-from .algebra import (_manin_bound, cocycle_identity_residual, load_algebra,
-                      validate_manin)
+from .algebra import (_manin_bound, _max_abs, cocycle_identity_residual,
+                      load_algebra, validate_manin)
 from .dynamics import EnergyOperator, IntegratorConfig
 from .group import FactorizationError, GroupCocycle
 from .phase import Differential, Observable, PhasePoint, PhaseSpace
@@ -290,21 +290,15 @@ def cmd_check(sc):
     sc.check("algebra/psi_roundtrip",
              float(np.abs(a.psi_bar(a.psi(x)) - x).max()), 1e-10)
 
-    points = sc.options.get("points", 200)
-    worst = 0.0
-    worst_inv = 0.0
-    for _ in range(points):
-        g = grouplib.random_point(a, sc.rng)
-        gp, gm = g.factors()
-        worst = max(worst, float(np.abs(
-            gp.mul(gm).matrix - g.matrix).max()))
-        if not (gp.member("plus") and gm.member("minus")):
-            worst = max(worst, 1.0)
-        worst_inv = max(worst_inv, abs(
-            a.pair(grouplib.adjoint(g, x), grouplib.adjoint(g, y))
-            - a.pair(x, y)))
+    g = grouplib.random_point(a, sc.rng, batch=sc.options.get("points", 200))
+    gp, gm = g.factors()
+    worst = _max_abs(gp.mul(gm).matrix - g.matrix)
+    if not (gp.member("plus") and gm.member("minus")):
+        worst = max(worst, 1.0)
     sc.check("group/factorization_roundtrip", worst, 1e-10)
-    sc.check("group/adjoint_pairing_invariance", worst_inv, 1e-9)
+    sc.check("group/adjoint_pairing_invariance", _max_abs(
+        a.pair(grouplib.adjoint(g, x), grouplib.adjoint(g, y))
+        - a.pair(x, y)), 1e-9)
 
     if sc.exact_cocycle:
         g = grouplib.random_point(a, sc.rng)
@@ -315,14 +309,12 @@ def cmd_check(sc):
         sc.check("cocycle/one_cocycle_property",
                  float(np.abs(lhs - rhs).max()), 1e-10)
     step = 1e-6
-    worst = 0.0
-    for i in sc.rng.choice(a.dim, min(a.dim, 8), replace=False):
-        e = np.zeros(a.shape)
-        e.flat[i] = 1.0
-        fd = (sc.cocycle.value(grouplib.exp(a, e, step))
-              - sc.cocycle.value(grouplib.exp(a, e, -step))) / (2 * step)
-        worst = max(worst, float(np.abs(-fd - c2.hat(e)).max()))
-    sc.check("cocycle/minus_dC_is_hat", worst, 1e-6)
+    # unit vectors along up to 8 random coordinates, as one stack
+    e = np.eye(a.dim)[sc.rng.choice(a.dim, min(a.dim, 8), replace=False)]
+    e = e.reshape((-1,) + a.shape)
+    fd = (sc.cocycle.value(grouplib.exp(a, e, step))
+          - sc.cocycle.value(grouplib.exp(a, e, -step))) / (2 * step)
+    sc.check("cocycle/minus_dC_is_hat", _max_abs(-fd - c2.hat(e)), 1e-6)
 
     if sc.fiber is not None:
         p = sc.space.random_fiber_point(sc.fiber, sc.rng, 0.3)
@@ -430,43 +422,33 @@ def cmd_collective(sc):
 
 def cmd_legendre(sc):
     fiber = sc.restricted_fiber()
-    points = sc.options.get("points", 10)
-    worst_round = 0.0
-    worst_routes = 0.0
-    rows = []
-    for i in range(points):
-        p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
-        gdot = dynamics.legendre_map(sc.space, sc.e_op, p, fiber)
-        q = dynamics.legendre_inverse(sc.space, sc.e_op, p.g_plus(), gdot,
-                                      fiber)
-        r_round = max(float(np.abs(q.eta - p.eta).max()),
-                      float(np.abs(q.g.matrix - p.g.matrix).max()))
-        vals = [sigma.lagrangian_N(sc.space, sc.e_op, p.g_plus(), gdot,
-                                   fiber, route)
-                for route in ("legendre", "blocks", "r-form")]
-        r_routes = max(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]))
-        worst_round = max(worst_round, r_round)
-        worst_routes = max(worst_routes, r_routes)
-        rows.append([i, r_round, r_routes] + vals)
+    p = sc.space.random_fiber_point(fiber, sc.rng, 0.3,
+                                    batch=sc.options.get("points", 10))
+    gdot = dynamics.legendre_map(sc.space, sc.e_op, p, fiber)
+    q = dynamics.legendre_inverse(sc.space, sc.e_op, p.g_plus(), gdot, fiber)
+    r_round = np.maximum(np.abs(q.eta - p.eta).max((-2, -1)),
+                         np.abs(q.g.matrix - p.g.matrix).max((-3, -2, -1)))
+    vals = [sigma.lagrangian_N(sc.space, sc.e_op, p.g_plus(), gdot, fiber,
+                               route)
+            for route in ("legendre", "blocks", "r-form")]
+    r_routes = np.maximum(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]))
     _write_csv(sc.artifact("legendre.csv"),
                ["point", "roundtrip", "route_spread", "L_legendre",
-                "L_blocks", "L_rform"], rows)
-    sc.check("legendre/roundtrip", worst_round, 1e-9)
-    sc.check("legendre/lagrangian_routes", worst_routes, 1e-9)
+                "L_blocks", "L_rform"],
+               [[i, *row] for i, row in enumerate(zip(r_round, r_routes,
+                                                      *vals))])
+    sc.check("legendre/roundtrip", _max_abs(r_round), 1e-9)
+    sc.check("legendre/lagrangian_routes", _max_abs(r_routes), 1e-9)
 
 
 def cmd_sigma(sc):
     fiber = sc.restricted_fiber()
     a = sc.algebra
-    points = sc.options.get("points", 100)
-    worst_op = 0.0
-    for _ in range(points):
-        gp = grouplib.exp(a, a.project(
-            0.5 * sc.rng.standard_normal(a.shape), "plus"))
-        for sign in (1, -1):
-            worst_op = max(worst_op, sigma.operator_identity_check(
-                sc.space, sc.e_op, gp, sign))
-    sc.check("sigma/operator_identity", worst_op, 1e-9)
+    gp = grouplib.exp(a, a.project(0.5 * sc.rng.standard_normal(
+        (sc.options.get("points", 100),) + a.shape), "plus"))
+    sc.check("sigma/operator_identity", np.maximum(*(
+        sigma.operator_identity_check(sc.space, sc.e_op, gp, sign)
+        for sign in (1, -1))), 1e-9)
     gp = grouplib.exp(a, a.project(0.5 * sc.rng.standard_normal(a.shape),
                                    "plus"))
     pi_r = sigma.bivector_pi(a, gp)
@@ -579,13 +561,16 @@ def run(experiment, config_path, output_dir=None, seed=None, quiet=False):
     with np.errstate(all="ignore"):
         sc = Scenario(cfg, experiment, use_seed, out_dir)
         COMMANDS[experiment](sc)
+    uname = platform.uname()
     report = {
         "schema": SCHEMA_VERSION, "experiment": experiment, "seed": use_seed,
         "checks": sc.checks, "passed": all(c["passed"] for c in sc.checks),
         "artifacts": [os.path.basename(p) for p in sc.artifacts],
+        # not platform.platform(): its processor field runs ``uname -p``
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
-                        "platform": platform.platform()},
+                        "platform": "%s-%s-%s" % (uname.system, uname.release,
+                                                  uname.machine)},
         "wall_time_s": round(time.time() - start, 3),
     }
     path = os.path.join(out_dir, "report.json")

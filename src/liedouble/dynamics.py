@@ -6,9 +6,10 @@ the extended momentum map. Fiber flows follow PhaseSpace.restricted_field,
 so they need its hypothesis, and so does the Legendre map, which is that
 field's g+ velocity. Flows are integrated with a 4th-order
 Runge-Kutta-Munthe-Kaas scheme that keeps the group slot on the group.
-Points, fields and differentials hold (N, d) coordinate arrays; E and
-P E are one (d, d) block each, and E_g and the Legendre map's metric and
-two-form blocks are (N, d, d) site stacks.
+Points, fields and differentials hold (..., N, d) coordinate arrays, with
+a leading axis for a stack of points; E and P E are one (d, d) block each,
+and E_g and the Legendre map's metric and two-form blocks are
+(..., N, d, d) site stacks.
 """
 
 import csv
@@ -89,25 +90,25 @@ class EnergyOperator:
         raise ValueError("unknown preset %r" % name)
 
     def at(self, g):
-        """E_g = Ad_{g^{-1}} E Ad_g = P^{-1} Ad_g^T (P E) Ad_g as (N, d, d)
-        site blocks, by the ad-invariance of the pairing P."""
+        """E_g = Ad_{g^{-1}} E Ad_g = P^{-1} Ad_g^T (P E) Ad_g as
+        (..., N, d, d) site blocks, by the ad-invariance of the pairing P."""
         adg = g.ad_matrix()
         return self.algebra.pairing_inv @ adg.mT @ self.pe @ adg
 
     def blocks_at(self, g):
         """The metric/two-form blocks (G_g, B_g): g+ -> g- at the point g.
 
-        Returned as (N, d, d) site blocks supported on the (minus, plus)
-        block, so they apply directly to plus-supported vectors.
+        Returned as (..., N, d, d) site blocks on the (minus, plus) block,
+        so they apply directly to plus-supported vectors.
         """
         a = self.algebra
         sp, sm = a.site_plus, a.site_minus
         eg = self.at(g)
         # G_g inverts the g- -> g+ component of E_g, site by site
-        ginv = np.linalg.inv(eg[:, sp[:, None], sm])
-        gg, bb = np.zeros((2, a.n_sites, a.site_dim, a.site_dim))
-        gg[:, sm[:, None], sp] = ginv
-        bb[:, sm[:, None], sp] = -ginv @ eg[:, sp[:, None], sp]
+        ginv = np.linalg.inv(eg[..., sp[:, None], sm])
+        gg, bb = np.zeros((2,) + eg.shape)
+        gg[..., sm[:, None], sp] = ginv
+        bb[..., sm[:, None], sp] = -ginv @ eg[..., sp[:, None], sp]
         return gg, bb
 
 
@@ -135,7 +136,9 @@ def hamiltonian_quadratic(space, e_op):
 
     def fn(p):
         _, v, pe_v, _ = carrier(p)
-        return 0.5 * np.vdot(v, pe_v)
+        # algebra._dot written out, as its calls would add to a flow step
+        return 0.5 * np.vecdot(v.reshape(v.shape[:-2] + (-1,)),
+                               pe_v.reshape(pe_v.shape[:-2] + (-1,)))
 
     def diff(p):
         w, _, _, delta = carrier(p)
@@ -172,6 +175,13 @@ class Trajectory:
         self.points = points
         self.energies = np.asarray(energies, dtype=float)
         self.extras = extras or {}
+
+    def stack(self, indices):
+        """The points at ``indices`` as one stack of points."""
+        pts = [self.points[i] for i in indices]
+        g = grouplib.GroupPoint(pts[0].algebra,
+                                np.stack([q.g.matrix for q in pts]))
+        return PhasePoint(g, np.stack([q.eta for q in pts]))
 
     def to_csv(self, path):
         """t, g (its first site), eta (flat), energy and extras."""
@@ -312,36 +322,26 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     Returns a dict with three maxima over sampled trajectory times:
     the collective form of the velocity field, the coadjoint-orbit equation
     for the extended momentum, and the orbit reconstruction through the
-    finite fiber action.
+    finite fiber action. The sampled points are one stack.
     """
     a = space.algebra
     obs = hamiltonian_quadratic(space, e_op)
     idx = np.linspace(0, len(traj.points) - 2, samples).astype(int)
     dt = traj.times[1] - traj.times[0]
-    res_field = 0.0
-    res_orbit = 0.0
-    res_recon = 0.0
-    for i in idx:
-        p = traj.points[i]
-        # the generator direction: first slot of L_h(J) for quadratic h
-        x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
-        xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
-        xi, rho = dirac_field(space, obs, p, fiber)
-        res_field = max(res_field, np.abs(xi - xi_gen).max(),
-                        np.abs(rho - rho_gen).max())
-        # extended coadjoint orbit equation for J along the flow
-        mu0_, _ = space.momentum_ext(traj.points[i])
-        mu1_, _ = space.momentum_ext(traj.points[i + 1])
-        if i > 0:
-            mum_, _ = space.momentum_ext(traj.points[i - 1])
-            jdot = (mu1_ - mum_) / (2 * dt)
-            pred = -(a.coad(x, mu0_) + space.c2.hat(x))
-            res_orbit = max(res_orbit, np.abs(jdot - pred).max())
-        # one finite step reconstructed through the fiber action
-        q = space.group_action_d(grouplib.exp(a, x, dt), p, fiber)
-        res_recon = max(res_recon,
-                        float(np.abs(q.eta - traj.points[i + 1].eta).max()),
-                        float(np.abs(q.g.matrix
-                                     - traj.points[i + 1].g.matrix).max()))
-    return {"field": float(res_field), "orbit": float(res_orbit),
-            "reconstruction": float(res_recon)}
+    p, nxt = traj.stack(idx), traj.stack(idx + 1)
+    # the generator direction: first slot of L_h(J) for quadratic h
+    x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
+    xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
+    xi, rho = dirac_field(space, obs, p, fiber)
+    res_field = max(_max_abs(xi - xi_gen), _max_abs(rho - rho_gen))
+    # extended coadjoint orbit equation for J along the flow, read at the
+    # sampled times that have a predecessor
+    prev = traj.stack(np.maximum(idx - 1, 0))
+    jdot = (space.momentum_ext(nxt)[0]
+            - space.momentum_ext(prev)[0]) / (2 * dt)
+    pred = -(a.coad(x, space.momentum_ext(p)[0]) + space.c2.hat(x))
+    # one finite step reconstructed through the fiber action
+    q = space.group_action_d(grouplib.exp(a, x, dt), p, fiber)
+    return {"field": res_field, "orbit": _max_abs((jdot - pred)[idx > 0]),
+            "reconstruction": max(_max_abs(q.eta - nxt.eta),
+                                  _max_abs(q.g.matrix - nxt.g.matrix))}

@@ -4,11 +4,12 @@ actions are read off), and coadjoint group 1-cocycles, each given by its
 2-cocycle, its value and the pullback of a vector through its exact
 inverse-point derivative.
 
-A point is an (N, m, m) site stack, N = 1 on a base double; the
-exponential, the inverse and the factorization are the algebra's hooks on
-it, and Ad_g is the (N, d, d) stack of its site blocks, applied with
-``np.matvec`` (and its transpose with ``np.vecmat``). Products of
-(N, 2, 2) stacks use the explicit two-term column form (``matmul``);
+A point is an (N, m, m) site stack, N = 1 on a base double, and K points
+are one (K, N, m, m) stack, which every operation reads from its input;
+the exponential, the inverse and the factorization are the algebra's hooks
+on it, and Ad_g is the (..., N, d, d) stack of its site blocks, applied
+with ``np.matvec`` (and its transpose with ``np.vecmat``). Products of
+(..., 2, 2) stacks use the explicit two-term column form (``matmul``);
 numpy's complex matmul is several times slower on such small matrices.
 The pairing P is ad-invariant, Ad_g^T P Ad_g = P, so
 Ad_g^{-1} = P^{-1} Ad_g^T P needs no solve. A point caches its inverse,
@@ -38,10 +39,11 @@ class FactorizationError(RuntimeError):
 class GroupPoint:
     """Immutable group element in the registered faithful representation.
 
-    ``matrix`` is an ndarray of ``algebra.identity_matrix.shape``: an
-    (N, m, m) stack, one matrix per site, N = 1 on a base double; all
-    operations act site by site. It is stored as given, not converted, as
-    a flow step builds several points: pass ``np.asarray`` of a list.
+    ``matrix`` is an (N, m, m) ndarray, one matrix per site, N = 1 on a
+    base double, or a (..., N, m, m) stack of points; operations act site
+    by site, and ``factors`` and ``member`` judge the whole stack. It is
+    stored as given, not converted, as a flow step builds several points:
+    pass ``np.asarray`` of a list.
     """
 
     __slots__ = ("algebra", "matrix", "_factors", "_ad", "_inv", "_inverts",
@@ -68,8 +70,8 @@ class GroupPoint:
         return inv
 
     def ad_matrix(self):
-        """The (N, d, d) site blocks of the adjoint operator, cached; site
-        j of a lattice point conjugates only site j."""
+        """The (..., N, d, d) site blocks of the adjoint operator, cached;
+        site j of a lattice point conjugates only site j."""
         if self._ad is None:
             self._ad = self.algebra.sandwich(self.matrix, self.inv().matrix)
         return self._ad
@@ -93,10 +95,10 @@ class GroupPoint:
 
 
 def matmul(a, b):
-    """a @ b for (N, m, m) stacks; 2 x 2 matrices as the sum of two
+    """a @ b for (..., m, m) stacks; 2 x 2 matrices as the sum of two
     column-times-row products."""
     if a.shape[-1] == 2:
-        return a[:, :, :1] * b[:, :1] + a[:, :, 1:] * b[:, 1:]
+        return a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :]
     return a @ b
 
 
@@ -121,9 +123,9 @@ def identity(algebra):
 
 
 def exp(algebra, x, t=1.0):
-    """exp(t x) of (N, d) coordinates; a base double also takes (d,)."""
+    """exp(t x) of (..., N, d) coordinates or of a base double's (d,)."""
     m = algebra.exponential(t * algebra.vec_to_mat(x))
-    return GroupPoint(algebra, m.reshape(algebra.identity_matrix.shape))
+    return GroupPoint(algebra, m if m.ndim > 2 else m[None])
 
 
 def adjoint(g, x):
@@ -195,8 +197,11 @@ def kernel_check(cocycle, g_minus, tol=1e-10):
     return _max_abs(cocycle.value(g_minus)) < tol
 
 
-def random_point(algebra, rng, scale=0.6):
-    """A generic factorizable point: exp(X+) exp(X-) with bounded coords."""
-    xp = algebra.project(scale * rng.standard_normal(algebra.shape), "plus")
-    xm = algebra.project(scale * rng.standard_normal(algebra.shape), "minus")
+def random_point(algebra, rng, scale=0.6, batch=None):
+    """A generic factorizable point exp(X+) exp(X-) with bounded coords;
+    ``batch`` = K stacks K of them, drawn as K single calls draw."""
+    lead = () if batch is None else (batch,)
+    x = scale * rng.standard_normal(lead + (2,) + algebra.shape)
+    xp = algebra.project(x[..., 0, :, :], "plus")
+    xm = algebra.project(x[..., 1, :, :], "minus")
     return exp(algebra, xp).mul(exp(algebra, xm))

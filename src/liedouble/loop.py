@@ -50,7 +50,7 @@ class LoopLattice:
 
 def d_s(lattice, x, axis=-2):
     """Periodic central difference along the site axis: axis -2 of
-    (..., N, d) coordinates, axis -3 of an (N, m, m) matrix stack."""
+    (..., N, d) coordinates, axis -3 of an (..., N, m, m) matrix stack."""
     tail = (slice(None),) * (-1 - axis)
     return ((x[(..., lattice.next) + tail] - x[(..., lattice.prev) + tail])
             / (2.0 * lattice.ds))
@@ -84,7 +84,7 @@ def loop_two_cocycle(loop_algebra, k):
 def loop_group_cocycle(loop_algebra, k):
     """C_k(l) = k psi((d_s l) l^{-1}) evaluated site-wise."""
     lattice = loop_algebra.lattice
-    n, shape = lattice.n_sites, loop_algebra.identity_matrix.shape
+    site_matrix = loop_algebra.identity_matrix.shape[1:]
     matmul = grouplib.matmul
     # k psi o mat_to_vec of one site as the (d, m*m) matrix K with
     # k psi(mat_to_vec(q)) = Re(q K^T) per site; its transpose takes delta
@@ -99,7 +99,8 @@ def loop_group_cocycle(loop_algebra, k):
         return matmul(d_s(lattice, h.matrix, -3), h.inv().matrix)
 
     def value(g):
-        return (log_derivative(g).reshape(n, -1) @ kpsi.T).real
+        q = log_derivative(g)
+        return (q.reshape(q.shape[:-2] + (-1,)) @ kpsi.T).real
 
     def differential_inv(g, delta):
         # Pullback of delta through the exact d/dt C_k((g exp(tX))^{-1}) of
@@ -113,7 +114,7 @@ def loop_group_cocycle(loop_algebra, k):
         # basis matrices.
         q = log_derivative(g.inv())
         h, hinv = g.inv().matrix, g.matrix
-        w = (delta @ kpsi).reshape(shape)
+        w = (delta @ kpsi).reshape(delta.shape[:-1] + site_matrix)
         pulled = (matmul(q.mT, w)
                   + matmul(d_s(lattice, matmul(w, hinv.mT), -3),
                            h.mT))

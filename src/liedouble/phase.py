@@ -15,7 +15,7 @@ symmetry on admissible fibers.
 import numpy as np
 
 from . import group as grouplib
-from .algebra import is_character
+from .algebra import _dot, _flat, _max_abs, is_character
 
 __all__ = ["PhasePoint", "FiberSpec", "Observable", "Differential",
            "PhaseSpace"]
@@ -24,16 +24,15 @@ ON_FIBER_TOL = 1e-9
 
 
 class PhasePoint:
-    """A point (g, eta); eta is read as the (N, d) coordinates of g's
-    algebra, so a flat (N d,) covector is accepted here once."""
+    """A point (g, eta), or a stack: eta is read as (..., N, d) coordinates
+    of g's algebra, so a flat (N d,) covector is accepted here once."""
 
     __slots__ = ("g", "eta")
 
     def __init__(self, g, eta):
         self.g = g
         eta = np.asarray(eta, dtype=float)
-        shape = g.algebra.shape
-        self.eta = eta if eta.shape == shape else eta.reshape(shape)
+        self.eta = eta.reshape(g.algebra.shape) if eta.ndim == 1 else eta
 
     @property
     def algebra(self):
@@ -76,27 +75,19 @@ class Differential:
 class Observable:
     """A scalar function of (g, eta) with its analytic differential.
 
-    ``diff`` maps a point to its ``Differential`` of ndarrays; it is the
-    ``analytic_differential`` of the observable.
+    ``value`` is ``fn``, one value per point of a stack; ``diff``, the
+    ``analytic_differential``, maps a point to its ``Differential``.
     """
 
     def __init__(self, fn, diff, name=None):
-        self._fn = fn
+        self.value = fn
         self.analytic_differential = diff
         self.name = name
-
-    def value(self, p):
-        return float(self._fn(p))
 
     @property
     def has_analytic_differential(self):
         # perfbench/tracer.py reads it when it re-wraps a Hamiltonian
         return self.analytic_differential is not None
-
-
-def _flat(x):
-    """(..., N, d) coordinates as (..., N d) rows, for products of stacks."""
-    return x.reshape(x.shape[:-2] + (-1,))
 
 
 class PhaseSpace:
@@ -122,9 +113,11 @@ class PhaseSpace:
                          self.C)
 
     def on_fiber_distance(self, p, fiber):
+        """The largest distance of the points from the fiber, or NaN."""
         gm, em = self.fibration(p)
-        return (np.abs(gm.matrix - fiber.g_minus.matrix).max()
-                + float(np.linalg.norm(em - fiber.eta_minus)))
+        dg = np.abs(gm.matrix - fiber.g_minus.matrix).max((-3, -2, -1))
+        de = _flat(em - fiber.eta_minus)
+        return _max_abs(dg + np.sqrt(np.vecdot(de, de)))
 
     def _require_on_fiber(self, p, fiber):
         d = self.on_fiber_distance(p, fiber)
@@ -138,12 +131,15 @@ class PhaseSpace:
         return PhasePoint(g_plus.mul(fiber.g_minus),
                           eta_plus + fiber.eta_minus)
 
-    def random_fiber_point(self, fiber, rng, scale=0.5):
+    def random_fiber_point(self, fiber, rng, scale=0.5, batch=None):
+        """(exp(X+) g-, eta+ + eta-) with random X+ and eta+; ``batch`` = K
+        stacks K of them, drawn as K single calls draw."""
         a = self.algebra
-        gp = grouplib.exp(a, a.project(
-            scale * rng.standard_normal(a.shape), "plus"))
-        etap = a.project(scale * rng.standard_normal(a.shape), "plus")
-        return self.fiber_point(fiber, gp, etap)
+        lead = () if batch is None else (batch,)
+        x = a.project(scale * rng.standard_normal(lead + (2,) + a.shape),
+                      "plus")
+        return self.fiber_point(fiber, grouplib.exp(a, x[..., 0, :, :]),
+                                x[..., 1, :, :])
 
     # --- symplectic structure -------------------------------------------
 
@@ -301,14 +297,13 @@ class PhaseSpace:
         alg = self.algebra
 
         def fn(p):
-            return np.vdot(self.momentum_ext(p)[0], x) + a_ext
+            return _dot(self.momentum_ext(p)[0], x) + a_ext
 
         def diff(p):
             ax = grouplib.adjoint(p.g.inv(), x)
             return Differential(alg.coad(ax, p.eta) + self.c2.hat(ax), ax)
 
-        return Observable(fn, diff=diff, name="j[%s]" % np.array2string(
-            x, precision=2))
+        return Observable(fn, diff=diff, name="j")
 
     def fiber_generator(self, x, p, fiber):
         """Restricted hamiltonian field of the extended momentum function."""

@@ -4,13 +4,14 @@ Everything here lives on a fiber N(g-, eta-): the canonical 1-form whose
 exterior derivative reproduces the restricted symplectic structure, the
 mechanical Lagrangian in its equivalent closed forms, the Euler-Lagrange
 residual, and the dressing-type bivector entering the first-order form of
-the field-theory Lagrangian.
+the field-theory Lagrangian. On a stack of points the Lagrangians give one
+value per point and the operator identity its largest residual.
 """
 
 import numpy as np
 
 from . import group as grouplib
-from .algebra import _max_abs, _sub_blocks
+from .algebra import _dot, _max_abs, _sub_blocks
 from .dynamics import (_carrier, hamiltonian_quadratic, legendre_inverse,
                        legendre_map)
 
@@ -19,7 +20,7 @@ __all__ = ["r_operator", "dtheta_check", "lagrangian_N", "el_residual",
 
 
 def r_operator(e_op, g, sign=1):
-    """R_g(+-) = B_g +- G_g as (N, d, d) site blocks g+ -> g-."""
+    """R_g(+-) = B_g +- G_g as (..., N, d, d) site blocks g+ -> g-."""
     gg, bb = e_op.blocks_at(g)
     return bb + sign * gg
 
@@ -97,16 +98,16 @@ def lagrangian_N(space, e_op, g_plus, gdot, fiber, route="r-form"):
         h = hamiltonian_quadratic(space, e_op)
         p = legendre_inverse(space, e_op, g_plus, gdot, fiber)
         xi = grouplib.adjoint(fiber.g_minus.inv(), gdot)
-        return float(np.vdot(p.eta, xi) - h.value(p))
+        return _dot(p.eta, xi) - h.value(p)
     gg, bb = e_op.blocks_at(g_plus)
     v = _carrier(space, g_plus, fiber.eta_minus)
     if route == "blocks":
-        return float(0.5 * a.pair(np.matvec(gg, gdot), gdot)
-                     + a.pair(gdot, np.matvec(bb, v))
-                     - 0.5 * a.pair(v, np.matvec(gg, v)))
+        return (0.5 * a.pair(np.matvec(gg, gdot), gdot)
+                + a.pair(gdot, np.matvec(bb, v))
+                - 0.5 * a.pair(v, np.matvec(gg, v)))
     if route == "r-form":
         rp = r_operator(e_op, g_plus, +1)
-        return float(0.5 * a.pair(np.matvec(rp, gdot + v), gdot - v))
+        return 0.5 * a.pair(np.matvec(rp, gdot + v), gdot - v)
     raise ValueError("unknown route %r" % route)
 
 
@@ -115,35 +116,29 @@ def el_residual(space, e_op, traj, fiber):
 
     The momentum-like quantity G gdot + B psi_bar(eta- - C(g+^{-1})) is
     differentiated with centered stencils; the force side is evaluated
-    exactly, so the residual decays at the order of the stencil.
+    exactly, so the residual decays at the order of the stencil. The
+    trajectory's points are one stack.
     """
     a = space.algebra
     dt = traj.times[1] - traj.times[0]
-
-    def pieces(p):
-        gp = p.g_plus()
-        gg, bb = e_op.blocks_at(gp)
-        gdot = legendre_map(space, e_op, p, fiber)
-        v = _carrier(space, gp, fiber.eta_minus)
-        mom = np.matvec(gg, gdot) + np.matvec(bb, v)  # the first force term
-        force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
-        em = a.psi_bar(fiber.eta_minus)
-        rhs = (-a.project(a.bracket(mom, force_b), "minus")
-               - a.project(a.bracket(em, force_b), "minus")
-               - a.psi_bar(space.c2.hat(force_b)))
-        return mom, rhs
-
-    moms, rhss = zip(*[pieces(p) for p in traj.points])
-    worst = 0.0
-    for k in range(1, len(traj.points) - 1):
-        lhs = (moms[k + 1] - moms[k - 1]) / (2 * dt)
-        worst = max(worst, float(np.abs(lhs - rhss[k]).max()))
-    return worst
+    p = traj.stack(range(len(traj.points)))
+    gp = p.g_plus()
+    gg, bb = e_op.blocks_at(gp)
+    gdot = legendre_map(space, e_op, p, fiber)
+    v = _carrier(space, gp, fiber.eta_minus)
+    mom = np.matvec(gg, gdot) + np.matvec(bb, v)  # the first force term
+    force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
+    em = a.psi_bar(fiber.eta_minus)
+    rhs = (-a.project(a.bracket(mom, force_b), "minus")
+           - a.project(a.bracket(em, force_b), "minus")
+           - a.psi_bar(space.c2.hat(force_b)))
+    lhs = (mom[2:] - mom[:-2]) / (2 * dt)
+    return _max_abs(lhs - rhs[1:-1])
 
 
 def bivector_pi(algebra, g_plus):
-    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as (N, d, d) site
-    blocks."""
+    """pi_+^R(g+) = -Pi_+ Ad_{g+} Pi_+ Ad_{g+^{-1}} Pi_- as (..., N, d, d)
+    site blocks."""
     sel_p = algebra.selector("plus")
     return -(sel_p @ g_plus.ad_matrix() @ sel_p
              @ g_plus.inv().ad_matrix() @ algebra.selector("minus"))
@@ -162,9 +157,9 @@ def operator_identity_check(space, e_op, g_plus, sign=1):
 
     def r_inv(g):
         # the (plus, minus) blocks invert the (minus, plus) blocks of R_g
-        r = _sub_blocks(r_operator(e_op, g, sign), sm, sp)
-        out = np.zeros((a.n_sites, a.site_dim, a.site_dim))
-        out[:, sp[:, None], sm] = np.linalg.inv(r)
+        r = r_operator(e_op, g, sign)
+        out = np.zeros_like(r)
+        out[..., sp[:, None], sm] = np.linalg.inv(_sub_blocks(r, sm, sp))
         return out
 
     lhs = adg @ r_inv(g_plus) @ sel_m @ g_plus.inv().ad_matrix() @ sel_m

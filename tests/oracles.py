@@ -11,8 +11,9 @@ field, the restricted field and the symmetry generator assembled from the
 factors of g, the Legendre map solved from the energy's metric/two-form
 blocks, the exponential's scalar functions as Taylor series, the adjoint
 sandwich through the Kronecker product, and the factorizations of the
-built-in groups through QR and a linear solve. The library itself never
-calls them.
+built-in groups through QR and a linear solve, and the Euler-Lagrange and
+collectivity residuals evaluated one trajectory point at a time. The
+library itself never calls them.
 """
 
 import math
@@ -305,3 +306,54 @@ def dirac_matrix_inverse(dmat):
     omega = dmat[n:, n:]
     eye = np.eye(n)
     return np.block([[omega, -eye], [eye, np.zeros((n, n))]])
+
+
+def el_residual_per_point(space, e_op, traj, fiber):
+    """``sigma.el_residual`` with each trajectory point on its own."""
+    a = space.algebra
+    dt = traj.times[1] - traj.times[0]
+
+    def pieces(p):
+        gp = p.g_plus()
+        gg, bb = e_op.blocks_at(gp)
+        gdot = dynamics.legendre_map(space, e_op, p, fiber)
+        v = dynamics._carrier(space, gp, fiber.eta_minus)
+        mom = np.matvec(gg, gdot) + np.matvec(bb, v)
+        force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
+        em = a.psi_bar(fiber.eta_minus)
+        rhs = (-a.project(a.bracket(mom, force_b), "minus")
+               - a.project(a.bracket(em, force_b), "minus")
+               - a.psi_bar(space.c2.hat(force_b)))
+        return mom, rhs
+
+    moms, rhss = zip(*[pieces(p) for p in traj.points])
+    return max([0.0] + [
+        float(np.abs((moms[k + 1] - moms[k - 1]) / (2 * dt) - rhss[k]).max())
+        for k in range(1, len(traj.points) - 1)])
+
+
+def collectivity_per_point(space, e_op, traj, fiber, samples=5):
+    """``dynamics.collectivity_check`` with each sampled point on its
+    own."""
+    a = space.algebra
+    obs = dynamics.hamiltonian_quadratic(space, e_op)
+    idx = np.linspace(0, len(traj.points) - 2, samples).astype(int)
+    dt = traj.times[1] - traj.times[0]
+    res = {"field": 0.0, "orbit": 0.0, "reconstruction": 0.0}
+    for i in idx:
+        p, nxt = traj.points[i], traj.points[i + 1]
+        x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
+        xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
+        xi, rho = dynamics.dirac_field(space, obs, p, fiber)
+        res["field"] = max(res["field"], np.abs(xi - xi_gen).max(),
+                           np.abs(rho - rho_gen).max())
+        if i > 0:
+            jdot = (space.momentum_ext(nxt)[0]
+                    - space.momentum_ext(traj.points[i - 1])[0]) / (2 * dt)
+            pred = -(a.coad(x, space.momentum_ext(p)[0]) + space.c2.hat(x))
+            res["orbit"] = max(res["orbit"], np.abs(jdot - pred).max())
+        q = space.group_action_d(group.exp(a, x, dt), p, fiber)
+        res["reconstruction"] = max(res["reconstruction"],
+                                    np.abs(q.eta - nxt.eta).max(),
+                                    np.abs(q.g.matrix - nxt.g.matrix).max())
+    return res

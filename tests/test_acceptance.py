@@ -130,7 +130,7 @@ def test_3_remark_no_cocycle_traces():
             full = space.dirac_bracket(f, g, p, fiber)
             red = space.dirac_bracket_reduced(f, g, p, fiber)
             worst = max(worst, abs(full - red) / (1 + abs(full)))
-    entries.append(("lattice_reduced_vs_full", worst, 1e-7))
+    entries.append(("lattice_reduced_vs_full", worst, 1e-12))
     # coboundary cocycle exchanging the isotropic factors
     assert SPACE_SO3.c2.is_isotropic_exchanging()
     fib = fiber_so3()
@@ -142,7 +142,7 @@ def test_3_remark_no_cocycle_traces():
         full = SPACE_SO3.dirac_bracket(f, g, p, fib)
         red = SPACE_SO3.dirac_bracket_reduced(f, g, p, fib)
         worst = max(worst, abs(full - red) / (1 + abs(full)))
-    entries.append(("coboundary_reduced_vs_full", worst, 1e-7))
+    entries.append(("coboundary_reduced_vs_full", worst, 1e-12))
     report(3, "Remark II", entries)
 
 

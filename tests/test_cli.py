@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from liedouble import cli, group
+from liedouble import cli, dynamics, group, sigma
 from liedouble.algebra import get_algebra, load_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator
 from liedouble.phase import PhaseSpace
@@ -447,6 +448,45 @@ def test_cli_import_leaves_scipy_out():
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_legendre_rows_are_single_point_values(tmp_path):
+    # the experiment's one stack writes what a loop over points would
+    assert run("legendre", cfg_path("sl2_legendre.json"), tmp_path) == 0
+    with open(tmp_path / "legendre.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cfg = json.loads(open(cfg_path("sl2_legendre.json")).read())
+    sc = cli.Scenario(cfg, "legendre", cfg["seed"], str(tmp_path))
+    assert len(rows) == cfg["options"]["points"]
+    for i, row in enumerate(rows):
+        p = sc.space.random_fiber_point(sc.fiber, sc.rng, 0.3)
+        gdot = dynamics.legendre_map(sc.space, sc.e_op, p, sc.fiber)
+        want = [sigma.lagrangian_N(sc.space, sc.e_op, p.g_plus(), gdot,
+                                   sc.fiber, route)
+                for route in ("legendre", "blocks", "r-form")]
+        assert row[0] == str(i)
+        np.testing.assert_allclose([float(x) for x in row[3:]], want,
+                                   rtol=0, atol=1e-14)
+
+
+def test_run_starts_no_subprocess(tmp_path):
+    # a fresh interpreter, whose audit hook sees every process start,
+    # platform's lazy ``uname -p`` included
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "started = []\n"
+        "spawns = ('subprocess.Popen', 'os.system', 'os.fork', 'os.forkpty',\n"
+        "          'os.exec', 'os.spawn', 'os.posix_spawn')\n"
+        "sys.addaudithook(lambda e, args: e in spawns and started.append(e))\n"
+        "from liedouble import cli\n"
+        "rc = cli.main(['check', '--config', %r, '--output', %r, '--quiet'])\n"
+        "assert rc == 0 and not started, (rc, started)\n"
+        % (cfg_path("so3_check.json"), str(tmp_path)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report["environment"]) == {"python", "numpy", "platform"}
 
 
 class TestFailureModes:

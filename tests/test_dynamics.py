@@ -7,8 +7,8 @@ from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhasePoint, PhaseSpace
-from oracles import (ambient_flow_fiber, dense, eigenspace_basis,
-                     fd_differential, fd_observable, flat,
+from oracles import (ambient_flow_fiber, collectivity_per_point, dense,
+                     eigenspace_basis, fd_differential, fd_observable, flat,
                      legendre_map_blocks, log_coords)
 
 SL2 = get_algebra("sl2c-iwasawa")
@@ -444,6 +444,21 @@ class TestFlows:
         assert res["orbit"] < 1e-2       # second differences at dt = 0.01
         assert res["reconstruction"] < 1e-2
 
+    @pytest.mark.parametrize("space", SPACES + [SPACE_LOOP])
+    def test_collectivity_matches_per_point_oracle(self, space, rng):
+        e = EnergyOperator.preset(space.algebra, "skewed")
+        h = dynamics.hamiltonian_quadratic(space, e)
+        fiber = make_fiber(space, rng)
+        p0 = space.random_fiber_point(fiber, rng, 0.1)
+        tr = dynamics.flow_fiber(space, h, p0, fiber,
+                                 IntegratorConfig(0.01, 20))
+        res = dynamics.collectivity_check(space, e, tr, fiber)
+        want = collectivity_per_point(space, e, tr, fiber)
+        # the orbit residual divides the momenta's round-off by 2 dt
+        for key, tol in (("field", 1e-14), ("orbit", 1e-12),
+                         ("reconstruction", 1e-14)):
+            assert abs(res[key] - want[key]) <= tol
+
     @pytest.mark.parametrize("space", SPACES)
     def test_second_order_form_minus_sign(self, space, rng):
         # d/dt (E_g(g^{-1}gdot) + psi_bar C(g^{-1}))
@@ -509,6 +524,28 @@ class TestLegendre:
             > 1e-2
         q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
         assert np.abs(q.eta - p.eta).max() > 1e-2
+
+    @pytest.mark.parametrize("space", SPACES + [SPACE_LOOP])
+    def test_stack_is_per_point(self, space, rng):
+        # K points as one stack: the map, its inverse and the trajectory
+        # stack give the K single-point results
+        e = EnergyOperator.preset(space.algebra, "skewed")
+        fiber = make_fiber(space, rng)
+        singles = [space.random_fiber_point(fiber, rng, 0.3)
+                   for _ in range(3)]
+        tr = dynamics.Trajectory(range(3), singles, np.zeros(3))
+        p = tr.stack(range(3))
+        gdot = dynamics.legendre_map(space, e, p, fiber)
+        q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
+        for i, one in enumerate(singles):
+            np.testing.assert_array_equal(p.g.matrix[i], one.g.matrix)
+            np.testing.assert_array_equal(p.eta[i], one.eta)
+            gd = dynamics.legendre_map(space, e, one, fiber)
+            np.testing.assert_allclose(gdot[i], gd, rtol=0, atol=1e-14)
+            qi = dynamics.legendre_inverse(space, e, one.g_plus(), gd, fiber)
+            np.testing.assert_allclose(q.eta[i], qi.eta, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(q.g.matrix[i], qi.g.matrix, rtol=0,
+                                       atol=1e-14)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_roundtrip(self, space, rng):

@@ -260,7 +260,9 @@ class TestKernels:
     @pytest.mark.parametrize("name,n_sites", KERNEL_CASES)
     def test_product_matches_matmul(self, name, n_sites, rng):
         _, (m, h) = kernel_points(name, n_sites, rng)
-        for left, right in ((m, h), (m.swapaxes(-1, -2), h)):
+        # the last pair is a (2, N, m, m) stack of two points
+        for left, right in ((m, h), (m.swapaxes(-1, -2), h),
+                            (np.stack([m, h]), np.stack([h, m]))):
             want = left @ right
             assert np.abs(group.matmul(left, right) - want).max() <= (
                 1e-14 * np.abs(want).max())
@@ -302,6 +304,60 @@ class TestLayout:
             oracle = [self.sb2_oracle(m) for m in off]
             assert oracle.count(False) == 1 and not oracle[j]
             assert GroupPoint(alg, off).member("minus") == all(oracle)
+
+
+def stack_cases():
+    """(double, group cocycle): the base doubles with a coboundary, and an
+    N = 8 loop with its lattice cocycle, whose central difference runs
+    along axis -3 of a point stack and -2 of its coordinates."""
+    loop8 = loop.build_loop_double(SL2, 8)
+    mu0 = 0.3 * np.arange(1.0, 7.0)
+    return [(SL2, GroupCocycle.coboundary(SL2, mu0)),
+            (SO3, GroupCocycle.coboundary(SO3, mu0)),
+            (loop8, loop.loop_group_cocycle(loop8, 0.6))]
+
+
+class TestPointStacks:
+    """K points as one (K, N, m, m) stack give what K single-point calls
+    give."""
+
+    @pytest.mark.parametrize("a,cocycle", stack_cases(),
+                             ids=["sl2c-iwasawa", "so3-cotangent", "loop-N8"])
+    def test_stack_matches_single_points(self, a, cocycle, rng):
+        k = 3
+        x = 0.5 * rng.standard_normal((k,) + a.shape)
+        y = 0.5 * rng.standard_normal((k,) + a.shape)
+        delta = rng.standard_normal((k,) + a.shape)
+        g, h = group.exp(a, x), group.exp(a, y)
+        gp, gm = g.factors()
+        assert g.matrix.shape == (k,) + a.identity_matrix.shape
+        assert gp.member("plus") and gm.member("minus")
+        for i in range(k):
+            gi, hi = group.exp(a, x[i]), group.exp(a, y[i])
+            pairs = [(g, gi), (g.mul(h), gi.mul(hi)), (g.inv(), gi.inv()),
+                     *zip(g.factors(), gi.factors())]
+            for stack, one in pairs:
+                np.testing.assert_allclose(stack.matrix[i], one.matrix,
+                                           rtol=0, atol=1e-14)
+            for stack, one in ((g.ad_matrix(), gi.ad_matrix()),
+                               (cocycle.value(g), cocycle.value(gi)),
+                               (cocycle.differential_inv(g, delta),
+                                cocycle.differential_inv(gi, delta[i]))):
+                np.testing.assert_allclose(stack[i], one, rtol=1e-13,
+                                           atol=1e-13)
+        # membership is one verdict: one point off the factor fails it
+        off = gm.matrix.copy()
+        off[1] = gp.matrix[1]
+        assert not group.GroupPoint(a, off).member("minus")
+
+    @pytest.mark.parametrize("a", [SL2, SO3, loop.build_loop_double(SO3, 8)],
+                             ids=lambda a: a.name)
+    def test_random_stack_draws_in_single_point_order(self, a):
+        stack = group.random_point(a, np.random.default_rng(7), batch=4)
+        rng = np.random.default_rng(7)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                stack.matrix[i], group.random_point(a, rng).matrix)
 
 
 class TestMissingHooks:

@@ -479,6 +479,37 @@ class TestGroupAction:
             space.group_action_d(group.random_point(SL2, rng), p, fiber)
 
 
+class TestPointStacks:
+    """K fiber points as one stack: drawn in the order of K single draws,
+    with per-point values and one fiber distance."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_stack_matches_single_points(self, space, rng):
+        fiber = make_fiber(space, rng)
+        p = space.random_fiber_point(fiber, np.random.default_rng(3), 0.3,
+                                     batch=4)
+        assert p.eta.shape == (4,) + space.algebra.shape
+        draws = np.random.default_rng(3)
+        singles = [space.random_fiber_point(fiber, draws, 0.3)
+                   for _ in range(4)]
+        j = space.momentum_fn(rng.standard_normal(space.algebra.shape), 0.2)
+        values = j.value(p)
+        for i, one in enumerate(singles):
+            np.testing.assert_array_equal(p.g.matrix[i], one.g.matrix)
+            np.testing.assert_array_equal(p.eta[i], one.eta)
+            assert values[i] == pytest.approx(j.value(one), abs=1e-14)
+        # the distance of a stack is its largest, and NaN if any is NaN
+        shifted = p.eta.copy()
+        shifted[2] += 1e-3 * np.eye(6)[space.algebra.minus_indices[0]]
+        off = PhasePoint(p.g, shifted)
+        want = [space.on_fiber_distance(PhasePoint(
+            group.GroupPoint(space.algebra, off.g.matrix[i]), off.eta[i]),
+            fiber) for i in range(4)]
+        assert space.on_fiber_distance(off, fiber) == max(want) > 1e-4
+        shifted[0, 0, space.algebra.site_minus[0]] = np.nan
+        assert np.isnan(space.on_fiber_distance(off, fiber))
+
+
 class TestRuntimeContracts:
     @pytest.mark.parametrize("space", SPACES)
     def test_fiber_rejects_plus_support(self, space):

@@ -6,6 +6,7 @@ from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhaseSpace
+from oracles import el_residual_per_point
 
 
 SL2 = get_algebra("sl2c-iwasawa")
@@ -57,6 +58,34 @@ class TestLagrangian:
                         for r in ("legendre", "blocks", "r-form")]
                 assert vals[0] == pytest.approx(vals[1], abs=1e-9)
                 assert vals[1] == pytest.approx(vals[2], abs=1e-9)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_routes_on_a_stack_are_per_point(self, space, rng):
+        # K points as one stack give the K single-point Lagrangians
+        a = space.algebra
+        e = EnergyOperator.preset(a, "skewed")
+        fiber = make_fibers(space, rng)[1]
+        p = space.random_fiber_point(fiber, rng, 0.3, batch=4)
+        gp = p.g_plus()
+        gdot = dynamics.legendre_map(space, e, p, fiber)
+        for route in ("legendre", "blocks", "r-form"):
+            vals = sigma.lagrangian_N(space, e, gp, gdot, fiber, route)
+            assert vals.shape == (4,)
+            for i, val in enumerate(vals):
+                one = group.GroupPoint(a, gp.matrix[i])
+                assert val == pytest.approx(sigma.lagrangian_N(
+                    space, e, one, gdot[i], fiber, route), abs=1e-14)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_el_residual_matches_per_point_oracle(self, space, rng):
+        e = EnergyOperator.preset(space.algebra, "skewed")
+        h = dynamics.hamiltonian_quadratic(space, e)
+        fiber = make_fibers(space, rng)[1]
+        tr = dynamics.flow_fiber(space, h, space.random_fiber_point(
+            fiber, rng, 0.4), fiber, IntegratorConfig(0.01, 20))
+        # the stencil divides the round-off of the momenta by 2 dt
+        assert sigma.el_residual(space, e, tr, fiber) == pytest.approx(
+            el_residual_per_point(space, e, tr, fiber), rel=1e-8, abs=1e-13)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_el_residual_second_order(self, space, rng):

@@ -1,4 +1,5 @@
-"""Python calls and wall time per fiber-flow step.
+"""Python calls and wall time per fiber-flow step, and wall time per
+scenario run.
 
     python3 tools/step_cost.py [--tree TREE]
 
@@ -14,16 +15,23 @@ warm-up segment of ``STEPS`` steps, then
 - ``REPEATS`` more segments untimed by the profiler: ms/step is the
   median over them of the segment's wall time over ``STEPS``.
 
+Then each config in the tree's ``configs/`` runs through the tree's
+``liedouble.cli.run`` in this process, once as a warm-up and ``REPEATS``
+more times: ms/run is the median of those, without interpreter start and
+imports.
+
 BLAS runs on one thread, as in the benchmark. Standard library plus the
 tree's ``liedouble``.
 """
 
 import argparse
 import cProfile
+import json
 import os
 import pstats
 import statistics
 import sys
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -59,6 +67,24 @@ def measure(h, integrate):
     return calls, 1e3 * statistics.median(times)
 
 
+def run_times(tree, cli):
+    """(config, ms/run) of each config of the tree."""
+    folder = os.path.join(tree, "configs")
+    with tempfile.TemporaryDirectory() as out:
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".json"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                experiment = json.load(fh)["experiment"]
+            times = []
+            for _ in range(REPEATS + 1):  # the first is the warm-up
+                t0 = time.perf_counter()
+                cli.run(experiment, path, output_dir=out, quiet=True)
+                times.append(time.perf_counter() - t0)
+            yield name[:-len(".json")], 1e3 * statistics.median(times[1:])
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser()
@@ -67,10 +93,14 @@ def main(argv=None):
     tree = os.path.abspath(args.tree)
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import worker
+    from liedouble import cli
     print("%-12s %12s %10s" % ("flow", "calls/step", "ms/step"))
     for name, h, integrate in flows(worker):
         calls, ms = measure(h, integrate)
         print("%-12s %12.1f %10.3f" % (name, calls, ms), flush=True)
+    print("\n%-16s %10s" % ("config", "ms/run"))
+    for name, ms in run_times(tree, cli):
+        print("%-16s %10.1f" % (name, ms), flush=True)
     return 0
 
 
