@@ -271,7 +271,8 @@ class TwoCocycle:
         return np.matvec(self.matrix, x)
 
     def eval(self, x, y):
-        return float(np.vdot(self.hat(x), y))
+        """c(x, y), one value per point."""
+        return _dot(self.hat(x), y)
 
     def is_isotropic_exchanging(self, tol=1e-12):
         """True if c_hat maps g+- into the dual of the opposite factor.

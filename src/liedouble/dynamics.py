@@ -333,7 +333,7 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
     xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
     xi, rho = dirac_field(space, obs, p, fiber)
-    res_field = max(_max_abs(xi - xi_gen), _max_abs(rho - rho_gen))
+    res_field = np.maximum(_max_abs(xi - xi_gen), _max_abs(rho - rho_gen))
     # extended coadjoint orbit equation for J along the flow, read at the
     # sampled times that have a predecessor
     prev = traj.stack(np.maximum(idx - 1, 0))
@@ -343,5 +343,5 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     # one finite step reconstructed through the fiber action
     q = space.group_action_d(grouplib.exp(a, x, dt), p, fiber)
     return {"field": res_field, "orbit": _max_abs((jdot - pred)[idx > 0]),
-            "reconstruction": max(_max_abs(q.eta - nxt.eta),
-                                  _max_abs(q.g.matrix - nxt.g.matrix))}
+            "reconstruction": np.maximum(_max_abs(q.eta - nxt.eta),
+                                         _max_abs(q.g.matrix - nxt.g.matrix))}

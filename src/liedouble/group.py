@@ -154,9 +154,13 @@ class GroupCocycle:
 
     @classmethod
     def zero(cls, algebra):
-        def zero(*args):
-            return np.zeros(algebra.shape)
-        return cls(TwoCocycle.zero(algebra), zero, zero)
+        def value(g):
+            return np.zeros(g.matrix.shape[:-2] + (algebra.site_dim,))
+
+        def differential_inv(g, delta):
+            return np.zeros(np.broadcast_shapes(value(g).shape, delta.shape))
+
+        return cls(TwoCocycle.zero(algebra), value, differential_inv)
 
     @classmethod
     def coboundary(cls, algebra, mu0):

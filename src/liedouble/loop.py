@@ -25,7 +25,8 @@ number of sites and calls no ``numpy.linalg`` routine.
 import numpy as np
 
 from . import group as grouplib
-from .algebra import BasisAlgebra, TwoCocycle, cocycle_identity_residual
+from .algebra import (BasisAlgebra, TwoCocycle, _dot, _max_abs,
+                      cocycle_identity_residual)
 from .dynamics import flow_fiber
 
 __all__ = ["LoopLattice", "build_loop_double", "d_s", "loop_two_cocycle",
@@ -134,14 +135,16 @@ def sampled_loop(loop_algebra, coeffs):
     """Sample a band-limited loop X(s) = sum_m a_m cos(ms) + b_m sin(ms).
 
     coeffs is a sequence of (a_m, b_m) pairs of base-algebra vectors for
-    m = 0, 1, ...; the same coefficients define the same smooth loop on
+    m = 0, 1, ..., or an (..., M, 2, d) array of K such sequences, which
+    gives K loops; the same coefficients define the same smooth loop on
     every lattice size, which is what refinement studies need.
     """
-    lattice = loop_algebra.lattice
-    out = np.zeros(loop_algebra.shape)
-    for m, (a_m, b_m) in enumerate(coeffs):
-        out += (np.cos(m * lattice.s)[:, None] * np.asarray(a_m)
-                + np.sin(m * lattice.s)[:, None] * np.asarray(b_m))
+    s = loop_algebra.lattice.s[:, None]
+    c = np.asarray(coeffs, dtype=float)
+    out = np.zeros(c.shape[:-3] + loop_algebra.shape)
+    for m in range(c.shape[-3]):
+        out += (np.cos(m * s) * c[..., m, :1, :]
+                + np.sin(m * s) * c[..., m, 1:, :])
     return out
 
 
@@ -158,10 +161,11 @@ def field_flow(space, obs, p0, fiber, cfg, k):
     return flow_fiber(space, obs, p0, fiber, cfg)
 
 
-def _smooth_coeffs(base, rng, modes=2, scale=0.4):
-    return [(scale * rng.standard_normal(base.dim),
-             scale * rng.standard_normal(base.dim))
-            for _ in range(modes + 1)]
+def _smooth_coeffs(base, rng, modes=2, scale=0.4, batch=None):
+    """Random (modes + 1, 2, d) coefficients of ``sampled_loop``; ``batch``
+    = K stacks K sets, drawn as K single calls draw."""
+    lead = () if batch is None else (batch,)
+    return scale * rng.standard_normal(lead + (modes + 1, 2, base.dim))
 
 
 def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
@@ -180,10 +184,11 @@ def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
     small single-mode loops to keep that spillover resolved at N = 8.
     """
     rng = rng or np.random.default_rng(0)
-    alg_sets = [_smooth_coeffs(base, rng, modes=2, scale=0.4)
-                for _ in range(3 * samples)]
-    grp_sets = [_smooth_coeffs(base, rng, modes=1, scale=0.25)
-                for _ in range(2 * samples)]
+    # sample i is (x, y, z) and (xg, yg), one stack over the samples
+    alg_sets = _smooth_coeffs(base, rng, modes=2, scale=0.4,
+                              batch=3 * samples).reshape(samples, 3, 3, 2, -1)
+    grp_sets = _smooth_coeffs(base, rng, modes=1, scale=0.25,
+                              batch=2 * samples).reshape(samples, 2, 2, 2, -1)
     res = {"jacobi": [], "one_cocycle": [], "compatibility": []}
     spacings = []
     for n in sizes:
@@ -191,27 +196,19 @@ def convergence_study(base, k, sizes=(8, 16, 32, 64), rng=None, samples=4):
         spacings.append(alg.lattice.ds)
         c2 = loop_two_cocycle(alg, k)
         cg = loop_group_cocycle(alg, k)
-        worst = {key: 0.0 for key in res}
-        for i in range(samples):
-            x, y, z = (sampled_loop(alg, c) for c in alg_sets[3 * i:3 * i + 3])
-            worst["jacobi"] = max(
-                worst["jacobi"], abs(cocycle_identity_residual(c2, x, y, z)))
-            xg, yg = (sampled_loop(alg, c) for c in grp_sets[2 * i:2 * i + 2])
-            g, h = grouplib.exp(alg, xg), grouplib.exp(alg, yg)
-            lhs = cg.value(g.mul(h))
-            rhs = grouplib.coadjoint_star(g.inv(), cg.value(h)) + cg.value(g)
-            # measure the covector residual as an algebra element; raw dual
-            # coordinates carry the 1/N pairing normalization and would
-            # overstate the convergence order by one
-            worst["one_cocycle"] = max(
-                worst["one_cocycle"],
-                float(np.abs(alg.psi_bar(lhs - rhs)).max()))
-            comp = (c2.eval(grouplib.adjoint(g, yg), grouplib.adjoint(g, xg))
-                    - c2.eval(yg, xg)
-                    - np.vdot(cg.value(g.inv()), alg.bracket(yg, xg)))
-            worst["compatibility"] = max(worst["compatibility"], abs(comp))
-        for key in res:
-            res[key].append(worst[key])
+        x, y, z = sampled_loop(alg, alg_sets).swapaxes(0, 1)
+        res["jacobi"].append(_max_abs(cocycle_identity_residual(c2, x, y, z)))
+        xg, yg = sampled_loop(alg, grp_sets).swapaxes(0, 1)
+        g, h = grouplib.exp(alg, xg), grouplib.exp(alg, yg)
+        lhs = cg.value(g.mul(h))
+        rhs = grouplib.coadjoint_star(g.inv(), cg.value(h)) + cg.value(g)
+        # measure the covector residual as an algebra element; raw dual
+        # coordinates carry the 1/N pairing normalization and would
+        # overstate the convergence order by one
+        res["one_cocycle"].append(_max_abs(alg.psi_bar(lhs - rhs)))
+        res["compatibility"].append(_max_abs(
+            c2.eval(grouplib.adjoint(g, yg), grouplib.adjoint(g, xg))
+            - c2.eval(yg, xg) - _dot(cg.value(g.inv()), alg.bracket(yg, xg))))
     slopes = {key: float(np.polyfit(np.log(spacings), np.log(vals), 1)[0])
               for key, vals in res.items()}
     return {"sizes": list(sizes), "spacings": spacings, "residuals": res,

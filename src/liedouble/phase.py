@@ -62,14 +62,18 @@ class FiberSpec:
 
 class Differential:
     """The pair (dF, deltaF) of one differential, as (N, d) arrays, or of
-    a stack of them as (k, N, d) arrays. They are ndarrays, stored as
-    given: a flow stage builds one, so nothing converts them."""
+    a stack of them as (..., N, d) arrays. They are ndarrays, stored as
+    given: a flow stage builds one, so nothing converts them. Indexing
+    indexes both, so ``rows[:, None]`` adds an axis to a stack."""
 
     __slots__ = ("dF", "deltaF")
 
     def __init__(self, dF, deltaF):
         self.dF = dF
         self.deltaF = deltaF
+
+    def __getitem__(self, index):
+        return Differential(self.dF[index], self.deltaF[index])
 
 
 class Observable:
@@ -131,27 +135,31 @@ class PhaseSpace:
         return PhasePoint(g_plus.mul(fiber.g_minus),
                           eta_plus + fiber.eta_minus)
 
-    def random_fiber_point(self, fiber, rng, scale=0.5, batch=None):
-        """(exp(X+) g-, eta+ + eta-) with random X+ and eta+; ``batch`` = K
-        stacks K of them, drawn as K single calls draw."""
+    def fiber_chart(self, fiber, x):
+        """(exp(X+) g-, eta+ + eta-) from the g+ and g+* parts of the
+        (..., 2, N, d) pairs x = (X, eta)."""
         a = self.algebra
-        lead = () if batch is None else (batch,)
-        x = a.project(scale * rng.standard_normal(lead + (2,) + a.shape),
-                      "plus")
+        x = a.project(x, "plus")
         return self.fiber_point(fiber, grouplib.exp(a, x[..., 0, :, :]),
                                 x[..., 1, :, :])
+
+    def random_fiber_point(self, fiber, rng, scale=0.5, batch=None):
+        """``fiber_chart`` at scaled normals; ``batch`` = K stacks K
+        points, drawn as K single calls draw."""
+        lead = () if batch is None else (batch,)
+        return self.fiber_chart(fiber, scale * rng.standard_normal(
+            lead + (2,) + self.algebra.shape))
 
     # --- symplectic structure -------------------------------------------
 
     def omega_c(self, p, t1, t2):
-        a = self.algebra
+        """The extended form on two tangents, one value per point."""
         xi1, rho1 = t1
         xi2, rho2 = t2
         adg = p.g.ad_matrix()
-        return float(-np.vdot(rho1, xi2) + np.vdot(rho2, xi1)
-                     + np.vdot(p.eta, a.bracket(xi1, xi2))
-                     + self.c2.eval(np.matvec(adg, xi1),
-                                    np.matvec(adg, xi2)))
+        return (-_dot(rho1, xi2) + _dot(rho2, xi1)
+                + _dot(p.eta, self.algebra.bracket(xi1, xi2))
+                + self.c2.eval(np.matvec(adg, xi1), np.matvec(adg, xi2)))
 
     def differential(self, F, p):
         """The differential (dF, deltaF) of F at p, from F's own ``diff``."""
@@ -168,11 +176,11 @@ class PhaseSpace:
 
     @staticmethod
     def pair(dF, field):
-        """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G; for
-        stacks, the (k, l) matrix of the brackets {F_i, G_j}."""
+        """{F, G} = <dF, xi_G> + <rho_G, deltaF> for the field of G, one
+        value per point; leading axes broadcast, so ``rows[:, None]``
+        against the fields of ``rows`` is the matrix of their brackets."""
         xi, rho = field
-        return (_flat(dF.dF) @ _flat(xi).T
-                + _flat(dF.deltaF) @ _flat(rho).T)
+        return _dot(dF.dF, xi) + _dot(dF.deltaF, rho)
 
     def poisson_c(self, F, G, p):
         dF = self.differential(F, p)
@@ -214,13 +222,15 @@ class PhaseSpace:
         """
         a = self.algebra
         axes, tm = self.frame()
-        mu = a.psi(axes)
-        zero = np.zeros_like(mu)
         # through Ad_{g-^{-1}} Pi_{g-} Ad_{g-} = 1 - proj
         proj = self.dressed_projector(p.g_minus())
-        return Differential(
-            np.concatenate([mu - np.vecmat(mu, proj), zero]),
-            np.concatenate([zero, tm]))
+        # the rows' axis comes before the points' axes
+        rows = (len(axes),) + (1,) * (proj.ndim - 3) + a.shape
+        mu = a.psi(axes).reshape(rows)
+        dF = mu - np.vecmat(mu, proj)
+        zero = np.zeros_like(dF)
+        return Differential(np.concatenate([dF, zero]),
+                            np.concatenate([zero, zero + tm.reshape(rows)]))
 
     def dirac_matrix(self, p):
         """The brackets of the constraints, [[0, I], [-I, Omega]] in the
@@ -253,8 +263,8 @@ class PhaseSpace:
         adm = fiber.g_minus.ad_matrix()
         pf = a.project(np.matvec(adm, dF.deltaF), "plus")
         pg = a.project(np.matvec(adm, dG.deltaF), "plus")
-        return float(np.vdot(self.C.value(p.g_plus().inv()), a.bracket(pf, pg))
-                     + self.c2.eval(pf, pg))
+        return (_dot(self.C.value(p.g_plus().inv()), a.bracket(pf, pg))
+                + self.c2.eval(pf, pg))
 
     def dirac_bracket(self, F, G, p, fiber):
         """Closed-form restricted bracket on N(g-, eta-), for any cocycle."""
@@ -272,16 +282,26 @@ class PhaseSpace:
 
     def dirac_oracle(self, F, G, p):
         """Generic second-class formula {F,G} - {F,phi} K^{-1} {phi,G},
-        read off one bracket matrix of the rows (F, G, phi_1, ...)."""
+        read off one bracket matrix of the rows (F, G, phi_1, ...) per
+        point, all solved at once."""
         dF = self.differential(F, p)
         dG = self.differential(G, p)
         cons = self.constraint_differentials(p)
-        rows = Differential(np.concatenate([[dF.dF, dG.dF], cons.dF]),
-                            np.concatenate([[dF.deltaF, dG.deltaF],
-                                            cons.deltaF]))
-        m = self.poisson_from_diff(rows, rows, p)
-        return float(m[0, 1] - m[0, 2:] @ np.linalg.solve(m[2:, 2:],
-                                                           m[2:, 1]))
+        shape = np.broadcast_shapes(dF.dF.shape, dG.dF.shape,
+                                    cons.dF.shape[1:])
+
+        def rows(f, g, phi):
+            # phi gains the axes that F and G may have before the points'
+            phi = phi[(slice(None),) + (None,) * (len(shape) + 1 - phi.ndim)]
+            return np.concatenate([np.broadcast_to(x, (len(x),) + shape)
+                                   for x in ([f], [g], phi)])
+
+        r = Differential(rows(dF.dF, dG.dF, cons.dF),
+                         rows(dF.deltaF, dG.deltaF, cons.deltaF))
+        m = np.moveaxis(self.poisson_from_diff(r[:, None], r, p), (0, 1),
+                        (-2, -1))
+        return m[..., 0, 1] - np.vecdot(m[..., 0, 2:], np.linalg.solve(
+            m[..., 2:, 2:], m[..., 2:, 1:2])[..., 0])
 
     # --- momentum maps ----------------------------------------------------
 

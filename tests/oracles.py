@@ -12,7 +12,9 @@ factors of g, the Legendre map solved from the energy's metric/two-form
 blocks, the exponential's scalar functions as Taylor series, the adjoint
 sandwich through the Kronecker product, and the factorizations of the
 built-in groups through QR and a linear solve, and the Euler-Lagrange and
-collectivity residuals evaluated one trajectory point at a time. The
+collectivity residuals evaluated one trajectory point at a time; the
+``brackets`` experiment's rows, the chart check of -dTheta and the lattice
+convergence study evaluated one point, pair or sample at a time. The
 library itself never calls them.
 """
 
@@ -22,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from liedouble import dynamics, group, loop
+from liedouble.algebra import cocycle_identity_residual
 from liedouble.phase import Differential, Observable, PhasePoint
 
 
@@ -356,4 +359,108 @@ def collectivity_per_point(space, e_op, traj, fiber, samples=5):
         res["reconstruction"] = max(res["reconstruction"],
                                     np.abs(q.eta - nxt.eta).max(),
                                     np.abs(q.g.matrix - nxt.g.matrix).max())
+    return res
+
+
+def bracket_rows_per_point(space, fiber, rng, points, pairs):
+    """The ``brackets`` experiment's CSV rows with each fiber point and
+    each pair of momentum functions on its own, drawn one call at a time."""
+    rows = []
+    for i in range(points):
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        for j in range(pairs):
+            f, g = (space.momentum_fn(rng.standard_normal(space.algebra.shape))
+                    for _ in range(2))
+            closed = space.dirac_bracket(f, g, p, fiber)
+            oracle = space.dirac_oracle(f, g, p)
+            reduced = space.dirac_bracket_reduced(f, g, p, fiber)
+            rows.append([i, j, closed, oracle,
+                         abs(closed - oracle) / (1 + abs(closed)),
+                         abs(closed - reduced) / (1 + abs(closed))])
+    return rows
+
+
+def dtheta_check_per_pair(space, fiber, p, rng, pairs=4, step=1e-4):
+    """``sigma.dtheta_check`` with each pair of chart directions and each
+    chart point on its own."""
+    a = space.algebra
+    gp0 = p.g_plus()
+    eta_p0 = p.eta - fiber.eta_minus
+    axes, _ = space.frame()
+    n = len(axes)
+    rows = axes.reshape(n, -1)
+
+    def chart(u, w):
+        gp = gp0.mul(group.exp(a, (u @ rows).reshape(a.shape)))
+        return space.fiber_point(fiber, gp,
+                                 eta_p0 + (w @ rows).reshape(a.shape))
+
+    def tangent(u, w, direction):
+        duw = np.zeros(2 * n)
+        duw[direction] = step
+        q1 = chart(u + duw[:n], w + duw[n:])
+        q0 = chart(u - duw[:n], w - duw[n:])
+        xi = a.mat_to_vec(chart(u, w).g.inv().matrix
+                          @ (q1.g.matrix - q0.g.matrix)) / (2 * step)
+        return xi, (q1.eta - q0.eta) / (2 * step)
+
+    def theta_component(u, w, direction):
+        return float(np.vdot(chart(u, w).eta, tangent(u, w, direction)[0]))
+
+    worst = 0.0
+    for _ in range(pairs):
+        i, j = rng.choice(2 * n, size=2, replace=False)
+        zu = np.zeros(n)
+        ei = np.zeros(2 * n)
+        ei[i] = step
+        ej = np.zeros(2 * n)
+        ej[j] = step
+        didj = (theta_component(zu + ei[:n], ei[n:], j)
+                - theta_component(zu - ei[:n], -ei[n:], j)) / (2 * step)
+        djdi = (theta_component(zu + ej[:n], ej[n:], i)
+                - theta_component(zu - ej[:n], -ej[n:], i)) / (2 * step)
+        omega = space.omega_c(p, tangent(zu, np.zeros(n), i),
+                              tangent(zu, np.zeros(n), j))
+        worst = max(worst, abs(omega + (didj - djdi)))
+    return worst
+
+
+def convergence_study_per_sample(base, k, sizes=(8, 16, 32, 64), rng=None,
+                                 samples=4):
+    """The residuals of ``loop.convergence_study`` with each sample on its
+    own, its coefficient vectors drawn one call at a time."""
+    rng = rng or np.random.default_rng(0)
+
+    def coeffs(modes, scale):
+        return [(scale * rng.standard_normal(base.dim),
+                 scale * rng.standard_normal(base.dim))
+                for _ in range(modes + 1)]
+
+    alg_sets = [coeffs(2, 0.4) for _ in range(3 * samples)]
+    grp_sets = [coeffs(1, 0.25) for _ in range(2 * samples)]
+    res = {"jacobi": [], "one_cocycle": [], "compatibility": []}
+    for n in sizes:
+        alg = loop.build_loop_double(base, n)
+        c2 = loop.loop_two_cocycle(alg, k)
+        cg = loop.loop_group_cocycle(alg, k)
+        worst = dict.fromkeys(res, 0.0)
+        for i in range(samples):
+            x, y, z = (loop.sampled_loop(alg, c)
+                       for c in alg_sets[3 * i:3 * i + 3])
+            worst["jacobi"] = max(
+                worst["jacobi"], abs(cocycle_identity_residual(c2, x, y, z)))
+            xg, yg = (loop.sampled_loop(alg, c)
+                      for c in grp_sets[2 * i:2 * i + 2])
+            g, h = group.exp(alg, xg), group.exp(alg, yg)
+            lhs = cg.value(g.mul(h))
+            rhs = group.coadjoint_star(g.inv(), cg.value(h)) + cg.value(g)
+            worst["one_cocycle"] = max(
+                worst["one_cocycle"],
+                float(np.abs(alg.psi_bar(lhs - rhs)).max()))
+            comp = (c2.eval(group.adjoint(g, yg), group.adjoint(g, xg))
+                    - c2.eval(yg, xg)
+                    - np.vdot(cg.value(g.inv()), alg.bracket(yg, xg)))
+            worst["compatibility"] = max(worst["compatibility"], abs(comp))
+        for key in res:
+            res[key].append(worst[key])
     return res

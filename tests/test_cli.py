@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from liedouble import cli, dynamics, group, sigma
+from liedouble import cli, dynamics, group, loop as looplib, sigma
 from liedouble.algebra import get_algebra, load_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator
 from liedouble.phase import PhaseSpace
+from oracles import bracket_rows_per_point
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -467,6 +468,84 @@ def test_legendre_rows_are_single_point_values(tmp_path):
         assert row[0] == str(i)
         np.testing.assert_allclose([float(x) for x in row[3:]], want,
                                    rtol=0, atol=1e-14)
+
+
+def test_bracket_rows_are_single_point_values(tmp_path):
+    # one stack of points x pairs writes what the loops over them would
+    assert run("brackets", cfg_path("sl2_brackets.json"), tmp_path) == 0
+    with open(tmp_path / "bracket_residuals.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cfg = json.loads(open(cfg_path("sl2_brackets.json")).read())
+    sc = cli.Scenario(cfg, "brackets", cfg["seed"], str(tmp_path))
+    want = bracket_rows_per_point(sc.space, sc.fiber, sc.rng,
+                                  cfg["options"]["points"],
+                                  cfg["options"]["pairs"])
+    assert len(rows) == len(want)
+    for row, one in zip(rows, want):
+        assert row[:2] == [str(one[0]), str(one[1])]
+        np.testing.assert_allclose([float(x) for x in row[2:4]], one[2:4],
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose([float(x) for x in row[4:]], one[4:],
+                                   rtol=0, atol=1e-14)
+
+
+class TestNanIsNoPass:
+    """A NaN or inf in any sample makes its check fail."""
+
+    def report(self, tmp_path):
+        return {c["name"]: c for c in json.loads(
+            (tmp_path / "report.json").read_text())["checks"]}
+
+    @staticmethod
+    def nan_in_second(monkeypatch, method):
+        """PhaseSpace.<method> with NaN as the second of its values."""
+        real = getattr(PhaseSpace, method)
+
+        def patched(self, *args):
+            out = real(self, *args).copy()
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(PhaseSpace, method, patched)
+
+    def test_overflowing_fiber_fails_both_bracket_checks(self, tmp_path):
+        # eta- = 1e308 overflows most brackets; the finite rows do not
+        # make the checks pass
+        cfg = json.loads(open(cfg_path("sl2_brackets.json")).read())
+        cfg["fiber"]["eta_minus"] = [0, 0, 0, 1e308, 0, 0]
+        assert run("brackets", write_cfg(tmp_path, cfg), tmp_path) == 1
+        checks = self.report(tmp_path)
+        for name in ("brackets/closed_vs_oracle", "brackets/reduced_vs_full"):
+            assert not checks[name]["passed"]
+            assert np.isnan(checks[name]["residual"])
+
+    def test_nan_pair_fails_loop_remark(self, tmp_path, monkeypatch):
+        self.nan_in_second(monkeypatch, "dirac_bracket_reduced")
+        assert run("loop", cfg_path("loop_flow.json"), tmp_path) == 1
+        check = self.report(tmp_path)["loop/remark_reduced_vs_full"]
+        assert np.isnan(check["residual"]) and not check["passed"]
+
+    def test_nan_eta_drift_fails_fiber_frozen(self, tmp_path, monkeypatch):
+        # NaN only in the second of the two drifts
+        real = looplib.field_flow
+
+        def nan_drift(*args):
+            traj = real(*args)
+            traj.extras["drift_etaminus"][-1] = np.nan
+            return traj
+
+        monkeypatch.setattr(looplib, "field_flow", nan_drift)
+        assert run("loop", cfg_path("loop_flow.json"), tmp_path) == 1
+        check = self.report(tmp_path)["loop/fiber_frozen"]
+        assert np.isnan(check["residual"]) and not check["passed"]
+
+    def test_nan_chart_pair_fails_theta_derivative(self, tmp_path,
+                                                    monkeypatch):
+        # omega_c is read only by the chart check of -dTheta
+        self.nan_in_second(monkeypatch, "omega_c")
+        assert run("sigma", cfg_path("sl2_sigma.json"), tmp_path) == 1
+        check = self.report(tmp_path)["sigma/theta_derivative"]
+        assert np.isnan(check["residual"]) and not check["passed"]
 
 
 def test_run_starts_no_subprocess(tmp_path):

@@ -444,6 +444,34 @@ class TestFlows:
         assert res["orbit"] < 1e-2       # second differences at dt = 0.01
         assert res["reconstruction"] < 1e-2
 
+    @pytest.mark.parametrize("key,patch", [
+        ("field", "fiber_generator"), ("reconstruction", "group_action_d")])
+    def test_collectivity_keeps_nan_of_second_operand(self, key, patch, rng,
+                                                      monkeypatch):
+        # NaN only in the second of the two maxima: rho, or g's matrix
+        space = SPACE_SL2
+        e = EnergyOperator.preset(space.algebra, "skewed")
+        fiber = make_fiber(space, rng)
+        tr = dynamics.flow_fiber(
+            space, dynamics.hamiltonian_quadratic(space, e),
+            space.random_fiber_point(fiber, rng, 0.1), fiber,
+            IntegratorConfig(0.01, 20))
+        real = getattr(PhaseSpace, patch)
+
+        def with_nan(self, *args):
+            out = real(self, *args)
+            if patch == "fiber_generator":
+                rho = out[1].copy()
+                rho[1] = np.nan
+                return out[0], rho
+            g = out.g.matrix.copy()
+            g[1, 0, 0, 0] = np.nan
+            return PhasePoint(group.GroupPoint(out.g.algebra, g), out.eta)
+
+        monkeypatch.setattr(PhaseSpace, patch, with_nan)
+        res = dynamics.collectivity_check(space, e, tr, fiber)
+        assert np.isnan(res[key])
+
     @pytest.mark.parametrize("space", SPACES + [SPACE_LOOP])
     def test_collectivity_matches_per_point_oracle(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")

@@ -480,6 +480,17 @@ class TestGroupCocycle:
             got = c.differential_inv(g, delta)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_zero_takes_the_points_shape(self, rng):
+        # a (3, 1, 2, 2) stack: one zero covector per point
+        g = group.random_point(SL2, rng, batch=3)
+        zero = GroupCocycle.zero(SL2)
+        assert g.matrix.shape == (3, 1, 2, 2)
+        assert zero.value(g).shape == (3, 1, 6)
+        for delta in (np.ones((1, 6)), np.ones((2, 3, 1, 6))):
+            pulled = zero.differential_inv(g, delta)
+            assert pulled.shape == np.broadcast_shapes((3, 1, 6), delta.shape)
+            assert not pulled.any()
+
     @pytest.mark.parametrize("a", [SO3, SL2], ids=lambda a: a.name)
     def test_zero_pullback(self, a):
         rng = np.random.default_rng(2719)

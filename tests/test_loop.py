@@ -8,8 +8,9 @@ from liedouble.algebra import (TwoCocycle, get_algebra, is_character,
                                validate_manin)
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.phase import Differential, PhasePoint, PhaseSpace
-from oracles import (dense, fiber_generator_direct, flat,
-                     loop_differential_inv, restricted_field_at_point)
+from oracles import (convergence_study_per_sample, dense,
+                     fiber_generator_direct, flat, loop_differential_inv,
+                     restricted_field_at_point)
 
 
 BASE = get_algebra("sl2c-iwasawa")
@@ -368,7 +369,8 @@ class TestLatticeDirac:
                        loop.sampled_loop(alg, ce) / n)
         cons = space.constraint_differentials(p)
         assert np.abs(space.dirac_matrix(p)
-                      - space.poisson_from_diff(cons, cons, p)).max() <= 1e-12
+                      - space.poisson_from_diff(cons[:, None], cons, p)
+                      ).max() <= 1e-12
 
     def test_closed_form_matches_generic_oracle(self):
         # the identity-free Poisson form makes the generic second-class
@@ -533,3 +535,12 @@ class TestConvergence:
         # residuals decay monotonically under refinement
         for vals in out["residuals"].values():
             assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_stack_matches_per_sample_loop(self, seed):
+        out = loop.convergence_study(BASE, K, rng=np.random.default_rng(seed))
+        want = convergence_study_per_sample(BASE, K,
+                                            rng=np.random.default_rng(seed))
+        for key, vals in want.items():
+            np.testing.assert_allclose(out["residuals"][key], vals,
+                                       rtol=1e-9, atol=0, err_msg=key)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liedouble import dynamics, group
+from liedouble import dynamics, group, loop
 from liedouble.algebra import get_algebra
 from liedouble.group import GroupCocycle
 from liedouble.phase import Differential, PhasePoint, PhaseSpace
@@ -125,7 +125,7 @@ class TestPoisson:
     def test_stacked_brackets_are_pairwise_brackets(self, space, rng):
         p = rand_point(space, rng)
         rows = Differential(*rng.standard_normal((2, 5) + space.algebra.shape))
-        m = space.poisson_from_diff(rows, rows, p)
+        m = space.poisson_from_diff(rows[:, None], rows, p)
         assert m.shape == (5, 5)
         for i in range(5):
             for j in range(5):
@@ -168,7 +168,7 @@ class TestConstraints:
         # independent evaluation: the brackets of the frame 1-forms
         p = rand_point(space, rng)
         cons = space.constraint_differentials(p)
-        k = space.poisson_from_diff(cons, cons, p)
+        k = space.poisson_from_diff(cons[:, None], cons, p)
         np.testing.assert_allclose(k, space.dirac_matrix(p), atol=1e-12)
         # and the explicit Omega formula, one bracket per frame pair
         a, tm = space.algebra, space.frame()[1]
@@ -508,6 +508,80 @@ class TestPointStacks:
         assert space.on_fiber_distance(off, fiber) == max(want) > 1e-4
         shifted[0, 0, space.algebra.site_minus[0]] = np.nan
         assert np.isnan(space.on_fiber_distance(off, fiber))
+
+
+def per_point_cases():
+    """(space, fiber): sl2c-iwasawa with a coboundary, so3-cotangent with
+    the zero cocycle, and an N = 8 loop with its lattice cocycle."""
+    so3 = PhaseSpace(SO3)
+    loop8 = loop.build_loop_double(SL2, 8)
+    lattice = PhaseSpace(loop8, loop.loop_group_cocycle(loop8, 0.6))
+    b1 = np.eye(6)[3]
+    return [(SPACE_SL2, make_fiber(SPACE_SL2, None)),
+            (so3, so3.fiber(group.exp(SO3, 0.4 * MU0_SO3), 0.5 * MU0_SO3)),
+            (lattice, lattice.fiber(
+                group.exp(loop8, 0.3 * loop.constant_loop(loop8, b1)),
+                loop.constant_loop(loop8, 0.5 * b1) / 8))]
+
+
+class TestPerPointValues:
+    """On a stack of points every value is one per point: what the call
+    gives on each point on its own."""
+
+    @pytest.mark.parametrize("space,fiber", per_point_cases(),
+                             ids=["sl2c-coboundary", "so3-zero", "loop-N8"])
+    def test_stack_matches_single_points(self, space, fiber, rng):
+        a, k = space.algebra, 3
+        p = space.random_fiber_point(fiber, rng, 0.3, batch=k)
+        x, y, xi1, rho1, xi2, rho2 = rng.standard_normal((6, k) + a.shape)
+        F, G = space.momentum_fn(x), space.momentum_fn(y, 0.2)
+        dF, dG = space.differential(F, p), space.differential(G, p)
+        stacked = {
+            "eval": space.c2.eval(x, y),
+            "omega_c": space.omega_c(p, (xi1, rho1), (xi2, rho2)),
+            "cocycle_traces": space.cocycle_traces(dF, dG, p, fiber),
+            "dirac_bracket": space.dirac_bracket(F, G, p, fiber),
+            "dirac_bracket_reduced": space.dirac_bracket_reduced(
+                F, G, p, fiber),
+            "dirac_oracle": space.dirac_oracle(F, G, p)}
+        for i in range(k):
+            q = PhasePoint(group.GroupPoint(a, p.g.matrix[i]), p.eta[i])
+            Fi, Gi = space.momentum_fn(x[i]), space.momentum_fn(y[i], 0.2)
+            dFi, dGi = space.differential(Fi, q), space.differential(Gi, q)
+            single = {
+                "eval": space.c2.eval(x[i], y[i]),
+                "omega_c": space.omega_c(q, (xi1[i], rho1[i]),
+                                         (xi2[i], rho2[i])),
+                "cocycle_traces": space.cocycle_traces(dFi, dGi, q, fiber),
+                "dirac_bracket": space.dirac_bracket(Fi, Gi, q, fiber),
+                "dirac_bracket_reduced": space.dirac_bracket_reduced(
+                    Fi, Gi, q, fiber),
+                "dirac_oracle": space.dirac_oracle(Fi, Gi, q)}
+            for name, value in single.items():
+                assert np.ndim(value) == 0, name
+                assert stacked[name].shape == (k,), name
+                assert stacked[name][i] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12), name
+
+    @pytest.mark.parametrize("space,fiber", per_point_cases(),
+                             ids=["sl2c-coboundary", "so3-zero", "loop-N8"])
+    def test_pairs_at_one_point_match_single_pairs(self, space, fiber, rng):
+        # as many pairs as constraints: the oracle's constraint rows must
+        # not line up with the pairs' axis
+        a = space.algebra
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        n = 2 * len(space.frame()[0])
+        x, y = rng.standard_normal((2, n) + a.shape)
+        F, G = space.momentum_fn(x), space.momentum_fn(y)
+        got = (space.dirac_bracket(F, G, p, fiber),
+               space.dirac_oracle(F, G, p))
+        for j in range(n):
+            Fj, Gj = space.momentum_fn(x[j]), space.momentum_fn(y[j])
+            want = (space.dirac_bracket(Fj, Gj, p, fiber),
+                    space.dirac_oracle(Fj, Gj, p))
+            for g, w in zip(got, want):
+                assert g[j] == pytest.approx(w, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got[0], got[1], atol=1e-7)
 
 
 class TestRuntimeContracts:

@@ -6,7 +6,7 @@ from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhaseSpace
-from oracles import el_residual_per_point
+from oracles import dtheta_check_per_pair, el_residual_per_point
 
 
 SL2 = get_algebra("sl2c-iwasawa")
@@ -42,6 +42,32 @@ class TestTheta:
         for fiber in make_fibers(space, rng):
             p = space.random_fiber_point(fiber, rng)
             assert sigma.dtheta_check(space, fiber, p, rng) < 1e-6
+
+    @pytest.mark.parametrize("seed", [17, 18])
+    @pytest.mark.parametrize("space", SPACES)
+    def test_stack_matches_per_pair_loop(self, space, seed):
+        rng = np.random.default_rng(seed)
+        fiber = make_fibers(space, rng)[1]
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        got = sigma.dtheta_check(space, fiber, p, np.random.default_rng(seed))
+        want = dtheta_check_per_pair(space, fiber, p,
+                                     np.random.default_rng(seed))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_nan_sample_is_the_residual(self, rng, monkeypatch):
+        # one NaN pair among finite ones: the check reports NaN
+        space = SPACE_SL2
+        fiber = make_fibers(space, rng)[1]
+        p = space.random_fiber_point(fiber, rng, 0.3)
+        real = PhaseSpace.omega_c
+
+        def nan_in_second(self, *args):
+            out = real(self, *args).copy()
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(PhaseSpace, "omega_c", nan_in_second)
+        assert np.isnan(sigma.dtheta_check(space, fiber, p, rng))
 
 
 class TestLagrangian:
