@@ -245,7 +245,9 @@ class Scenario:
     # --- reporting helpers ------------------------------------------------
 
     def check(self, name, residual, tolerance):
-        self.checks.append({"name": name, "residual": float(residual),
+        """Record the largest absolute entry of ``residual``; NaN fails."""
+        residual = _max_abs(residual)
+        self.checks.append({"name": name, "residual": residual,
                             "tolerance": float(tolerance),
                             "passed": bool(residual < tolerance)})
 
@@ -275,16 +277,15 @@ def cmd_check(sc):
     x = sc.rng.standard_normal(a.shape)
     y = sc.rng.standard_normal(a.shape)
     z = sc.rng.standard_normal(a.shape)
-    sc.check("cocycle/antisymmetry", abs(c2.eval(x, y) + c2.eval(y, x)), 1e-10)
+    sc.check("cocycle/antisymmetry", c2.eval(x, y) + c2.eval(y, x), 1e-10)
     if sc.exact_cocycle:
-        sc.check("cocycle/identity",
-                 abs(cocycle_identity_residual(c2, x, y, z)), 1e-10)
+        sc.check("cocycle/identity", cocycle_identity_residual(c2, x, y, z),
+                 1e-10)
 
     if a.basis_matrices is None:
         return  # inline declarations without matrices: algebra level only
 
-    sc.check("algebra/psi_roundtrip",
-             float(np.abs(a.psi_bar(a.psi(x)) - x).max()), 1e-10)
+    sc.check("algebra/psi_roundtrip", a.psi_bar(a.psi(x)) - x, 1e-10)
 
     g = grouplib.random_point(a, sc.rng, batch=sc.options.get("points", 200))
     gp, gm = g.factors()
@@ -292,9 +293,9 @@ def cmd_check(sc):
     sc.check("group/factorization_roundtrip", np.maximum(
         _max_abs(gp.mul(gm).matrix - g.matrix), 0.0 if members else 1.0),
         1e-10)
-    sc.check("group/adjoint_pairing_invariance", _max_abs(
-        a.pair(grouplib.adjoint(g, x), grouplib.adjoint(g, y))
-        - a.pair(x, y)), 1e-9)
+    sc.check("group/adjoint_pairing_invariance",
+             a.pair(grouplib.adjoint(g, x), grouplib.adjoint(g, y))
+             - a.pair(x, y), 1e-9)
 
     if sc.exact_cocycle:
         g = grouplib.random_point(a, sc.rng)
@@ -302,15 +303,14 @@ def cmd_check(sc):
         lhs = sc.cocycle.value(g.mul(h))
         rhs = grouplib.coadjoint_star(g.inv(), sc.cocycle.value(h)) \
             + sc.cocycle.value(g)
-        sc.check("cocycle/one_cocycle_property",
-                 float(np.abs(lhs - rhs).max()), 1e-10)
+        sc.check("cocycle/one_cocycle_property", lhs - rhs, 1e-10)
     step = 1e-6
     # unit vectors along up to 8 random coordinates, as one stack
     e = np.eye(a.dim)[sc.rng.choice(a.dim, min(a.dim, 8), replace=False)]
     e = e.reshape((-1,) + a.shape)
     fd = (sc.cocycle.value(grouplib.exp(a, e, step))
           - sc.cocycle.value(grouplib.exp(a, e, -step))) / (2 * step)
-    sc.check("cocycle/minus_dC_is_hat", _max_abs(-fd - c2.hat(e)), 1e-6)
+    sc.check("cocycle/minus_dC_is_hat", -fd - c2.hat(e), 1e-6)
 
     if sc.fiber is not None:
         p = sc.space.random_fiber_point(sc.fiber, sc.rng, 0.3)
@@ -318,22 +318,21 @@ def cmd_check(sc):
                 for _ in range(2))
         pb = sc.space.poisson_c(f, g, p)
         sc.check("phase/poisson_antisymmetry",
-                 abs(pb + sc.space.poisson_c(g, f, p)),
-                 1e-9 * (1 + abs(pb)))
+                 pb + sc.space.poisson_c(g, f, p), 1e-9 * (1 + abs(pb)))
         df = sc.space.differential(f, p)
         dg = sc.space.differential(g, p)
         vg = sc.space.ham_vf_from_diff(dg, p)
         omega = sc.space.omega_c(p, sc.space.ham_vf_from_diff(df, p), vg)
-        sc.check("phase/omega_reproduces_bracket", abs(omega - pb),
+        sc.check("phase/omega_reproduces_bracket", omega - pb,
                  1e-9 * (1 + abs(pb)))
         # the Dirac matrix against the constraint brackets it stands for
         dmat = sc.space.dirac_matrix(p)
         n = dmat.shape[0] // 2
         cons = sc.space.constraint_differentials(p)
-        sc.check("phase/dirac_block_shape", _max_abs(
-            dmat - sc.space.poisson_from_diff(cons[:, None], cons, p)), 1e-12)
+        sc.check("phase/dirac_block_shape", dmat - sc.space.poisson_from_diff(
+            cons[:, None], cons, p), 1e-12)
         sc.check("phase/dirac_omega_antisymmetry",
-                 float(np.abs(dmat[n:, n:] + dmat[n:, n:].T).max()), 1e-12)
+                 dmat[n:, n:] + dmat[n:, n:].T, 1e-12)
 
 
 def _pair_stack(sc, fiber, lead, pairs):
@@ -365,9 +364,9 @@ def cmd_brackets(sc):
                ["point", "pair", "closed", "oracle", "oracle_residual"]
                + (["reduced_residual"] if reduced_ok else []),
                zip(*(c.ravel().tolist() for c in cols)))
-    sc.check("brackets/closed_vs_oracle", _max_abs(d_oracle), 1e-7)
+    sc.check("brackets/closed_vs_oracle", d_oracle, 1e-7)
     if reduced_ok:
-        sc.check("brackets/reduced_vs_full", _max_abs(d_red), 1e-7)
+        sc.check("brackets/reduced_vs_full", d_red, 1e-7)
 
 
 def cmd_flow(sc):
@@ -376,17 +375,15 @@ def cmd_flow(sc):
         fiber = sc.restricted_fiber()
         traj = dynamics.flow_fiber(sc.space, h, sc.space.random_fiber_point(
             fiber, sc.rng, 0.3), fiber, sc.integrator)
-        sc.check("flow/fiber_gminus_frozen",
-                 float(traj.extras["drift_gminus"].max()), 1e-9)
-        sc.check("flow/fiber_etaminus_frozen",
-                 float(traj.extras["drift_etaminus"].max()), 1e-9)
+        for side in ("gminus", "etaminus"):
+            sc.check("flow/fiber_%s_frozen" % side,
+                     traj.extras["drift_" + side], 1e-9)
     else:
         p0 = PhasePoint(grouplib.random_point(sc.algebra, sc.rng),
                         0.3 * sc.rng.standard_normal(sc.algebra.shape))
         traj = dynamics.flow_full(sc.space, h, p0, sc.integrator)
-    traj.to_csv(sc.artifact("trajectory.csv"))
-    drift = float(np.abs(traj.energies - traj.energies[0]).max())
-    sc.check("flow/energy_drift", drift,
+    _write_trajectory(sc.artifact("trajectory.csv"), traj)
+    sc.check("flow/energy_drift", traj.energies - traj.energies[0],
              sc.options.get("energy_tol", 1e-6))
 
 
@@ -434,8 +431,8 @@ def cmd_legendre(sc):
                 "L_blocks", "L_rform"],
                [[i, *row] for i, row in enumerate(zip(r_round, r_routes,
                                                       *vals))])
-    sc.check("legendre/roundtrip", _max_abs(r_round), 1e-9)
-    sc.check("legendre/lagrangian_routes", _max_abs(r_routes), 1e-9)
+    sc.check("legendre/roundtrip", r_round, 1e-9)
+    sc.check("legendre/lagrangian_routes", r_routes, 1e-9)
 
 
 def cmd_sigma(sc):
@@ -452,8 +449,8 @@ def cmd_sigma(sc):
     xm = a.project(sc.rng.standard_normal(a.shape), "minus")
     ym = a.project(sc.rng.standard_normal(a.shape), "minus")
     sc.check("sigma/bivector_antisymmetry",
-             abs(a.pair(np.matvec(pi_r, xm), ym)
-                 + a.pair(np.matvec(pi_r, ym), xm)), 1e-10)
+             a.pair(np.matvec(pi_r, xm), ym)
+             + a.pair(np.matvec(pi_r, ym), xm), 1e-10)
     p = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     sc.check("sigma/theta_derivative",
              sigma.dtheta_check(sc.space, fiber, p, sc.rng), 1e-6)
@@ -475,25 +472,23 @@ def cmd_loop(sc):
                                      sc.options.get("amplitude", 0.2))
     traj = looplib.field_flow(sc.space, h, p0, fiber, sc.integrator,
                               sc.level)
-    traj.to_csv(sc.artifact("trajectory.csv"))
-    sc.check("loop/energy_drift",
-             float(np.abs(traj.energies - traj.energies[0]).max()),
+    _write_trajectory(sc.artifact("trajectory.csv"), traj)
+    sc.check("loop/energy_drift", traj.energies - traj.energies[0],
              sc.options.get("energy_tol", 1e-4))
-    sc.check("loop/fiber_frozen", _max_abs(
-        [traj.extras["drift_gminus"], traj.extras["drift_etaminus"]]), 1e-9)
+    sc.check("loop/fiber_frozen", [traj.extras["drift_gminus"],
+                                   traj.extras["drift_etaminus"]], 1e-9)
     p, f, g = _pair_stack(sc, fiber, (), sc.options.get("pairs", 4))
     full = sc.space.dirac_bracket(f, g, p, fiber)
     red = sc.space.dirac_bracket_reduced(f, g, p, fiber)
-    sc.check("loop/remark_reduced_vs_full",
-             _max_abs((full - red) / (1 + abs(full))), 1e-12)
+    sc.check("loop/remark_reduced_vs_full", (full - red) / (1 + abs(full)),
+             1e-12)
     x = sc.rng.standard_normal(a.shape)
     y = sc.rng.standard_normal(a.shape)
     sc.check("loop/cocycle_antisymmetry",
-             abs(sc.space.c2.eval(x, y) + sc.space.c2.eval(y, x)), 1e-12)
+             sc.space.c2.eval(x, y) + sc.space.c2.eval(y, x), 1e-12)
     const = grouplib.exp(a, looplib.constant_loop(
         a, sc.rng.standard_normal(a.lattice.base.dim)))
-    sc.check("loop/constant_loop_in_kernel",
-             float(np.abs(sc.cocycle.value(const)).max()), 1e-12)
+    sc.check("loop/constant_loop_in_kernel", sc.cocycle.value(const), 1e-12)
 
 
 def cmd_converge(sc):
@@ -513,6 +508,20 @@ def cmd_converge(sc):
 
 
 COMMANDS = {name: globals()["cmd_" + name] for name in EXPERIMENTS}
+
+
+def _write_trajectory(path, traj):
+    """t, g (its first site), eta (flat), energy and the extras, a row per
+    time of the trajectory's point stack."""
+    t, keys = len(traj.times), sorted(traj.extras)
+    g, eta = traj.points.g.matrix[:, 0], traj.points.eta.reshape(t, -1)
+    ij = ["%d_%d" % ij for ij in np.ndindex(g.shape[1:])]
+    _write_csv(path, ["t"] + ["g_re_" + c for c in ij]
+               + ["g_im_" + c for c in ij]
+               + ["eta_%d" % i for i in range(eta.shape[1])]
+               + ["energy"] + keys, np.column_stack(
+                   [traj.times, g.real.reshape(t, -1), g.imag.reshape(t, -1),
+                    eta, traj.energies] + [traj.extras[c] for c in keys]))
 
 
 def _write_csv(path, header, rows):

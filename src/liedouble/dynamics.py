@@ -12,8 +12,6 @@ and E_g and the Legendre map's metric and two-form blocks are
 (..., N, d, d) site stacks.
 """
 
-import csv
-
 import numpy as np
 
 from . import group as grouplib
@@ -170,35 +168,14 @@ class IntegratorConfig:
 
 
 class Trajectory:
+    """A flow's times, its points as one stack whose leading axis is time,
+    its energies and its per-time extras."""
+
     def __init__(self, times, points, energies, extras=None):
         self.times = np.asarray(times, dtype=float)
         self.points = points
         self.energies = np.asarray(energies, dtype=float)
         self.extras = extras or {}
-
-    def stack(self, indices):
-        """The points at ``indices`` as one stack of points."""
-        pts = [self.points[i] for i in indices]
-        g = grouplib.GroupPoint(pts[0].algebra,
-                                np.stack([q.g.matrix for q in pts]))
-        return PhasePoint(g, np.stack([q.eta for q in pts]))
-
-    def to_csv(self, path):
-        """t, g (its first site), eta (flat), energy and extras."""
-        ij = ["%d_%d" % ij
-              for ij in np.ndindex(self.points[0].g.matrix.shape[1:])]
-        keys = sorted(self.extras)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + ["g_re_" + c for c in ij]
-                       + ["g_im_" + c for c in ij]
-                       + ["eta_%d" % i for i in range(self.points[0].eta.size)]
-                       + ["energy"] + keys)
-            for k, (t, p) in enumerate(zip(self.times, self.points)):
-                m = p.g.matrix[0]
-                w.writerow([repr(float(x)) for x in (
-                    [t, *m.real.ravel(), *m.imag.ravel(), *p.eta.ravel(),
-                     self.energies[k]] + [self.extras[c][k] for c in keys])])
 
 
 def _dexpinv(a, u, k):
@@ -237,23 +214,27 @@ def _rkmk4_step(space, field, p, dt):
 
 
 def _integrate(space, field, obs, p0, cfg, fiber=None, step=_rkmk4_step):
-    points = [p0]
-    energies = np.empty(cfg.steps + 1)
-    energies[0] = obs.value(p0)
-    drifts = np.zeros((cfg.steps + 1, 2))  # of g- and eta- from the fiber
+    # the flow's points, one (T + 1, ...) stack in the group's own dtype
+    t = cfg.steps + 1
+    g = np.empty((t,) + p0.g.matrix.shape, p0.algebra.identity_matrix.dtype)
+    eta, energies = np.empty((t,) + p0.eta.shape), np.empty(t)
     p = p0
-    for k in range(1, cfg.steps + 1):
-        p = step(space, field, p, cfg.dt)
-        points.append(p)
-        energies[k] = obs.value(p)
-        if fiber is not None:
-            # a step's one factorization; the field reads only the fiber's g-
-            gm, em = space.fibration(p)
-            drifts[k] = (_max_abs(gm.matrix - fiber.g_minus.matrix),
-                         _max_abs(em - fiber.eta_minus))
-    return Trajectory(cfg.dt * np.arange(cfg.steps + 1), points, energies,
-                      extras={"drift_gminus": drifts[:, 0],
-                              "drift_etaminus": drifts[:, 1]})
+    for k in range(t):
+        if k:
+            p = step(space, field, p, cfg.dt)
+        g[k], eta[k], energies[k] = p.g.matrix, p.eta, obs.value(p)
+    points = PhasePoint(grouplib.GroupPoint(space.algebra, g), eta)
+    drifts = np.zeros((2, t))  # of g- and eta- from the fiber
+    if fiber is not None:
+        # one factorization of the whole flow; the field reads only the
+        # fiber's g-, and p0 was checked on the fiber
+        gm, em = space.fibration(points[1:])
+        drifts[:, 1:] = (
+            np.abs(gm.matrix - fiber.g_minus.matrix).max((-3, -2, -1)),
+            np.abs(em - fiber.eta_minus).max((-2, -1)))
+    return Trajectory(cfg.dt * np.arange(t), points, energies,
+                      extras={"drift_gminus": drifts[0],
+                              "drift_etaminus": drifts[1]})
 
 
 def flow_full(space, obs, p0, cfg):
@@ -322,13 +303,13 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     Returns a dict with three maxima over sampled trajectory times:
     the collective form of the velocity field, the coadjoint-orbit equation
     for the extended momentum, and the orbit reconstruction through the
-    finite fiber action. The sampled points are one stack.
+    finite fiber action. The sampled points are one sub-stack.
     """
     a = space.algebra
     obs = hamiltonian_quadratic(space, e_op)
-    idx = np.linspace(0, len(traj.points) - 2, samples).astype(int)
+    idx = np.linspace(0, len(traj.times) - 2, samples).astype(int)
     dt = traj.times[1] - traj.times[0]
-    p, nxt = traj.stack(idx), traj.stack(idx + 1)
+    p, nxt = traj.points[idx], traj.points[idx + 1]
     # the generator direction: first slot of L_h(J) for quadratic h
     x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
     xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
@@ -336,7 +317,7 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     res_field = np.maximum(_max_abs(xi - xi_gen), _max_abs(rho - rho_gen))
     # extended coadjoint orbit equation for J along the flow, read at the
     # sampled times that have a predecessor
-    prev = traj.stack(np.maximum(idx - 1, 0))
+    prev = traj.points[np.maximum(idx - 1, 0)]
     jdot = (space.momentum_ext(nxt)[0]
             - space.momentum_ext(prev)[0]) / (2 * dt)
     pred = -(a.coad(x, space.momentum_ext(p)[0]) + space.c2.hat(x))

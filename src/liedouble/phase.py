@@ -25,7 +25,9 @@ ON_FIBER_TOL = 1e-9
 
 class PhasePoint:
     """A point (g, eta), or a stack: eta is read as (..., N, d) coordinates
-    of g's algebra, so a flat (N d,) covector is accepted here once."""
+    of g's algebra, so a flat (N d,) covector is accepted here once.
+    Indexing indexes g's matrix and eta together, so ``points[idx]`` is a
+    sub-stack and ``points[-1]`` one point."""
 
     __slots__ = ("g", "eta")
 
@@ -33,6 +35,10 @@ class PhasePoint:
         self.g = g
         eta = np.asarray(eta, dtype=float)
         self.eta = eta.reshape(g.algebra.shape) if eta.ndim == 1 else eta
+
+    def __getitem__(self, index):
+        g = grouplib.GroupPoint(self.algebra, self.g.matrix[index])
+        return PhasePoint(g, self.eta[index])
 
     @property
     def algebra(self):
@@ -236,14 +242,16 @@ class PhaseSpace:
         """The brackets of the constraints, [[0, I], [-I, Omega]] in the
         normalized frame, with Omega[i, j] = {<eta, T^i>, <eta, T^j>} =
         -<eta, [T^i, T^j]> + Ad_g T^i . c_hat(Ad_g T^j), the cocycle term
-        of omega_c."""
+        of omega_c; one (2n, 2n) matrix per point of a stack."""
         _, tm = self.frame()
         n = len(tm)
-        at = np.matvec(p.g.ad_matrix(), tm)
-        omega = (-_flat(np.vecmat(tm, self.algebra.bracket_form(p.eta)))
-                 @ _flat(tm).T + _flat(at) @ _flat(self.c2.hat(at)).T)
-        eye = np.eye(n)
-        return np.block([[np.zeros((n, n)), eye], [-eye, omega]])
+        # the frame's axis comes after the points' axes
+        at = np.matvec(p.g.ad_matrix()[..., None, :, :, :], tm)
+        form = self.algebra.bracket_form(p.eta)[..., None, :, :, :]
+        omega = (-_flat(np.vecmat(tm, form)) @ _flat(tm).T
+                 + _flat(at) @ _flat(self.c2.hat(at)).mT)
+        eye = np.broadcast_to(np.eye(n), omega.shape)
+        return np.block([[0 * eye, eye], [-eye, omega]])
 
     def require_exchanging(self):
         if not self.exchanging:

@@ -106,7 +106,7 @@ def el_residual(space, e_op, traj, fiber):
     """
     a = space.algebra
     dt = traj.times[1] - traj.times[0]
-    p = traj.stack(range(len(traj.points)))
+    p = traj.points
     gp = p.g_plus()
     gg, bb = e_op.blocks_at(gp)
     gdot = legendre_map(space, e_op, p, fiber)
@@ -158,11 +158,11 @@ def lagrangian_density(space, e_op, g_plus, gdot, gprime, fiber, k):
     gdot and gprime are the left-trivialized time and space derivatives of
     g+; the light-cone combinations use the lattice velocity k. At k = 0
     (and spatially constant data) this collapses to the mechanical
-    Lagrangian on the fiber.
+    Lagrangian on the fiber. One value per point of a stack.
     """
     a = space.algebra
     em = a.psi_bar(fiber.eta_minus)
     aplus = gdot + k * gprime
     aminus = gdot - k * gprime
     rp = r_operator(e_op, g_plus, +1)
-    return float(0.5 * a.pair(np.matvec(rp, aplus + em), aminus - em))
+    return 0.5 * a.pair(np.matvec(rp, aplus + em), aminus - em)

@@ -12,7 +12,8 @@ factors of g, the Legendre map solved from the energy's metric/two-form
 blocks, the exponential's scalar functions as Taylor series, the adjoint
 sandwich through the Kronecker product, and the factorizations of the
 built-in groups through QR and a linear solve, and the Euler-Lagrange and
-collectivity residuals evaluated one trajectory point at a time; the
+collectivity residuals evaluated one trajectory point at a time, and
+single points stacked by hand (``stack_points``); the
 ``brackets`` experiment's rows, the chart check of -dTheta and the lattice
 convergence study evaluated one point, pair or sample at a time. The
 library itself never calls them.
@@ -176,6 +177,13 @@ def ambient_flow_fiber(space, obs, p0, fiber, cfg):
         cfg, fiber=fiber, step=ambient_rk4_step)
 
 
+def stack_points(points):
+    """Single points as one stack, its leading axis the list's."""
+    g = group.GroupPoint(points[0].algebra,
+                         np.stack([q.g.matrix for q in points]))
+    return PhasePoint(g, np.stack([q.eta for q in points]))
+
+
 def eigenspace_basis(e_op, g, sign):
     """Basis of the +-1 eigenspace of E_g as an (n, N, d) array of graphs."""
     a = e_op.algebra
@@ -329,10 +337,11 @@ def el_residual_per_point(space, e_op, traj, fiber):
                - a.psi_bar(space.c2.hat(force_b)))
         return mom, rhs
 
-    moms, rhss = zip(*[pieces(p) for p in traj.points])
+    t = len(traj.times)
+    moms, rhss = zip(*[pieces(traj.points[k]) for k in range(t)])
     return max([0.0] + [
         float(np.abs((moms[k + 1] - moms[k - 1]) / (2 * dt) - rhss[k]).max())
-        for k in range(1, len(traj.points) - 1)])
+        for k in range(1, t - 1)])
 
 
 def collectivity_per_point(space, e_op, traj, fiber, samples=5):
@@ -340,7 +349,7 @@ def collectivity_per_point(space, e_op, traj, fiber, samples=5):
     own."""
     a = space.algebra
     obs = dynamics.hamiltonian_quadratic(space, e_op)
-    idx = np.linspace(0, len(traj.points) - 2, samples).astype(int)
+    idx = np.linspace(0, len(traj.times) - 2, samples).astype(int)
     dt = traj.times[1] - traj.times[0]
     res = {"field": 0.0, "orbit": 0.0, "reconstruction": 0.0}
     for i in idx:

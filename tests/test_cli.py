@@ -39,6 +39,27 @@ BASE_CFG = {
 }
 
 
+class TestCheck:
+    """A check reads the largest absolute entry of its residual."""
+
+    def scenario(self, tmp_path):
+        return cli.Scenario({"algebra": "so3-cotangent"}, "check", 0,
+                            str(tmp_path))
+
+    def test_nan_fails(self, tmp_path):
+        sc = self.scenario(tmp_path)
+        sc.check("nan", [0.0, np.nan], 1.0)
+        assert not sc.checks[-1]["passed"]
+        assert np.isnan(sc.checks[-1]["residual"])
+
+    def test_array_reports_largest_absolute_entry(self, tmp_path):
+        sc = self.scenario(tmp_path)
+        sc.check("array", np.array([[0.1, -0.7], [0.3, 0.2]]), 0.5)
+        sc.check("scalar", -0.2, 0.5)
+        assert [c["residual"] for c in sc.checks] == [0.7, 0.2]
+        assert [c["passed"] for c in sc.checks] == [False, True]
+
+
 class TestExperiments:
     @pytest.mark.parametrize("experiment,config", [
         ("check", "so3_check.json"),

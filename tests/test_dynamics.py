@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from liedouble import dynamics, group, loop
+from liedouble import cli, dynamics, group, loop
 from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
-from liedouble.group import GroupCocycle
-from liedouble.phase import PhasePoint, PhaseSpace
+from liedouble.group import FactorizationError, GroupCocycle
+from liedouble.phase import Differential, Observable, PhasePoint, PhaseSpace
 from oracles import (ambient_flow_fiber, collectivity_per_point, dense,
                      eigenspace_basis, fd_differential, fd_observable, flat,
-                     legendre_map_blocks, log_coords)
+                     legendre_map_blocks, log_coords, stack_points)
 
 SL2 = get_algebra("sl2c-iwasawa")
 SO3 = get_algebra("so3-cotangent")
@@ -226,19 +226,20 @@ class TestFiberFlowCost:
         h = dynamics.hamiltonian_quadratic(
             space, EnergyOperator.preset(a, "isotropic"))
         p0 = space.random_fiber_point(fiber, np.random.default_rng(61), 0.3)
-        # the flow's on-fiber check factorizes p0 and its first energy
-        # evaluation builds Ad of p0; both happen here, before counting
-        space.on_fiber_distance(p0, fiber)
-        h.value(p0)
-        calls.update(factorizer=0, ad_builds=0)
-        steps = 3
-        tr = dynamics.flow_fiber(space, h, p0, fiber,
-                                 IntegratorConfig(0.01, steps))
-        # per step: one factorization, of the end point; one adjoint per
-        # new stage point and one for the end point, none of a g-
-        assert calls == {"factorizer": steps, "dressed_projector": 1,
-                         "ad_builds": 4 * steps}
-        assert tr.extras["drift_gminus"].max() < 1e-10
+        for steps in (3, 6):
+            # the flow's on-fiber check factorizes p0 and its first energy
+            # evaluation builds Ad of p0; both happen here, before counting
+            space.on_fiber_distance(p0, fiber)
+            h.value(p0)
+            calls.update(factorizer=0, ad_builds=0)
+            tr = dynamics.flow_fiber(space, h, p0, fiber,
+                                     IntegratorConfig(0.01, steps))
+            # one factorization per flow, of the stacked end points, however
+            # many steps; per step one adjoint per new stage point and one
+            # for the end point, none of a g-
+            assert calls == {"factorizer": 1, "dressed_projector": 1,
+                             "ad_builds": 4 * steps}
+            assert tr.extras["drift_gminus"].max() < 1e-10
 
     @pytest.mark.parametrize("double", ["base", "loop"])
     def test_flow_calls_no_numpy_linalg(self, double, monkeypatch):
@@ -275,7 +276,10 @@ class TestFiberFlowCost:
                                  IntegratorConfig(0.01, steps))
         assert len(seen) == 4 * steps
         # the first stage of each step sits at the step's start point
-        assert seen[::4] == tr.points[:-1]
+        starts = tr.points[:-1]
+        np.testing.assert_array_equal([q.g.matrix for q in seen[::4]],
+                                      starts.g.matrix)
+        np.testing.assert_array_equal([q.eta for q in seen[::4]], starts.eta)
 
     @pytest.mark.parametrize("double", ["base", "loop"])
     def test_cocycle_data_once_per_point(self, double, monkeypatch):
@@ -431,6 +435,30 @@ class TestFlows:
         assert tr.extras["drift_gminus"].max() < 1e-10
         assert tr.extras["drift_etaminus"].max() < 1e-10
 
+    def test_non_factorizable_point_raises(self, rng):
+        # the differential turns NaN after the second step; the stacked
+        # factorization after the last step raises rather than reading NaN
+        # drifts
+        space = SPACE_SL2
+        h = dynamics.hamiltonian_quadratic(
+            space, EnergyOperator.preset(SL2, "skewed"))
+        fiber = make_fiber(space, rng)
+        calls = []
+
+        def diff(p):
+            calls.append(p)
+            d = h.analytic_differential(p)
+            if len(calls) <= 8:
+                return d
+            return Differential(np.full_like(d.dF, np.nan),
+                                np.full_like(d.deltaF, np.nan))
+
+        obs = Observable(h.value, diff=diff, name="breaks")
+        with np.errstate(all="ignore"), pytest.raises(FactorizationError):
+            dynamics.flow_fiber(space, obs, space.random_fiber_point(
+                fiber, rng, 0.3), fiber, IntegratorConfig(0.01, 4))
+        assert len(calls) == 16
+
     @pytest.mark.parametrize("space", SPACES)
     def test_collectivity_residuals(self, space, rng):
         e = EnergyOperator.preset(space.algebra, "skewed")
@@ -555,14 +583,13 @@ class TestLegendre:
 
     @pytest.mark.parametrize("space", SPACES + [SPACE_LOOP])
     def test_stack_is_per_point(self, space, rng):
-        # K points as one stack: the map, its inverse and the trajectory
-        # stack give the K single-point results
+        # K points as one stack: the map and its inverse give the K
+        # single-point results
         e = EnergyOperator.preset(space.algebra, "skewed")
         fiber = make_fiber(space, rng)
         singles = [space.random_fiber_point(fiber, rng, 0.3)
                    for _ in range(3)]
-        tr = dynamics.Trajectory(range(3), singles, np.zeros(3))
-        p = tr.stack(range(3))
+        p = stack_points(singles)
         gdot = dynamics.legendre_map(space, e, p, fiber)
         q = dynamics.legendre_inverse(space, e, p.g_plus(), gdot, fiber)
         for i, one in enumerate(singles):
@@ -596,8 +623,9 @@ class TestTrajectoryCsv:
         p0 = space.random_fiber_point(fiber, rng, 0.3)
         tr = dynamics.flow_fiber(space, h, p0, fiber,
                                  IntegratorConfig(0.01, 5))
+        # the CLI's writer of trajectory.csv
         path = tmp_path / "traj.csv"
-        tr.to_csv(path)
+        cli._write_trajectory(path, tr)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 7
         header = rows[0].split(",")

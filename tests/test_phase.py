@@ -509,6 +509,19 @@ class TestPointStacks:
         shifted[0, 0, space.algebra.site_minus[0]] = np.nan
         assert np.isnan(space.on_fiber_distance(off, fiber))
 
+    @pytest.mark.parametrize("space", SPACES)
+    def test_indexing_indexes_g_and_eta(self, space, rng):
+        fiber = make_fiber(space, rng)
+        p = space.random_fiber_point(fiber, rng, 0.3, batch=4)
+        for idx in (-1, slice(1, 3), np.array([0, 2, 2])):
+            q = p[idx]
+            np.testing.assert_array_equal(q.g.matrix, p.g.matrix[idx])
+            np.testing.assert_array_equal(q.eta, p.eta[idx])
+            assert q.algebra is space.algebra
+        # one index gives one point, a slice a sub-stack
+        assert p[-1].eta.shape == space.algebra.shape
+        assert p[1:3].g.matrix.shape[0] == 2
+
 
 def per_point_cases():
     """(space, fiber): sl2c-iwasawa with a coboundary, so3-cotangent with
@@ -562,6 +575,20 @@ class TestPerPointValues:
                 assert stacked[name].shape == (k,), name
                 assert stacked[name][i] == pytest.approx(
                     value, rel=1e-12, abs=1e-12), name
+
+    @pytest.mark.parametrize("space,fiber", per_point_cases(),
+                             ids=["sl2c-coboundary", "so3-zero", "loop-N8"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dirac_matrix_one_per_point(self, space, fiber, k, rng):
+        # K = 3 is the number of constraint pairs on a base double, where a
+        # broadcast of the frame against the points would not raise
+        p = space.random_fiber_point(fiber, rng, 0.3, batch=k)
+        d = space.dirac_matrix(p)
+        n = len(space.algebra.plus_indices)
+        assert d.shape == (k, 2 * n, 2 * n)
+        for i in range(k):
+            np.testing.assert_allclose(d[i], space.dirac_matrix(p[i]),
+                                       rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("space,fiber", per_point_cases(),
                              ids=["sl2c-coboundary", "so3-zero", "loop-N8"])

@@ -6,7 +6,8 @@ from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
 from liedouble.phase import PhaseSpace
-from oracles import dtheta_check_per_pair, el_residual_per_point
+from oracles import (dtheta_check_per_pair, el_residual_per_point,
+                     stack_points)
 
 
 SL2 = get_algebra("sl2c-iwasawa")
@@ -141,7 +142,8 @@ class TestLagrangian:
             gp = group.exp(a, np.sin(3 * t) * x)
             etap = a.project(np.cos(2 * t) * np.ones(6), "plus")
             pts.append(space.fiber_point(fiber, gp, etap))
-        tr = dynamics.Trajectory(times, pts, np.zeros(len(times)))
+        tr = dynamics.Trajectory(times, stack_points(pts),
+                                 np.zeros(len(times)))
         assert sigma.el_residual(space, e, tr, fiber) > 1e-2
 
 
@@ -211,3 +213,20 @@ class TestDensity:
         v1 = sigma.lagrangian_density(space, e, gp, gdot, gprime, fiber, k)
         v2 = sigma.lagrangian_density(space, e, gp, gdot, -gprime, fiber, -k)
         assert v1 == pytest.approx(v2, abs=1e-12)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_stack_is_per_point(self, space, rng):
+        a, k = space.algebra, 3
+        e = EnergyOperator.preset(a, "skewed")
+        fiber = make_fibers(space, rng)[0]
+        gp = group.exp(a, a.project(0.4 * rng.standard_normal(
+            (k,) + a.shape), "plus"))
+        gdot, gprime = a.project(rng.standard_normal((2, k) + a.shape),
+                                 "plus")
+        ld = sigma.lagrangian_density(space, e, gp, gdot, gprime, fiber, 0.7)
+        assert ld.shape == (k,)
+        for i in range(k):
+            one = sigma.lagrangian_density(
+                space, e, group.GroupPoint(a, gp.matrix[i]), gdot[i],
+                gprime[i], fiber, 0.7)
+            assert ld[i] == pytest.approx(one, rel=1e-12, abs=1e-12)
