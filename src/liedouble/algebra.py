@@ -37,6 +37,8 @@ __all__ = ["BasisAlgebra", "TwoCocycle", "algebra_from_matrices",
            "algebra_from_declaration", "get_algebra", "load_algebra",
            "is_character", "validate_manin", "BUILTIN_ALGEBRAS"]
 
+STRUCTURE_TOL = 1e-12  # of the Manin axioms, exchange and character tests
+
 
 class BasisAlgebra:
     """A Lie algebra with a fixed basis adapted to the Manin split.
@@ -52,10 +54,10 @@ class BasisAlgebra:
     are the same split of the flattened (N d,) coordinates. The group
     hooks map (..., m, m) stacks: ``factorizer`` to the (g+, g-) factor
     stacks, ``exponential`` to the matrix exponentials, ``inverse`` to the
-    inverse matrices, ``group_memberships`` to one verdict. The group
-    layer calls them directly, so it needs basis matrices and all three
-    hooks, as the built-in doubles and their loops have; a missing hook
-    raises a ``ValueError`` when called.
+    inverse matrices, ``group_memberships["plus"]`` and ``["minus"]`` to
+    one verdict. The group layer calls them directly, so it needs basis
+    matrices and all five hooks, as the built-in doubles and their loops
+    have; a missing hook raises a ``ValueError`` when called.
     """
 
     def __init__(self, name, labels, pairing, plus_indices, minus_indices,
@@ -274,7 +276,7 @@ class TwoCocycle:
         """c(x, y), one value per point."""
         return _dot(self.hat(x), y)
 
-    def is_isotropic_exchanging(self, tol=1e-12):
+    def is_isotropic_exchanging(self):
         """True if c_hat maps g+- into the dual of the opposite factor.
 
         This is the hypothesis under which the restricted bracket carries no
@@ -282,9 +284,9 @@ class TwoCocycle:
         ``matrix``, which is exact for the lattice cocycle too: the central
         difference acts along the sites and keeps each site's split.
         """
-        return all(_max_abs(_sub_blocks(self.matrix, side, side)) < tol
-                   for side in (self.algebra.site_plus,
-                                self.algebra.site_minus))
+        a = self.algebra
+        return all(_max_abs(_sub_blocks(self.matrix, s, s)) < STRUCTURE_TOL
+                   for s in (a.site_plus, a.site_minus))
 
 
 def _sub_blocks(op, rows, cols):
@@ -316,30 +318,27 @@ def cocycle_identity_residual(cocycle, x, y, z):
             + cocycle.eval(a.bracket(z, x), y))
 
 
-def is_character(algebra, eta_minus, tol=1e-12):
+def is_character(algebra, eta_minus):
     """True iff eta_minus vanishes on [g-, g-].
 
     eta_minus must be supported on the dual of g- (its g+* projection zero).
     Both tests are written as "<=", so that a NaN entry fails them.
     """
-    if not _max_abs(algebra.project(eta_minus, "plus")) <= tol:
+    if not _max_abs(algebra.project(eta_minus, "plus")) <= STRUCTURE_TOL:
         raise ValueError("eta_minus has support outside the dual of g-")
     sm = algebra.site_minus
     return _max_abs(_sub_blocks(algebra.bracket_form(eta_minus), sm, sm)) \
-        <= tol
+        <= STRUCTURE_TOL
 
 
 # --- validation ---------------------------------------------------------
 
-_MANIN_TOL = 1e-12
-
-
-def _manin_bound(check, tol=_MANIN_TOL):
+def _manin_bound(check):
     # the pairing's condition number is a well-posedness bound, not a residual
-    return 1e12 if check == "pairing_condition" else tol
+    return 1e12 if check == "pairing_condition" else STRUCTURE_TOL
 
 
-def validate_manin(a, tol=_MANIN_TOL):
+def validate_manin(a):
     """Run the structural invariants; returns {check: residual} plus 'passed'.
 
     The bracket axioms and the split are checked on the per-site data,
@@ -350,16 +349,15 @@ def validate_manin(a, tol=_MANIN_TOL):
     p = a.pairing
     sp, sm = a.site_plus, a.site_minus
     res = {}
-    res["bracket_antisymmetry"] = float(np.abs(c + c.transpose(1, 0, 2)).max())
+    res["bracket_antisymmetry"] = _max_abs(c + c.transpose(1, 0, 2))
     jac = np.einsum("ijm,mkl->ijkl", c, c)
-    res["jacobi"] = float(np.abs(jac + jac.transpose(1, 2, 0, 3)
-                                 + jac.transpose(2, 0, 1, 3)).max())
+    res["jacobi"] = _max_abs(jac + jac.transpose(1, 2, 0, 3)
+                             + jac.transpose(2, 0, 1, 3))
     # t[i, j, l] = <[e_i, e_j], e_l>, antisymmetric in (j, l) by invariance
     t = np.einsum("ijm,ml->ijl", c, p)
-    res["pairing_ad_invariance"] = float(
-        np.abs(t + t.transpose(0, 2, 1)).max())
-    res["closure_plus"] = float(np.abs(c[np.ix_(sp, sp, sm)]).max(initial=0.0))
-    res["closure_minus"] = float(np.abs(c[np.ix_(sm, sm, sp)]).max(initial=0.0))
+    res["pairing_ad_invariance"] = _max_abs(t + t.transpose(0, 2, 1))
+    res["closure_plus"] = _max_abs(c[np.ix_(sp, sp, sm)])
+    res["closure_minus"] = _max_abs(c[np.ix_(sm, sm, sp)])
     res["pairing_symmetry"] = _max_abs(p - p.T)
     sv = np.linalg.svd(p, compute_uv=False)
     res["pairing_condition"] = float(sv.max() / sv.min())
@@ -367,7 +365,7 @@ def validate_manin(a, tol=_MANIN_TOL):
     res["isotropy_minus"] = _max_abs(_sub_blocks(p, sm, sm))
     res["index_partition"] = float(sorted([*sp, *sm]) != [*range(a.site_dim)])
     # written as "not <=" so that a NaN residual fails
-    failures = [k for k, v in res.items() if not v <= _manin_bound(k, tol)]
+    failures = [k for k, v in res.items() if not v <= _manin_bound(k)]
     return {"checks": res, "failures": failures, "passed": not failures}
 
 
@@ -583,7 +581,7 @@ def algebra_from_declaration(decl):
     """Build a dense algebra from a declaration dict (see README for schema)."""
     required = {"name", "dim", "labels", "structure_constants", "pairing",
                 "plus_indices", "minus_indices"}
-    for what, keys in (("unknown", set(decl) - required - {"cocycle"}),
+    for what, keys in (("unknown", set(decl) - required),
                        ("missing", required - set(decl))):
         if keys:
             raise ValueError("%s declaration keys: %s" % (what, sorted(keys)))

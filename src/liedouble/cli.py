@@ -148,8 +148,9 @@ class Scenario:
         icfg = cfg.get("integrator", {})
         self.integrator = IntegratorConfig(icfg.get("dt", 0.01),
                                            icfg.get("steps", 100))
-        if experiment == "loop" and self.algebra.lattice is not None:
-            # the config fixes the CFL bound of the loop's field flow
+        if experiment in ("flow", "collective", "sigma", "loop") and (
+                self.algebra.lattice is not None):
+            # the config fixes the CFL bound of every flow on the loop
             try:
                 looplib.check_cfl(self.algebra.lattice, self.integrator.dt,
                                   self.level)
@@ -298,12 +299,9 @@ def cmd_check(sc):
              - a.pair(x, y), 1e-9)
 
     if sc.exact_cocycle:
-        g = grouplib.random_point(a, sc.rng)
-        h = grouplib.random_point(a, sc.rng)
-        lhs = sc.cocycle.value(g.mul(h))
-        rhs = grouplib.coadjoint_star(g.inv(), sc.cocycle.value(h)) \
-            + sc.cocycle.value(g)
-        sc.check("cocycle/one_cocycle_property", lhs - rhs, 1e-10)
+        g, h = (grouplib.random_point(a, sc.rng) for _ in range(2))
+        sc.check("cocycle/one_cocycle_property",
+                 grouplib.one_cocycle_residual(sc.cocycle, g, h), 1e-10)
     step = 1e-6
     # unit vectors along up to 8 random coordinates, as one stack
     e = np.eye(a.dim)[sc.rng.choice(a.dim, min(a.dim, 8), replace=False)]
@@ -467,11 +465,10 @@ def cmd_loop(sc):
         raise ConfigError("experiment 'loop' needs a loop section")
     fiber = sc.restricted_fiber()
     a = sc.algebra
-    h = dynamics.hamiltonian_quadratic(sc.space, sc.e_op)
     p0 = sc.space.random_fiber_point(fiber, sc.rng,
                                      sc.options.get("amplitude", 0.2))
-    traj = looplib.field_flow(sc.space, h, p0, fiber, sc.integrator,
-                              sc.level)
+    traj = looplib.field_flow(sc.space, sc.hamiltonian(), p0, fiber,
+                              sc.integrator, sc.level)
     _write_trajectory(sc.artifact("trajectory.csv"), traj)
     sc.check("loop/energy_drift", traj.energies - traj.energies[0],
              sc.options.get("energy_tol", 1e-4))

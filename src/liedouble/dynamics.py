@@ -15,12 +15,14 @@ and E_g and the Legendre map's metric and two-form blocks are
 import numpy as np
 
 from . import group as grouplib
-from .algebra import _max_abs
+from .algebra import _dot, _max_abs
 from .phase import Differential, Observable, PhasePoint
 
 __all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
            "hamiltonian_quadratic", "dirac_field", "flow_full", "flow_fiber",
            "legendre_map", "legendre_inverse", "collectivity_check"]
+
+COLLECTIVITY_SAMPLES = 5  # trajectory times that collectivity_check reads
 
 
 class EnergyOperator:
@@ -134,9 +136,7 @@ def hamiltonian_quadratic(space, e_op):
 
     def fn(p):
         _, v, pe_v, _ = carrier(p)
-        # algebra._dot written out, as its calls would add to a flow step
-        return 0.5 * np.vecdot(v.reshape(v.shape[:-2] + (-1,)),
-                               pe_v.reshape(pe_v.shape[:-2] + (-1,)))
+        return 0.5 * _dot(v, pe_v)
 
     def diff(p):
         w, _, _, delta = carrier(p)
@@ -223,6 +223,8 @@ def _integrate(space, field, obs, p0, cfg, fiber=None, step=_rkmk4_step):
         if k:
             p = step(space, field, p, cfg.dt)
         g[k], eta[k], energies[k] = p.g.matrix, p.eta, obs.value(p)
+        if not abs(energies[k]) < np.inf:  # so NaN and inf both stop it
+            raise grouplib.FactorizationError("flow step %d is not finite" % k)
     points = PhasePoint(grouplib.GroupPoint(space.algebra, g), eta)
     drifts = np.zeros((2, t))  # of g- and eta- from the fiber
     if fiber is not None:
@@ -297,7 +299,7 @@ def legendre_inverse(space, e_op, g_plus, gdot, fiber):
     return space.fiber_point(fiber, g_plus, eta_plus)
 
 
-def collectivity_check(space, e_op, traj, fiber, samples=5):
+def collectivity_check(space, e_op, traj, fiber):
     """Residuals witnessing that the quadratic flow is collective.
 
     Returns a dict with three maxima over sampled trajectory times:
@@ -307,12 +309,12 @@ def collectivity_check(space, e_op, traj, fiber, samples=5):
     """
     a = space.algebra
     obs = hamiltonian_quadratic(space, e_op)
-    idx = np.linspace(0, len(traj.times) - 2, samples).astype(int)
+    idx = np.linspace(0, len(traj.times) - 2, COLLECTIVITY_SAMPLES).astype(int)
     dt = traj.times[1] - traj.times[0]
     p, nxt = traj.points[idx], traj.points[idx + 1]
     # the generator direction: first slot of L_h(J) for quadratic h
     x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
-    xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
+    xi_gen, rho_gen = dirac_field(space, space.momentum_fn(x), p, fiber)
     xi, rho = dirac_field(space, obs, p, fiber)
     res_field = np.maximum(_max_abs(xi - xi_gen), _max_abs(rho - rho_gen))
     # extended coadjoint orbit equation for J along the flow, read at the

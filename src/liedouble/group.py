@@ -23,13 +23,14 @@ import weakref
 
 import numpy as np
 
-from .algebra import TwoCocycle, _max_abs
+from .algebra import TwoCocycle, _max_abs, _missing_hook
 
 __all__ = ["GroupPoint", "GroupCocycle", "identity", "exp", "adjoint",
            "coadjoint_star", "kernel_check", "random_point"]
 
 FACTOR_TOL = 1e-10
 MEMBER_TOL = 1e-8
+KERNEL_TOL = 1e-10
 
 
 class FactorizationError(RuntimeError):
@@ -89,9 +90,10 @@ class GroupPoint:
                              GroupPoint(self.algebra, gm))
         return self._factors
 
-    def member(self, side, tol=MEMBER_TOL):
-        pred = self.algebra.group_memberships.get(side)
-        return pred is None or bool(pred(self.matrix, tol))
+    def member(self, side):
+        pred = self.algebra.group_memberships.get(side) or _missing_hook(
+            self.algebra.name, side + " membership")
+        return bool(pred(self.matrix, MEMBER_TOL))
 
 
 def matmul(a, b):
@@ -197,8 +199,14 @@ class GroupCocycle:
         return self._differential_inv(g, delta)
 
 
-def kernel_check(cocycle, g_minus, tol=1e-10):
-    return _max_abs(cocycle.value(g_minus)) < tol
+def one_cocycle_residual(cocycle, g, h):
+    """C(gh) - (Ad*_{g^{-1}} C(h) + C(g)), zero for an exact cocycle."""
+    return cocycle.value(g.mul(h)) - (coadjoint_star(g.inv(), cocycle.value(h))
+                                      + cocycle.value(g))
+
+
+def kernel_check(cocycle, g_minus):
+    return _max_abs(cocycle.value(g_minus)) < KERNEL_TOL
 
 
 def random_point(algebra, rng, scale=0.6, batch=None):

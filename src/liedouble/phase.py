@@ -333,15 +333,8 @@ class PhaseSpace:
 
         return Observable(fn, diff=diff, name="j")
 
-    def fiber_generator(self, x, p, fiber):
-        """Restricted hamiltonian field of the extended momentum function."""
-        self.require_exchanging()
-        self._require_on_fiber(p, fiber)
-        return self.restricted_field(self.differential(self.momentum_fn(x), p),
-                                     p, fiber)
-
     def group_action_d(self, h, p, fiber):
-        """The finite fiber action integrating fiber_generator."""
+        """The finite fiber action; x generates the restricted field of j_x."""
         self.require_exchanging()
         if not fiber.is_character:
             raise ValueError("eta_minus must be a character of g-")

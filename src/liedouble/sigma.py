@@ -18,6 +18,9 @@ from .dynamics import (_carrier, hamiltonian_quadratic, legendre_inverse,
 __all__ = ["r_operator", "dtheta_check", "lagrangian_N", "el_residual",
            "bivector_pi", "operator_identity_check", "lagrangian_density"]
 
+DTHETA_PAIRS = 4  # random pairs of chart directions that dtheta_check reads
+DTHETA_STEP = 1e-4  # its central-difference step
+
 
 def r_operator(e_op, g, sign=1):
     """R_g(+-) = B_g +- G_g as (..., N, d, d) site blocks g+ -> g-."""
@@ -25,7 +28,7 @@ def r_operator(e_op, g, sign=1):
     return bb + sign * gg
 
 
-def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
+def dtheta_check(space, fiber, p, rng):
     """Max residual of omega_c|_N = -dTheta over random chart directions.
 
     The fiber is charted by (u, w) -> (g+ exp(sum u_a T_a) g-, eta+ + w).
@@ -51,22 +54,22 @@ def dtheta_check(space, fiber, p, rng, pairs=4, step=1e-4):
         # central difference of the chart at uw along duw
         q1, q0 = chart(uw + duw), chart(uw - duw)
         xi = a.mat_to_vec(chart(uw).g.inv().matrix
-                          @ (q1.g.matrix - q0.g.matrix)) / (2 * step)
-        return xi, (q1.eta - q0.eta) / (2 * step)
+                          @ (q1.g.matrix - q0.g.matrix)) / (2 * DTHETA_STEP)
+        return xi, (q1.eta - q0.eta) / (2 * DTHETA_STEP)
 
     # one choice call per pair, as rng.choice draws no stack of them
     i, j = np.array([rng.choice(2 * n, size=2, replace=False)
-                     for _ in range(pairs)]).T
-    e = step * np.eye(2 * n)
-    ei, ej, zero = e[i], e[j], np.zeros((pairs, 2 * n))
+                     for _ in range(DTHETA_PAIRS)]).T
+    e = DTHETA_STEP * np.eye(2 * n)
+    ei, ej, zero = e[i], e[j], np.zeros((DTHETA_PAIRS, 2 * n))
     # Theta_j at +-e_i and Theta_i at +-e_j, then t_i and t_j at 0;
     # <Theta, t> = <eta, xi> for a fiber tangent with group slot xi
     at = np.stack([ei, -ei, ej, -ej, zero, zero])
     xi, rho = tangent(at, np.stack([ej, ej, ei, ei, ei, ej]))
     theta = _dot(chart(at[:4]).eta, xi[:4])
     # d/di Theta_j - d/dj Theta_i by central differences
-    dtheta = ((theta[0] - theta[1]) / (2 * step)
-              - (theta[2] - theta[3]) / (2 * step))
+    dtheta = ((theta[0] - theta[1]) / (2 * DTHETA_STEP)
+              - (theta[2] - theta[3]) / (2 * DTHETA_STEP))
     omega = space.omega_c(p, (xi[4], rho[4]), (xi[5], rho[5]))
     return _max_abs(omega + dtheta)
 

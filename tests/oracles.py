@@ -355,7 +355,8 @@ def collectivity_per_point(space, e_op, traj, fiber, samples=5):
     for i in idx:
         p, nxt = traj.points[i], traj.points[i + 1]
         x = np.matvec(p.g.ad_matrix(), space.differential(obs, p).deltaF)
-        xi_gen, rho_gen = space.fiber_generator(x, p, fiber)
+        xi_gen, rho_gen = dynamics.dirac_field(space,
+                                               space.momentum_fn(x), p, fiber)
         xi, rho = dynamics.dirac_field(space, obs, p, fiber)
         res["field"] = max(res["field"], np.abs(xi - xi_gen).max(),
                            np.abs(rho - rho_gen).max())

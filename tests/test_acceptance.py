@@ -225,7 +225,8 @@ def test_5_action_consistency():
             xi_fd = a.mat_to_vec(
                 ginv @ (pp.g.matrix - pm.g.matrix) / (2 * step))
             rho_fd = (pp.eta - pm.eta) / (2 * step)
-            xi, rho = space.fiber_generator(x, p, fiber)
+            xi, rho = dynamics.dirac_field(space,
+                                           space.momentum_fn(x), p, fiber)
             worst_gen = max(worst_gen,
                             float(np.abs(xi_fd - xi).max()),
                             float(np.abs(rho_fd - rho).max()))

@@ -328,6 +328,13 @@ class TestDeclaration:
         with pytest.raises(ValueError):
             algebra_from_declaration(d)
 
+    def test_cocycle_key_rejected(self):
+        # a declaration carries no cocycle; the config's section does
+        d = self.decl()
+        d["cocycle"] = {"kind": "zero"}
+        with pytest.raises(ValueError, match=r"unknown .*\['cocycle'\]"):
+            algebra_from_declaration(d)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_numbers_rejected(self, bad):
         for key, value in (("structure_constants", [[0, 1, 1, bad]]),

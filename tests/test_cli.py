@@ -112,6 +112,16 @@ class TestExperiments:
         last = rows[-1].split(",")[1:1 + n_state]
         assert first == last
 
+    def test_zero_hamiltonian_loop_is_constant(self, tmp_path):
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["options"]["hamiltonian"] = "zero"
+        assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        n_state = 8 + 8 * 6  # one site's matrix re/im entries plus eta
+        first = rows[1].split(",")[1:1 + n_state]
+        last = rows[-1].split(",")[1:1 + n_state]
+        assert first == last
+
 
 class TestConfigErrors:
     def test_invalid_json(self, tmp_path):
@@ -623,6 +633,26 @@ class TestFailureModes:
         assert run("loop", write_cfg(tmp_path, cfg), tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "CFL" in err
+
+    @pytest.mark.parametrize("experiment", ["flow", "collective", "sigma"])
+    def test_cfl_guards_every_loop_flow(self, experiment, tmp_path, capsys):
+        # ds / k = 1.31 < dt = 2 on the loop of loop_flow.json
+        cfg = json.loads(open(cfg_path("loop_flow.json")).read())
+        cfg["experiment"] = experiment
+        cfg["integrator"]["dt"] = 2.0
+        assert run(experiment, write_cfg(tmp_path, cfg), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CFL" in err
+
+    def test_non_finite_full_flow_exits_3(self, tmp_path, capsys):
+        # a step of 10 overflows the exponential on the first step
+        cfg = write_cfg(tmp_path, {
+            "schema": 1, "algebra": "sl2c-iwasawa",
+            "energy": {"preset": "skewed"},
+            "integrator": {"dt": 10.0, "steps": 20}, "seed": 0})
+        assert run("flow", cfg, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "step 1 is not finite" in err
 
     def test_numerical_failure_is_one_line(self, tmp_path):
         # a large step on a rough 32-site field overflows the exponential;

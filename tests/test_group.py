@@ -371,6 +371,9 @@ class TestMissingHooks:
         ("exponential", lambda a: group.exp(a, np.ones(a.dim))),
         ("inverse", lambda a: GroupPoint(a, a.identity_matrix).inv()),
         ("factorizer", lambda a: GroupPoint(a, a.identity_matrix).factors()),
+        # an SU(2) matrix, which no missing hook may pass as minus
+        ("minus membership", lambda a: GroupPoint(
+            a, np.array([[[0, 1], [-1, 0]]], dtype=complex)).member("minus")),
     ])
     def test_error_names_hook_and_algebra(self, hook, call):
         with pytest.raises(ValueError,

@@ -319,7 +319,7 @@ class TestLatticeDirac:
         rng = np.random.default_rng(519)
         p = space.random_fiber_point(fiber, rng, 0.3)
         x = smooth_vec(ALG, rng)
-        xi, rho = space.fiber_generator(x, p, fiber)
+        xi, rho = dynamics.dirac_field(space, space.momentum_fn(x), p, fiber)
         xi_o, rho_o = fiber_generator_direct(space, x, p)
         np.testing.assert_allclose(xi, xi_o, rtol=0, atol=1e-13)
         np.testing.assert_allclose(rho, rho_o, rtol=0, atol=1e-13)

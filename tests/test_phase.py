@@ -312,7 +312,8 @@ class TestRestrictedField:
         for _ in range(3):
             p = space.random_fiber_point(fiber, rng)
             x = rng.standard_normal(6)
-            xi, rho = space.fiber_generator(x, p, fiber)
+            xi, rho = dynamics.dirac_field(space,
+                                           space.momentum_fn(x), p, fiber)
             xi_o, rho_o = fiber_generator_direct(space, x, p)
             np.testing.assert_allclose(xi, xi_o, rtol=0, atol=1e-13)
             np.testing.assert_allclose(rho, rho_o, rtol=0, atol=1e-13)
@@ -324,7 +325,8 @@ class TestRestrictedField:
         fiber = space.fiber(group.identity(SL2), np.zeros(6))
         p = space.random_fiber_point(fiber, rng)
         with pytest.raises(ValueError, match="exchange"):
-            space.fiber_generator(np.ones(6), p, fiber)
+            dynamics.dirac_field(space,
+                                 space.momentum_fn(np.ones(6)), p, fiber)
         with pytest.raises(ValueError, match="exchange"):
             space.group_action_d(group.random_point(SL2, rng), p, fiber)
 
@@ -444,7 +446,8 @@ class TestGroupAction:
             ginv = np.linalg.inv(p.g.matrix)
             xi_fd = a.mat_to_vec(ginv @ (pp.g.matrix - pm.g.matrix) / (2 * h))
             rho_fd = (pp.eta - pm.eta) / (2 * h)
-            xi, rho = space.fiber_generator(x, p, fiber)
+            xi, rho = dynamics.dirac_field(space,
+                                           space.momentum_fn(x), p, fiber)
             np.testing.assert_allclose(xi_fd, xi, atol=1e-5)
             np.testing.assert_allclose(rho_fd, rho, atol=1e-5)
 
@@ -464,7 +467,7 @@ class TestGroupAction:
         fiber = make_fiber(space, rng)
         p = space.random_fiber_point(fiber, rng)
         x = rng.standard_normal(6)
-        xi, rho = space.fiber_generator(x, p, fiber)
+        xi, rho = dynamics.dirac_field(space, space.momentum_fn(x), p, fiber)
         # fiber slot never moves the minus component of eta
         np.testing.assert_allclose(
             space.algebra.project(rho, "minus"), 0, atol=1e-12)
