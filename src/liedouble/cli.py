@@ -128,14 +128,14 @@ class Scenario:
             raise ConfigError("algebra: %r has no matrix representation, "
                               "which this run's group layer needs" % base.name)
         loop = cfg.get("loop", {})
-        self.base, self.samples = base, loop.get("samples", 4)
+        self.base = self.algebra = base
         # the level of the lattice cocycle and of the CFL bound
         self.level = float(loop.get("level", 1.0))
-        self.sizes = loop.get("sizes", [8, 16, 32, 64])
-        self.algebra = base
+        # the study's keys that the config sets; the study has the defaults
+        self.study = {k: loop[k] for k in ("sizes", "samples") if k in loop}
         if "loop" in cfg:
             try:
-                for n in self.sizes:
+                for n in loop.get("sizes", ()):
                     looplib.LoopLattice(base, n)
                 self.algebra = looplib.build_loop_double(
                     base, loop.get("sites", 8))
@@ -270,14 +270,10 @@ class Scenario:
 
 def cmd_check(sc):
     a = sc.algebra
-    report = validate_manin(a)
-    for name, residual in report["checks"].items():
+    for name, residual in validate_manin(a)["checks"].items():
         sc.check("algebra/%s" % name, residual, _manin_bound(name))
-        sc.checks[-1]["passed"] = name not in report["failures"]
     c2 = sc.space.c2
-    x = sc.rng.standard_normal(a.shape)
-    y = sc.rng.standard_normal(a.shape)
-    z = sc.rng.standard_normal(a.shape)
+    x, y, z = sc.rng.standard_normal((3,) + a.shape)
     sc.check("cocycle/antisymmetry", c2.eval(x, y) + c2.eval(y, x), 1e-10)
     if sc.exact_cocycle:
         sc.check("cocycle/identity", cocycle_identity_residual(c2, x, y, z),
@@ -388,11 +384,10 @@ def cmd_flow(sc):
 def cmd_collective(sc):
     fiber = sc.restricted_fiber()
     # the fiber action that witnesses collectivity needs an admissible fiber
-    if not fiber.is_character:
-        raise ConfigError("fiber: eta_minus must be a character of g-")
-    if not fiber.in_kernel:
-        raise ConfigError("fiber: g_minus must lie in the kernel of the "
-                          "cocycle")
+    try:
+        fiber.require_admissible()
+    except ValueError as exc:
+        raise ConfigError("fiber: %s" % exc)
     p0 = sc.space.random_fiber_point(fiber, sc.rng, 0.3)
     rows = []
     results = []
@@ -467,8 +462,8 @@ def cmd_loop(sc):
     a = sc.algebra
     p0 = sc.space.random_fiber_point(fiber, sc.rng,
                                      sc.options.get("amplitude", 0.2))
-    traj = looplib.field_flow(sc.space, sc.hamiltonian(), p0, fiber,
-                              sc.integrator, sc.level)
+    traj = dynamics.flow_fiber(sc.space, sc.hamiltonian(), p0, fiber,
+                               sc.integrator)
     _write_trajectory(sc.artifact("trajectory.csv"), traj)
     sc.check("loop/energy_drift", traj.energies - traj.energies[0],
              sc.options.get("energy_tol", 1e-4))
@@ -479,8 +474,7 @@ def cmd_loop(sc):
     red = sc.space.dirac_bracket_reduced(f, g, p, fiber)
     sc.check("loop/remark_reduced_vs_full", (full - red) / (1 + abs(full)),
              1e-12)
-    x = sc.rng.standard_normal(a.shape)
-    y = sc.rng.standard_normal(a.shape)
+    x, y = sc.rng.standard_normal((2,) + a.shape)
     sc.check("loop/cocycle_antisymmetry",
              sc.space.c2.eval(x, y) + sc.space.c2.eval(y, x), 1e-12)
     const = grouplib.exp(a, looplib.constant_loop(
@@ -489,8 +483,7 @@ def cmd_loop(sc):
 
 
 def cmd_converge(sc):
-    out = looplib.convergence_study(sc.base, sc.level, sizes=sc.sizes,
-                                    rng=sc.rng, samples=sc.samples)
+    out = looplib.convergence_study(sc.base, sc.level, rng=sc.rng, **sc.study)
     keys = ("jacobi", "one_cocycle", "compatibility")
     rows = [[n, out["spacings"][i]] + [out["residuals"][k][i] for k in keys]
             for i, n in enumerate(out["sizes"])]

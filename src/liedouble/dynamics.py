@@ -57,7 +57,8 @@ class EnergyOperator:
         n = len(sp)
         s = np.asarray(s, dtype=float)
         a = np.zeros((n, n)) if a is None else np.asarray(a, dtype=float)
-        if np.abs(s - s.T).max() > 1e-12 or np.abs(a + a.T).max() > 1e-12:
+        # written as "not <=" so that a NaN block fails this check
+        if not _max_abs([s - s.T, a + a.T]) <= 1e-12:
             raise ValueError("blocks must be symmetric / antisymmetric")
         # in the normalized frame the cross pairing is the identity, so the
         # maps g+ -> g- with matrices s (metric) and a (two-form) give
@@ -112,6 +113,11 @@ class EnergyOperator:
         return gg, bb
 
 
+def _carrier(space, g, eta):
+    """The covector eta - C(g^{-1}) that the quadratic Hamiltonian reads."""
+    return eta - space.C.value(g.inv())
+
+
 def hamiltonian_quadratic(space, e_op):
     """H = (1/2) (u, E_g u)_g with u = psi_bar(eta - C(g^{-1})).
 
@@ -128,7 +134,7 @@ def hamiltonian_quadratic(space, e_op):
 
     @grouplib._memo_last
     def carrier(p):
-        w = p.eta - space.C.value(p.g.inv())
+        w = _carrier(space, p.g, p.eta)
         adg = p.g.ad_matrix()
         v = np.matvec(adg, a.psi_bar(w))
         pe_v = np.dot(v, pe_t)
@@ -260,13 +266,6 @@ def flow_fiber(space, obs, p0, fiber, cfg):
     return _integrate(space, field, obs, p0, cfg, fiber=fiber)
 
 
-def _carrier(space, g_plus, eta_minus):
-    """v = psi_bar(eta- - C(g+^{-1})), the g+ vector sourcing the twist
-    terms of the Legendre map and of the Lagrangian: the Hamiltonian's
-    psi_bar(eta - C(g^{-1})) read at (g+, eta-)."""
-    return space.algebra.psi_bar(eta_minus - space.C.value(g_plus.inv()))
-
-
 def legendre_map(space, e_op, p, fiber):
     """Fiber momentum to velocity: g+^{-1} d/dt g+ as coordinates.
 
@@ -291,8 +290,8 @@ def legendre_inverse(space, e_op, g_plus, gdot, fiber):
     a = space.algebra
     gm = fiber.g_minus
     gg, bb = e_op.blocks_at(g_plus)
-    val = (np.matvec(gg, gdot)
-           + np.matvec(bb, _carrier(space, g_plus, fiber.eta_minus))
+    v = a.psi_bar(_carrier(space, g_plus, fiber.eta_minus))
+    val = (np.matvec(gg, gdot) + np.matvec(bb, v)
            - a.project(np.matvec(gm.ad_matrix(), a.psi_bar(fiber.eta_minus)),
                        "minus"))
     eta_plus = grouplib.coadjoint_star(gm, a.psi(val))

@@ -65,6 +65,13 @@ class FiberSpec:
         self.is_character = is_character(g_minus.algebra, self.eta_minus)
         self.in_kernel = grouplib.kernel_check(cocycle, g_minus)
 
+    def require_admissible(self):
+        """Raise a ValueError unless the fiber is admissible."""
+        if not self.is_character:
+            raise ValueError("eta_minus must be a character of g-")
+        if not self.in_kernel:
+            raise ValueError("g_minus must lie in the kernel of the cocycle")
+
 
 class Differential:
     """The pair (dF, deltaF) of one differential, as (N, d) arrays, or of
@@ -336,10 +343,7 @@ class PhaseSpace:
     def group_action_d(self, h, p, fiber):
         """The finite fiber action; x generates the restricted field of j_x."""
         self.require_exchanging()
-        if not fiber.is_character:
-            raise ValueError("eta_minus must be a character of g-")
-        if not fiber.in_kernel:
-            raise ValueError("g_minus must lie in the kernel of the cocycle")
+        fiber.require_admissible()
         self._require_on_fiber(p, fiber)
         gp, gm = p.g.factors()
         l = gp.inv().mul(h).mul(gp)

@@ -28,6 +28,12 @@ def r_operator(e_op, g, sign=1):
     return bb + sign * gg
 
 
+def _r_form(space, e_op, g_plus, x, w):
+    """(1/2) (R_g(+) (x + w), x - w), one value per point of a stack."""
+    rp = r_operator(e_op, g_plus, +1)
+    return 0.5 * space.algebra.pair(np.matvec(rp, x + w), x - w)
+
+
 def dtheta_check(space, fiber, p, rng):
     """Max residual of omega_c|_N = -dTheta over random chart directions.
 
@@ -87,15 +93,14 @@ def lagrangian_N(space, e_op, g_plus, gdot, fiber, route="r-form"):
         p = legendre_inverse(space, e_op, g_plus, gdot, fiber)
         xi = grouplib.adjoint(fiber.g_minus.inv(), gdot)
         return _dot(p.eta, xi) - h.value(p)
-    gg, bb = e_op.blocks_at(g_plus)
-    v = _carrier(space, g_plus, fiber.eta_minus)
+    v = a.psi_bar(_carrier(space, g_plus, fiber.eta_minus))
+    if route == "r-form":
+        return _r_form(space, e_op, g_plus, gdot, v)
     if route == "blocks":
+        gg, bb = e_op.blocks_at(g_plus)
         return (0.5 * a.pair(np.matvec(gg, gdot), gdot)
                 + a.pair(gdot, np.matvec(bb, v))
                 - 0.5 * a.pair(v, np.matvec(gg, v)))
-    if route == "r-form":
-        rp = r_operator(e_op, g_plus, +1)
-        return 0.5 * a.pair(np.matvec(rp, gdot + v), gdot - v)
     raise ValueError("unknown route %r" % route)
 
 
@@ -113,7 +118,7 @@ def el_residual(space, e_op, traj, fiber):
     gp = p.g_plus()
     gg, bb = e_op.blocks_at(gp)
     gdot = legendre_map(space, e_op, p, fiber)
-    v = _carrier(space, gp, fiber.eta_minus)
+    v = a.psi_bar(_carrier(space, gp, fiber.eta_minus))
     mom = np.matvec(gg, gdot) + np.matvec(bb, v)  # the first force term
     force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
     em = a.psi_bar(fiber.eta_minus)
@@ -156,16 +161,13 @@ def operator_identity_check(space, e_op, g_plus, sign=1):
 
 
 def lagrangian_density(space, e_op, g_plus, gdot, gprime, fiber, k):
-    """First-order field Lagrangian density at one site.
-
-    gdot and gprime are the left-trivialized time and space derivatives of
-    g+; the light-cone combinations use the lattice velocity k. At k = 0
-    (and spatially constant data) this collapses to the mechanical
-    Lagrangian on the fiber. One value per point of a stack.
+    """First-order field Lagrangian density at one site: the r-form at
+    (gdot, psi_bar(eta-) + k gprime), gdot and gprime the left-trivialized
+    time and space derivatives of g+ (light-cone a+- = gdot +- k gprime).
+    It is the mechanical Lagrangian where that slot is the carrier
+    psi_bar(eta- - C(g+^{-1})): with the level-k lattice cocycle and
+    gprime = g+^{-1} d_s g+ for unitary g+, and at k = 0 only where
+    C(g+^{-1}) = 0. One value per point of a stack.
     """
-    a = space.algebra
-    em = a.psi_bar(fiber.eta_minus)
-    aplus = gdot + k * gprime
-    aminus = gdot - k * gprime
-    rp = r_operator(e_op, g_plus, +1)
-    return 0.5 * a.pair(np.matvec(rp, aplus + em), aminus - em)
+    return _r_form(space, e_op, g_plus, gdot,
+                   space.algebra.psi_bar(fiber.eta_minus) + k * gprime)

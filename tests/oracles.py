@@ -328,7 +328,7 @@ def el_residual_per_point(space, e_op, traj, fiber):
         gp = p.g_plus()
         gg, bb = e_op.blocks_at(gp)
         gdot = dynamics.legendre_map(space, e_op, p, fiber)
-        v = dynamics._carrier(space, gp, fiber.eta_minus)
+        v = a.psi_bar(dynamics._carrier(space, gp, fiber.eta_minus))
         mom = np.matvec(gg, gdot) + np.matvec(bb, v)
         force_b = np.matvec(bb, gdot) + np.matvec(gg, v)
         em = a.psi_bar(fiber.eta_minus)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from liedouble import cli, dynamics, group, loop as looplib, sigma
+from liedouble import cli, dynamics, group, sigma
 from liedouble.algebra import get_algebra, load_algebra, validate_manin
 from liedouble.dynamics import EnergyOperator
 from liedouble.phase import PhaseSpace
@@ -37,6 +37,19 @@ BASE_CFG = {
     "cocycle": {"kind": "zero"},
     "seed": 0,
 }
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(CONFIGS) if f.endswith(".json")))
+def test_every_verdict_is_residual_below_tolerance(name, tmp_path):
+    # one verdict rule for every check of every shipped config, the
+    # algebra/* checks included
+    with open(cfg_path(name)) as fh:
+        experiment = json.load(fh)["experiment"]
+    report = cli.run(experiment, cfg_path(name), str(tmp_path), quiet=True)
+    assert report["checks"]
+    for c in report["checks"]:
+        assert c["passed"] == (c["residual"] < c["tolerance"]), c
 
 
 class TestCheck:
@@ -558,14 +571,14 @@ class TestNanIsNoPass:
 
     def test_nan_eta_drift_fails_fiber_frozen(self, tmp_path, monkeypatch):
         # NaN only in the second of the two drifts
-        real = looplib.field_flow
+        real = dynamics.flow_fiber
 
         def nan_drift(*args):
             traj = real(*args)
             traj.extras["drift_etaminus"][-1] = np.nan
             return traj
 
-        monkeypatch.setattr(looplib, "field_flow", nan_drift)
+        monkeypatch.setattr(dynamics, "flow_fiber", nan_drift)
         assert run("loop", cfg_path("loop_flow.json"), tmp_path) == 1
         check = self.report(tmp_path)["loop/fiber_frozen"]
         assert np.isnan(check["residual"]) and not check["passed"]

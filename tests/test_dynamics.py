@@ -116,6 +116,13 @@ class TestEnergyOperator:
         with pytest.raises(ValueError):
             EnergyOperator.from_blocks(SL2, np.triu(np.ones((3, 3))))
 
+    @pytest.mark.parametrize("block", ["s", "a"])
+    def test_nan_block_is_not_symmetric(self, block):
+        s, a = np.eye(3), np.zeros((3, 3))
+        (s if block == "s" else a)[0, 1] = np.nan
+        with pytest.raises(ValueError, match="symmetric / antisymmetric"):
+            EnergyOperator.from_blocks(SL2, s, a)
+
 
 class TestQuadraticHamiltonian:
     @pytest.mark.parametrize("space", SPACES)

@@ -419,6 +419,13 @@ class TestFieldFlow:
         with pytest.raises(ValueError):
             loop.field_flow(space, h, p0, fiber, bad, K)
 
+    def test_cfl_nan_level_fails_zero_level_passes(self):
+        lattice = loop.LoopLattice(BASE, 8)
+        with pytest.raises(ValueError, match="CFL"):
+            loop.check_cfl(lattice, 0.01, np.nan)
+        assert loop.check_cfl(lattice, 0.01, 0.0) is None
+        assert loop.check_cfl(lattice, 100.0, 0) is None
+
     def test_step_calls_no_solve(self, monkeypatch):
         # the restricted field applies operators to vectors: Ad_{g-}^{-1}
         # and Ad_g^{-1} come from the ad-invariance of the pairing

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liedouble import dynamics, group, sigma
+from liedouble import dynamics, group, loop, sigma
 from liedouble.algebra import get_algebra
 from liedouble.dynamics import EnergyOperator, IntegratorConfig
 from liedouble.group import GroupCocycle
@@ -213,6 +213,57 @@ class TestDensity:
         v1 = sigma.lagrangian_density(space, e, gp, gdot, gprime, fiber, k)
         v2 = sigma.lagrangian_density(space, e, gp, gdot, -gprime, fiber, -k)
         assert v1 == pytest.approx(v2, abs=1e-12)
+
+    # (base, energy, constant g- and eta- of the fiber, level, sites)
+    LOOP_CASES = (
+        [(b, "skewed", np.zeros(6), 0.5 * np.eye(6)[3], k, n)
+         for b in (SL2, SO3) for k in (0.0, 0.6, -1.3) for n in (8, 32)]
+        # configs/loop_flow.json's fiber
+        + [(SL2, "isotropic", 0.3 * np.eye(6)[3], 0.5 * np.eye(6)[3], 0.6, n)
+           for n in (8, 32, 128)])
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_loop_density_is_the_mechanical_lagrangian(self, case, rng):
+        # with the level-k lattice cocycle, C_k(g+^{-1}) = -k psi(gprime)
+        # for gprime = g+^{-1} d_s g+ and the unitary g+ of the built-in
+        # doubles, so the density's slot psi_bar(eta-) + k gprime is the
+        # carrier: the density is the mechanical Lagrangian on the fiber,
+        # by every route (the paper's closing claim)
+        base, energy, gm, em, k, n = case
+        a = loop.build_loop_double(base, n)
+        space = PhaseSpace(a, loop.loop_group_cocycle(a, k))
+        e = EnergyOperator.preset(a, energy)
+        fiber = space.fiber(group.exp(a, loop.constant_loop(a, gm)),
+                            loop.constant_loop(a, em) / n)
+        gp = group.exp(a, a.project(loop.sampled_loop(
+            a, loop._smooth_coeffs(base, rng, modes=2, scale=0.3)), "plus"))
+        gdot = a.project(loop.sampled_loop(
+            a, loop._smooth_coeffs(base, rng, modes=2, scale=0.3)), "plus")
+        gprime = a.mat_to_vec(
+            gp.inv().matrix @ loop.d_s(a.lattice, gp.matrix, -3))
+        ld = sigma.lagrangian_density(space, e, gp, gdot, gprime, fiber, k)
+        for route in ("legendre", "blocks", "r-form"):
+            lm = sigma.lagrangian_N(space, e, gp, gdot, fiber, route)
+            assert abs(ld - lm) < 1e-13, route
+
+    def test_k_zero_reads_eta_minus_not_the_carrier(self):
+        # sl2_flow.json's coboundary puts C(g+^{-1}) into the carrier, which
+        # the static density does not read: it is the mechanical Lagrangian
+        # of the zero cocycle, not of this one
+        rng = np.random.default_rng(1)
+        gp = group.exp(SL2, SL2.project(0.4 * rng.standard_normal(6),
+                                        "plus"))
+        gdot = SL2.project(rng.standard_normal(6), "plus")
+        e = EnergyOperator.preset(SL2, "skewed")
+        fiber = make_fibers(SPACE_SL2, rng)[1]
+        ld = sigma.lagrangian_density(SPACE_SL2, e, gp, gdot, np.zeros(6),
+                                      fiber, 0.0)
+        lm = sigma.lagrangian_N(SPACE_SL2, e, gp, gdot, fiber, "r-form")
+        zero = PhaseSpace(SL2)
+        lm_zero = sigma.lagrangian_N(zero, e, gp, gdot, zero.fiber(
+            fiber.g_minus, fiber.eta_minus), "r-form")
+        assert abs(ld - lm) > 1e-3
+        assert ld == pytest.approx(lm_zero, abs=1e-12)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_stack_is_per_point(self, space, rng):
