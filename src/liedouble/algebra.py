@@ -285,7 +285,7 @@ class TwoCocycle:
         difference acts along the sites and keeps each site's split.
         """
         a = self.algebra
-        return all(_max_abs(_sub_blocks(self.matrix, s, s)) < STRUCTURE_TOL
+        return all(_below(_sub_blocks(self.matrix, s, s), STRUCTURE_TOL)
                    for s in (a.site_plus, a.site_minus))
 
 
@@ -310,6 +310,12 @@ def _max_abs(a):
     return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
 
 
+def _below(residual, bound):
+    """The one verdict on a residual: its largest absolute entry is
+    strictly below ``bound``. A NaN entry fails, and so does equality."""
+    return bool(_max_abs(residual) < bound)
+
+
 def cocycle_identity_residual(cocycle, x, y, z):
     """c([x,y],z) + c([y,z],x) + c([z,x],y)."""
     a = cocycle.algebra
@@ -322,13 +328,12 @@ def is_character(algebra, eta_minus):
     """True iff eta_minus vanishes on [g-, g-].
 
     eta_minus must be supported on the dual of g- (its g+* projection zero).
-    Both tests are written as "<=", so that a NaN entry fails them.
     """
-    if not _max_abs(algebra.project(eta_minus, "plus")) <= STRUCTURE_TOL:
+    if not _below(algebra.project(eta_minus, "plus"), STRUCTURE_TOL):
         raise ValueError("eta_minus has support outside the dual of g-")
     sm = algebra.site_minus
-    return _max_abs(_sub_blocks(algebra.bracket_form(eta_minus), sm, sm)) \
-        <= STRUCTURE_TOL
+    return _below(_sub_blocks(algebra.bracket_form(eta_minus), sm, sm),
+                  STRUCTURE_TOL)
 
 
 # --- validation ---------------------------------------------------------
@@ -364,8 +369,7 @@ def validate_manin(a):
     res["isotropy_plus"] = _max_abs(_sub_blocks(p, sp, sp))
     res["isotropy_minus"] = _max_abs(_sub_blocks(p, sm, sm))
     res["index_partition"] = float(sorted([*sp, *sm]) != [*range(a.site_dim)])
-    # written as "not <" so that a NaN residual fails, as in a CLI check
-    failures = [k for k, v in res.items() if not v < _manin_bound(k)]
+    failures = [k for k, v in res.items() if not _below(v, _manin_bound(k))]
     return {"checks": res, "failures": failures, "passed": not failures}
 
 
@@ -455,15 +459,15 @@ def _so3_exp(m):
 
 def _so3_member_plus(m, tol):
     r = m[..., :3, :3]
-    return (np.abs(m[..., :3, 3]).max() < tol
-            and np.abs(r.swapaxes(-1, -2) @ r - np.eye(3)).max() < tol
-            and np.abs(np.linalg.det(r) - 1.0).max() < tol
-            and np.abs(m[..., 3, :] - [0, 0, 0, 1]).max() < tol)
+    return (_below(m[..., :3, 3], tol)
+            and _below(r.swapaxes(-1, -2) @ r - np.eye(3), tol)
+            and _below(np.linalg.det(r) - 1.0, tol)
+            and _below(m[..., 3, :] - [0, 0, 0, 1], tol))
 
 
 def _so3_member_minus(m, tol):
-    return (np.abs(m[..., :3, :3] - np.eye(3)).max() < tol
-            and np.abs(m[..., 3, :] - [0, 0, 0, 1]).max() < tol)
+    return (_below(m[..., :3, :3] - np.eye(3), tol)
+            and _below(m[..., 3, :] - [0, 0, 0, 1], tol))
 
 
 _CYCLE = np.array([[1], [2], [0]])
@@ -517,14 +521,14 @@ def _sl2c_iwasawa():
 
 
 def _su2_member(m, tol):
-    return (np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max() < tol
-            and np.abs(np.linalg.det(m) - 1.0).max() < tol)
+    return (_below(m @ m.conj().swapaxes(-1, -2) - np.eye(2), tol)
+            and _below(np.linalg.det(m) - 1.0, tol))
 
 
 def _sb2_member(m, tol):
-    return (np.abs(m[..., 1, 0]).max() < tol
-            and np.abs(np.linalg.det(m) - 1.0).max() < tol
-            and np.abs(m[..., 0, 0].imag).max() < tol
+    return (_below(m[..., 1, 0], tol)
+            and _below(np.linalg.det(m) - 1.0, tol)
+            and _below(m[..., 0, 0].imag, tol)
             and (m[..., 0, 0].real > 0).all())
 
 

@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import dynamics, group as grouplib, loop as looplib, sigma
-from .algebra import (_manin_bound, _max_abs, cocycle_identity_residual,
-                      load_algebra, validate_manin)
+from .algebra import (_below, _manin_bound, _max_abs,
+                      cocycle_identity_residual, load_algebra, validate_manin)
 from .dynamics import EnergyOperator, IntegratorConfig
 from .group import FactorizationError, GroupCocycle
 from .phase import Differential, Observable, PhasePoint, PhaseSpace
@@ -250,7 +250,7 @@ class Scenario:
         residual = _max_abs(residual)
         self.checks.append({"name": name, "residual": residual,
                             "tolerance": float(tolerance),
-                            "passed": bool(residual < tolerance)})
+                            "passed": _below(residual, tolerance)})
 
     def artifact(self, filename):
         path = os.path.join(self.output_dir, filename)

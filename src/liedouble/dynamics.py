@@ -15,7 +15,7 @@ and E_g and the Legendre map's metric and two-form blocks are
 import numpy as np
 
 from . import group as grouplib
-from .algebra import _dot, _max_abs
+from .algebra import _below, _dot, _max_abs
 from .phase import Differential, Observable, PhasePoint
 
 __all__ = ["EnergyOperator", "IntegratorConfig", "Trajectory",
@@ -43,12 +43,11 @@ class EnergyOperator:
         if e.shape != (d, d):
             raise ValueError("energy operator must be one site's %dx%d "
                              "matrix (got shape %s)" % (d, d, e.shape))
-        # written as "not <=" so that a NaN fails the checks
-        if not np.abs(e @ e - np.eye(d)).max() <= 1e-10:
+        if not _below(e @ e - np.eye(d), 1e-10):
             raise ValueError("energy operator is not an involution")
         # P E, the symmetric form of the energy, one (d, d) block
         pe = self.pe = algebra.pairing @ e
-        if not np.abs(pe - pe.T).max() <= 1e-10:
+        if not _below(pe - pe.T, 1e-10):
             raise ValueError("energy operator is not pairing-symmetric")
 
     @classmethod
@@ -57,8 +56,7 @@ class EnergyOperator:
         n = len(sp)
         s = np.asarray(s, dtype=float)
         a = np.zeros((n, n)) if a is None else np.asarray(a, dtype=float)
-        # written as "not <=" so that a NaN block fails this check
-        if not _max_abs([s - s.T, a + a.T]) <= 1e-12:
+        if not _below([s - s.T, a + a.T], 1e-12):
             raise ValueError("blocks must be symmetric / antisymmetric")
         # in the normalized frame the cross pairing is the identity, so the
         # maps g+ -> g- with matrices s (metric) and a (two-form) give

@@ -23,7 +23,7 @@ import weakref
 
 import numpy as np
 
-from .algebra import TwoCocycle, _max_abs, _missing_hook
+from .algebra import TwoCocycle, _below, _max_abs, _missing_hook
 
 __all__ = ["GroupPoint", "GroupCocycle", "identity", "exp", "adjoint",
            "coadjoint_star", "kernel_check", "random_point"]
@@ -80,12 +80,11 @@ class GroupPoint:
     def factors(self):
         if self._factors is None:
             gp, gm = self.algebra.factorizer(self.matrix)
-            resid = _max_abs(matmul(gp, gm) - self.matrix)
-            # written as "not <=" so that a NaN residual fails
-            if not resid <= FACTOR_TOL:
+            resid = matmul(gp, gm) - self.matrix
+            if not _below(resid, FACTOR_TOL):
                 raise FactorizationError(
                     "factorization residual %.3e exceeds %.1e"
-                    % (resid, FACTOR_TOL))
+                    % (_max_abs(resid), FACTOR_TOL))
             self._factors = (GroupPoint(self.algebra, gp),
                              GroupPoint(self.algebra, gm))
         return self._factors
@@ -206,7 +205,7 @@ def one_cocycle_residual(cocycle, g, h):
 
 
 def kernel_check(cocycle, g_minus):
-    return _max_abs(cocycle.value(g_minus)) < KERNEL_TOL
+    return _below(cocycle.value(g_minus), KERNEL_TOL)
 
 
 def random_point(algebra, rng, scale=0.6, batch=None):

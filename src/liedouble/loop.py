@@ -150,7 +150,7 @@ def sampled_loop(loop_algebra, coeffs):
 
 def check_cfl(lattice, dt, k):
     """Raise a ValueError unless dt <= ds/|k|, the lattice CFL bound."""
-    # written as "not <=" so that a NaN level fails
+    # the limit itself passes, and a NaN level fails
     if k != 0 and not dt <= lattice.ds / abs(k):
         raise ValueError("time step %.3g exceeds the CFL bound ds/|k| = %.3g"
                          % (dt, lattice.ds / abs(k)))

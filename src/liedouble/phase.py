@@ -15,7 +15,7 @@ symmetry on admissible fibers.
 import numpy as np
 
 from . import group as grouplib
-from .algebra import _dot, _flat, _max_abs, is_character
+from .algebra import _below, _dot, _flat, _max_abs, is_character
 
 __all__ = ["PhasePoint", "FiberSpec", "Observable", "Differential",
            "PhaseSpace"]
@@ -138,8 +138,7 @@ class PhaseSpace:
 
     def _require_on_fiber(self, p, fiber):
         d = self.on_fiber_distance(p, fiber)
-        # written as "not <=" so that a NaN distance fails
-        if not d <= ON_FIBER_TOL:
+        if not _below(d, ON_FIBER_TOL):
             raise ValueError("point is off the fiber by %.3e" % d)
 
     def fiber_point(self, fiber, g_plus, eta_plus):

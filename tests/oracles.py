@@ -339,7 +339,7 @@ def el_residual_per_point(space, e_op, traj, fiber):
 
     t = len(traj.times)
     moms, rhss = zip(*[pieces(traj.points[k]) for k in range(t)])
-    return max([0.0] + [
+    return np.max([0.0] + [
         float(np.abs((moms[k + 1] - moms[k - 1]) / (2 * dt) - rhss[k]).max())
         for k in range(1, t - 1)])
 
@@ -358,17 +358,18 @@ def collectivity_per_point(space, e_op, traj, fiber, samples=5):
         xi_gen, rho_gen = dynamics.dirac_field(space,
                                                space.momentum_fn(x), p, fiber)
         xi, rho = dynamics.dirac_field(space, obs, p, fiber)
-        res["field"] = max(res["field"], np.abs(xi - xi_gen).max(),
-                           np.abs(rho - rho_gen).max())
+        res["field"] = np.max([res["field"], np.abs(xi - xi_gen).max(),
+                               np.abs(rho - rho_gen).max()])
         if i > 0:
             jdot = (space.momentum_ext(nxt)[0]
                     - space.momentum_ext(traj.points[i - 1])[0]) / (2 * dt)
             pred = -(a.coad(x, space.momentum_ext(p)[0]) + space.c2.hat(x))
-            res["orbit"] = max(res["orbit"], np.abs(jdot - pred).max())
+            res["orbit"] = np.maximum(res["orbit"],
+                                      np.abs(jdot - pred).max())
         q = space.group_action_d(group.exp(a, x, dt), p, fiber)
-        res["reconstruction"] = max(res["reconstruction"],
-                                    np.abs(q.eta - nxt.eta).max(),
-                                    np.abs(q.g.matrix - nxt.g.matrix).max())
+        res["reconstruction"] = np.max([
+            res["reconstruction"], np.abs(q.eta - nxt.eta).max(),
+            np.abs(q.g.matrix - nxt.g.matrix).max()])
     return res
 
 
@@ -431,7 +432,7 @@ def dtheta_check_per_pair(space, fiber, p, rng, pairs=4, step=1e-4):
                 - theta_component(zu - ej[:n], -ej[n:], i)) / (2 * step)
         omega = space.omega_c(p, tangent(zu, np.zeros(n), i),
                               tangent(zu, np.zeros(n), j))
-        worst = max(worst, abs(omega + (didj - djdi)))
+        worst = np.maximum(worst, abs(omega + (didj - djdi)))
     return worst
 
 
@@ -457,20 +458,21 @@ def convergence_study_per_sample(base, k, sizes=(8, 16, 32, 64), rng=None,
         for i in range(samples):
             x, y, z = (loop.sampled_loop(alg, c)
                        for c in alg_sets[3 * i:3 * i + 3])
-            worst["jacobi"] = max(
+            worst["jacobi"] = np.maximum(
                 worst["jacobi"], abs(cocycle_identity_residual(c2, x, y, z)))
             xg, yg = (loop.sampled_loop(alg, c)
                       for c in grp_sets[2 * i:2 * i + 2])
             g, h = group.exp(alg, xg), group.exp(alg, yg)
             lhs = cg.value(g.mul(h))
             rhs = group.coadjoint_star(g.inv(), cg.value(h)) + cg.value(g)
-            worst["one_cocycle"] = max(
+            worst["one_cocycle"] = np.maximum(
                 worst["one_cocycle"],
                 float(np.abs(alg.psi_bar(lhs - rhs)).max()))
             comp = (c2.eval(group.adjoint(g, yg), group.adjoint(g, xg))
                     - c2.eval(yg, xg)
                     - np.vdot(cg.value(g.inv()), alg.bracket(yg, xg)))
-            worst["compatibility"] = max(worst["compatibility"], abs(comp))
+            worst["compatibility"] = np.maximum(worst["compatibility"],
+                                                abs(comp))
         for key in res:
             res[key].append(worst[key])
     return res

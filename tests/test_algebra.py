@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedouble.algebra import (BasisAlgebra, TwoCocycle,
+from liedouble.algebra import (STRUCTURE_TOL, BasisAlgebra, TwoCocycle,
                                algebra_from_declaration,
                                cocycle_identity_residual, get_algebra,
                                is_character, validate_manin)
@@ -213,6 +213,14 @@ class TestCharacter:
     def test_nan_plus_part_breaks_the_support_precondition(self):
         eta = np.zeros(6)
         eta[1] = np.nan
+        with pytest.raises(ValueError, match="support outside"):
+            is_character(SL2, eta)
+
+    def test_plus_part_at_the_bound_breaks_the_support_precondition(self):
+        # one verdict rule: a residual equal to its bound fails, as it
+        # does for the exchanging test and every check
+        eta = np.zeros(6)
+        eta[1] = STRUCTURE_TOL
         with pytest.raises(ValueError, match="support outside"):
             is_character(SL2, eta)
 

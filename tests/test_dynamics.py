@@ -123,6 +123,13 @@ class TestEnergyOperator:
         with pytest.raises(ValueError, match="symmetric / antisymmetric"):
             EnergyOperator.from_blocks(SL2, s, a)
 
+    def test_asymmetry_at_the_bound_is_not_symmetric(self):
+        # equality fails, as in every residual verdict
+        s = np.eye(3)
+        s[0, 1] = 1e-12
+        with pytest.raises(ValueError, match="symmetric / antisymmetric"):
+            EnergyOperator.from_blocks(SL2, s)
+
 
 class TestQuadraticHamiltonian:
     @pytest.mark.parametrize("space", SPACES)

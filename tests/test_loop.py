@@ -238,7 +238,7 @@ class TestGroupCocycle:
             e = basis(ALG)[i]
             fd = (CG.value(group.exp(ALG, e, h))
                   - CG.value(group.exp(ALG, e, -h))) / (2 * h)
-            worst = max(worst, np.abs(-fd - C2.hat(e)).max())
+            worst = np.maximum(worst, np.abs(-fd - C2.hat(e)).max())
         assert worst < 1e-8
 
     def test_exact_differential_at_inverse(self, rng):
@@ -251,7 +251,7 @@ class TestGroupCocycle:
             e = h * basis(ALG)[i]
             fd = (CG.value(g.mul(group.exp(ALG, e)).inv())
                   - CG.value(g.mul(group.exp(ALG, -e)).inv())) / (2 * h)
-            worst = max(worst, np.abs(m[:, i] - flat(fd)).max())
+            worst = np.maximum(worst, np.abs(m[:, i] - flat(fd)).max())
         assert worst < 1e-8
 
     def test_pullback_matches_operator_oracle(self):
@@ -296,7 +296,7 @@ class TestLatticeDirac:
                 g = space.momentum_fn(smooth_vec(ALG, rng))
                 full = space.dirac_bracket(f, g, p, fiber)
                 red = space.dirac_bracket_reduced(f, g, p, fiber)
-                worst = max(worst, abs(full - red))
+                worst = np.maximum(worst, abs(full - red))
         assert worst < 1e-12
 
     def test_reduced_minus_full_is_cocycle_traces(self):
